@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 import tempfile
+from pathlib import Path
 
 from reanalyze.cli import main as cli_main
 
@@ -17,10 +18,10 @@ def main():
     args = parser.parse_args()
     config = {"scenarios": [{"id": f"flops-n{args.n}",
                              "flops": {"mode": "both", "n": args.n}}]}
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        config_path = fh.name
-    return cli_main(["flops", "--config", config_path, "--out", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config))
+        return cli_main(["flops", "--config", str(config_path), "--out", args.out])
 
 
 if __name__ == "__main__":

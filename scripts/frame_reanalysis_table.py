@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import tempfile
+from pathlib import Path
 
 from reanalyze.cli import main as cli_main
 
@@ -51,10 +52,10 @@ def main():
                         default="simplified",
                         help="coupling-moment convention for the graded frames")
     args = parser.parse_args()
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(build_config(args.coupling), fh)
-        config_path = fh.name
-    return cli_main(["reanalyze", "--config", config_path, "--out", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(build_config(args.coupling)))
+        return cli_main(["reanalyze", "--config", str(config_path), "--out", args.out])
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import tempfile
+from pathlib import Path
 
 from reanalyze.cli import main as cli_main
 
@@ -31,10 +32,10 @@ def main():
         "nonlinear": {"sigma_y": sigma_y, "backends": args.backends,
                       "n_steps": 20, "e0": 2e5, "et": 0.3e5},
     }]}
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        config_path = fh.name
-    return cli_main(["nonlinear", "--config", config_path, "--out", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config))
+        return cli_main(["nonlinear", "--config", str(config_path), "--out", args.out])
 
 
 if __name__ == "__main__":

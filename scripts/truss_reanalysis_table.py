@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import tempfile
+from pathlib import Path
 
 from reanalyze.cli import main as cli_main
 
@@ -34,10 +35,10 @@ def main():
     parser.add_argument("--sizes", type=int, nargs="+", default=[2048, 4096, 6144],
                         help="free-node counts (multiples of 32)")
     args = parser.parse_args()
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(build_config(args.sizes), fh)
-        config_path = fh.name
-    return cli_main(["reanalyze", "--config", config_path, "--out", args.out])
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(build_config(args.sizes)))
+        return cli_main(["reanalyze", "--config", str(config_path), "--out", args.out])
 
 
 if __name__ == "__main__":

@@ -8,6 +8,12 @@ system on the additional-component deformation forces.  Everything topological
 (C_b factorization, C_a, the dense influence matrix C_s = C_a C_b^-1) is
 invariant under material modification and is shared between the original and
 any modified partition; only the block-diagonal parameter matrices are rebuilt.
+
+The reduced right-hand side, operator and displacement recovery never read the
+dense influence matrix: they apply C_s v as C_a (C_b^-1 v) and C_s^T x as
+C_b^-T (C_a^T x) through the sparse basis factorization.  The dense matrix
+serves only the methods that need a dense q x q matrix by definition, the
+direct low-rank path and the tangent reduction backend (reduced_gram).
 """
 
 from __future__ import annotations
@@ -159,9 +165,29 @@ def assemble_global(model: StructuralModel,
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(model.n, model.n))
     k.sum_duplicates()
-    # duplicate-summation order is not symmetric under (i, j) <-> (j, i);
-    # average with the transpose so K is bitwise symmetric
+    return symmetrize(k)
+
+
+def symmetrize(k: sp.spmatrix) -> sp.csr_matrix:
+    """Average a summed sparse stiffness with its transpose.
+
+    Duplicate-summation order is not symmetric under (i, j) <-> (j, i), so
+    the average is what makes K bitwise symmetric.
+    """
     return ((k + k.T) * 0.5).tocsr()
+
+
+def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str):
+    """Sparse LU of a square matrix; raises error when it is singular or its
+    pivot ratio falls below PIVOT_TOL."""
+    try:
+        lu = spla.splu(sp.csc_matrix(matrix))
+    except RuntimeError as exc:
+        raise error(f"{what} is singular: {exc}") from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.size and pivots.min() < PIVOT_TOL * pivots.max():
+        raise error(f"{what} nearly singular (pivot ratio {pivots.min() / pivots.max():.2e})")
+    return lu
 
 
 @dataclass(frozen=True)
@@ -172,6 +198,10 @@ class SystemPartition:
     c_s = cs_t.T) are shared across material updates; k_lb/k_la and their
     blockwise inverses belong to one material state.  Instances are immutable;
     solves through the factorization do not mutate visible state.
+
+    cs_t is read only by reduced_gram and the direct low-rank path; every
+    other C_s product goes through apply_c_s / apply_c_s_t.  A copy whose
+    cs_t is None (kept by the SRI preconditioner) serves those products alone.
     """
 
     basis_ids: np.ndarray
@@ -181,7 +211,7 @@ class SystemPartition:
     c_b: sp.csc_matrix
     c_b_lu: object
     c_a: sp.csr_matrix
-    cs_t: np.ndarray  # (n, q), column j = row j of C_s
+    cs_t: np.ndarray | None  # (n, q), column j = row j of C_s
     k_lb: sp.csr_matrix
     k_lb_inv: sp.csr_matrix
     k_la: sp.csr_matrix
@@ -201,6 +231,14 @@ class SystemPartition:
         """Apply C_b^-T."""
         return self.c_b_lu.solve(v, trans="T")
 
+    def apply_c_s(self, v: np.ndarray) -> np.ndarray:
+        """Apply C_s = C_a C_b^-1 to an n-vector."""
+        return self.c_a @ self.solve_c_b(v)
+
+    def apply_c_s_t(self, x: np.ndarray) -> np.ndarray:
+        """Apply C_s^T = C_b^-T C_a^T to a q-vector."""
+        return self.solve_c_b_t(self.c_a.T @ x)
+
 
 def _split_rows(decomp: GlobalDecomposition, ids: np.ndarray):
     """Stacked mode rows, blocks and offsets for the given element ids."""
@@ -214,24 +252,13 @@ def _split_rows(decomp: GlobalDecomposition, ids: np.ndarray):
     return decomp.c[row_idx], blocks, offsets
 
 
-def _factorize_basis(c_b: sp.csc_matrix):
-    try:
-        lu = spla.splu(c_b)
-    except RuntimeError as exc:
-        raise BasisUnstableError(f"basis mode matrix is singular: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.size and pivots.min() < PIVOT_TOL * pivots.max():
-        raise BasisUnstableError(
-            f"basis mode matrix nearly singular (pivot ratio {pivots.min() / pivots.max():.2e})")
-    return lu
-
-
 def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartition:
     """Build and factorize the basis/additional partition of a model.
 
     The basis parameter count must equal the number of free DOFs; the dense
-    influence matrix is materialized column-block-wise through transposed
-    solves with the basis factorization.
+    influence matrix (for reduced_gram and the direct low-rank path) is
+    materialized column-block-wise through transposed solves with the basis
+    factorization.
     """
     all_ids = np.arange(len(model.elements))
     add_mask = np.zeros(len(model.elements), dtype=bool)
@@ -250,7 +277,8 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
             f"basis parameter count {c_b.shape[0]} != free DOFs {model.n}")
     q = int(add_offsets[-1])
 
-    lu = _factorize_basis(c_b.tocsc())
+    c_b = c_b.tocsc()
+    lu = sparse_lu(c_b, BasisUnstableError, "basis mode matrix")
     cs_t = np.empty((model.n, q))
     if q:
         c_a_t = c_a.T.tocsc()
@@ -264,7 +292,7 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
         [[0], np.cumsum([b.shape[0] for b in basis_blocks])]).astype(np.int64)
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
-        c_b=c_b.tocsc(), c_b_lu=lu, c_a=c_a, cs_t=cs_t,
+        c_b=c_b, c_b_lu=lu, c_a=c_a, cs_t=cs_t,
         k_lb=_block_diag(basis_blocks, basis_offsets),
         k_lb_inv=_block_diag(basis_inv, basis_offsets),
         k_la=_block_diag(add_blocks, add_offsets),
@@ -310,14 +338,14 @@ def reduced_rhs(partition: SystemPartition, r: np.ndarray) -> tuple[np.ndarray, 
     """
     t = partition.solve_c_b_t(r)
     b_s = partition.k_lb_inv @ t
-    return partition.cs_t.T @ b_s, b_s
+    return partition.apply_c_s(b_s), b_s
 
 
 def reduced_apply(partition: SystemPartition, x: np.ndarray) -> np.ndarray:
-    """Apply the reduced operator K_La^-1 + C_s K_Lb^-1 C_s^T as mat-vec chains."""
-    g = partition.cs_t @ x
-    h = partition.k_lb_inv @ g
-    return partition.k_la_inv @ x + partition.cs_t.T @ h
+    """Apply the reduced operator K_La^-1 + C_s K_Lb^-1 C_s^T as mat-vec chains,
+    two sparse solves with the basis factorization per call."""
+    h = partition.k_lb_inv @ partition.apply_c_s_t(x)
+    return partition.k_la_inv @ x + partition.apply_c_s(h)
 
 
 def reduced_gram(partition: SystemPartition, chunk: int = 512) -> np.ndarray:
@@ -333,13 +361,4 @@ def reduced_gram(partition: SystemPartition, chunk: int = 512) -> np.ndarray:
 
 def factorize_stiffness(model: StructuralModel):
     """Sparse LU of the assembled stiffness; raises on singular structures."""
-    k = assemble_global(model).tocsc()
-    try:
-        lu = spla.splu(k)
-    except RuntimeError as exc:
-        raise UnstableStructureError(f"stiffness matrix is singular: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.size and pivots.min() < PIVOT_TOL * pivots.max():
-        raise UnstableStructureError(
-            f"stiffness matrix nearly singular (pivot ratio {pivots.min() / pivots.max():.2e})")
-    return lu
+    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix")

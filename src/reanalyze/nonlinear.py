@@ -19,7 +19,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SystemPartition, make_partition, reduced_gram, reduced_rhs
+from .assembly import (
+    SystemPartition,
+    make_partition,
+    reduced_gram,
+    reduced_rhs,
+    symmetrize,
+)
 from .errors import InvalidStateError, UnsupportedModelError
 from .model import ElementKind, PartitionSpec, StructuralModel, default_additional_set
 from .solvers import build_sri_preconditioner, recover_displacements, solve_sri
@@ -127,11 +133,12 @@ def assemble_tangent(model: StructuralModel, state: MaterialState,
     keep = (rows >= 0) & (cols >= 0)
     k = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(ta.n, ta.n))
     k.sum_duplicates()
-    return ((k + k.T) * 0.5).tocsr()
+    return symmetrize(k)
 
 
 def tangent_partition(model: StructuralModel, state: MaterialState,
-                      partition: SystemPartition) -> SystemPartition:
+                      partition: SystemPartition,
+                      arrays: _TrussArrays | None = None) -> SystemPartition:
     """Partition with parameter blocks rebuilt from the tangent moduli.
 
     The topology (basis factorization, influence matrix) is element-layout
@@ -139,7 +146,7 @@ def tangent_partition(model: StructuralModel, state: MaterialState,
     """
     if np.any(state.tangent <= 0.0):
         raise InvalidStateError("non-positive tangent modulus")
-    ta = _TrussArrays(model)
+    ta = arrays if arrays is not None else _TrussArrays(model)
     k_all = 2.0 * state.tangent * ta.area / ta.length
     kb = k_all[partition.basis_ids]
     ka = k_all[partition.additional_ids]
@@ -161,6 +168,7 @@ class NonlinearRun:
     lambdas: list[float] = field(default_factory=list)
     displacements: list[np.ndarray] = field(default_factory=list)
     outer_iterations: list[int] = field(default_factory=list)
+    inner_iterations: list[int] = field(default_factory=list)  # SRI iterations per step
     n_nle: list[int] = field(default_factory=list)
     converged: bool = True
     failed_step: int | None = None
@@ -210,7 +218,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
         lam = step / n_steps
         target = lam * p0
         target_norm = float(np.linalg.norm(target))
-        iters = 0
+        iters = inner = 0
         while True:
             state = evaluate_state(model, d, arrays)
             residual = internal_force(model, d, state, arrays) - target
@@ -227,18 +235,20 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
                 k_t = assemble_tangent(model, state, arrays)
                 delta = spla.splu(k_t.tocsc()).solve(-residual)
             elif backend == "reduction":
-                part_t = tangent_partition(model, state, partition)
+                part_t = tangent_partition(model, state, partition, arrays)
                 delta = _solve_reduction(part_t, -residual)
             else:
-                part_t = tangent_partition(model, state, partition)
+                part_t = tangent_partition(model, state, partition, arrays)
                 rep = solve_sri(part_t, -residual, precond, tol=tol_inner,
                                 norm_ref=target_norm)
                 delta = rep.d
+                inner += rep.iterations
             d = d + delta
             iters += 1
         run.lambdas.append(lam)
         run.displacements.append(d.copy())
         run.outer_iterations.append(iters)
+        run.inner_iterations.append(inner)
         run.n_nle.append(state.n_nonlinear)
     run.final_state = state
     run.wall_time = time.perf_counter() - t0

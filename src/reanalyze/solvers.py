@@ -7,10 +7,16 @@ q x q factorization; PCG iterates on the full system preconditioned with the
 factorized original stiffness.  All paths return a uniform SolveReport and,
 per the operation-count model, evaluate strictly as matrix-vector chains with
 the operator applied once per iteration.
+
+SRI is matrix-free: its operator applies C_s through the sparse basis
+factorization, and its preconditioner inverts the original reduced operator
+through the Woodbury identity with the sparse LU of the original stiffness.
+Only FDP reads the dense influence matrix cs_t.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -25,8 +31,10 @@ from .assembly import (
     reduced_apply,
     reduced_gram,
     reduced_rhs,
+    sparse_lu,
+    symmetrize,
 )
-from .errors import InternalError
+from .errors import InternalError, InvalidParameterError, UnstableStructureError
 from .model import StructuralModel
 
 DEFAULT_TOL = 1e-12
@@ -55,6 +63,58 @@ def solve_conventional(model: StructuralModel) -> SolveReport:
     return SolveReport(method="conventional", d=d, wall_time=time.perf_counter() - t0)
 
 
+def _check_finite(r: np.ndarray) -> None:
+    if not np.all(np.isfinite(r)):
+        raise InvalidParameterError("load vector holds a non-finite value")
+
+
+def _cg(apply_a, apply_m, b: np.ndarray, ref: float, tol: float, max_iter: int):
+    """Preconditioned conjugate gradients from x = 0.
+
+    Stops converged once ||r|| / ref < tol; stops unconverged at max_iter, on
+    a non-positive curvature p.Ap (the operator is not positive definite) or
+    on a non-finite residual.  Returns x, iterations, the residual history
+    and the (r, M^-1 r) history.
+    """
+    x = np.zeros(b.shape[0])
+    r = b.copy()
+    history: list[float] = []
+    rz_history: list[float] = []
+    iterations = 0
+    if ref == 0.0:
+        history.append(0.0)
+        return x, iterations, history, rz_history, True
+    res = float(np.linalg.norm(r)) / ref
+    history.append(res)
+    if res < tol:
+        return x, iterations, history, rz_history, True
+    z = apply_m(r)
+    p = z.copy()
+    rz = float(r @ z)
+    rz_history.append(rz)
+    while iterations < max_iter:
+        ap = apply_a(p)
+        curvature = float(p @ ap)
+        if not curvature > 0.0:
+            break
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * ap
+        iterations += 1
+        res = float(np.linalg.norm(r)) / ref
+        history.append(res)
+        if res < tol:
+            return x, iterations, history, rz_history, True
+        if not np.isfinite(res):
+            break
+        z = apply_m(r)
+        rz_new = float(r @ z)
+        rz_history.append(rz_new)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, iterations, history, rz_history, False
+
+
 def solve_pcg_full(model_modified: StructuralModel, k0_factorization, tol: float = DEFAULT_TOL,
                    max_iter: int | None = None, k_matrix=None,
                    norm_ref: float | None = None) -> SolveReport:
@@ -63,89 +123,75 @@ def solve_pcg_full(model_modified: StructuralModel, k0_factorization, tol: float
     k0_factorization is the factorized stiffness of the original structure
     (obtained in advance via factorize_stiffness) and acts as the
     preconditioner; k_matrix may pass a pre-assembled modified stiffness so
-    assembly stays outside the timed solve.
+    assembly stays outside the timed solve.  A non-finite load raises
+    InvalidParameterError.
     """
-    k = k_matrix if k_matrix is not None else assemble_global(model_modified)
     r_vec = model_modified.load_vector()
+    _check_finite(r_vec)
+    k = k_matrix if k_matrix is not None else assemble_global(model_modified)
     n = model_modified.n
     if max_iter is None:
         max_iter = 10 * n
 
     t0 = time.perf_counter()
-    x = np.zeros(n)
-    r = r_vec.copy()
     ref = norm_ref if norm_ref is not None else float(np.linalg.norm(r_vec))
-    history: list[float] = []
-    iterations = 0
-    converged = True
-    if ref == 0.0:
-        history.append(0.0)
-    else:
-        res = float(np.linalg.norm(r)) / ref
-        history.append(res)
-        if res >= tol:
-            z = k0_factorization.solve(r)
-            p = z.copy()
-            rz = float(r @ z)
-            converged = False
-            while iterations < max_iter:
-                ap = k @ p
-                alpha = rz / float(p @ ap)
-                x += alpha * p
-                r -= alpha * ap
-                iterations += 1
-                res = float(np.linalg.norm(r)) / ref
-                history.append(res)
-                if res < tol:
-                    converged = True
-                    break
-                z = k0_factorization.solve(r)
-                rz_new = float(r @ z)
-                p = z + (rz_new / rz) * p
-                rz = rz_new
+    x, iterations, history, rz_history, converged = _cg(
+        lambda p: k @ p, k0_factorization.solve, r_vec, ref, tol, max_iter)
     wall = time.perf_counter() - t0
     return SolveReport(method="pcg", d=x, iterations=iterations,
-                       residual_history=history,
+                       residual_history=history, rz_history=rz_history,
                        flops_estimate=costmodel.flops_pcg(n, iterations),
                        wall_time=wall, converged=converged)
 
 
 class SriPreconditioner:
-    """Dense reduced operator of the original structure, factorized once.
+    """Inverse action of the original structure's reduced operator
+    M0 = K_La0^-1 + C_s K_Lb0^-1 C_s^T, without forming M0.
 
-    matrix = C_s K_Lb0^-1 C_s^T + K_La0^-1 is symmetric positive definite by
-    construction; apply() realizes its inverse action on a vector.
+    By the Woodbury identity, with K0 = C_b^T K_Lb0 C_b + C_a^T K_La0 C_a the
+    original stiffness,
+        M0^-1 = W = K_La0 - K_La0 C_a K0^-1 C_a^T K_La0,
+    so apply() costs sparse solves with the LU factor of K0 and with the basis
+    factorization.  original is the original partition without its dense
+    influence matrix.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.q = matrix.shape[0]
-        if self.q:
-            try:
-                self._cho = sla.cho_factor(matrix, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise InternalError(
-                    f"reduced preconditioner is not positive definite: {exc}") from exc
-        else:
-            self._cho = None
+    def __init__(self, original: SystemPartition, k0_lu):
+        self.q = original.q
+        self._original = original
+        self._k0_lu = k0_lu
+
+    def _woodbury(self, v: np.ndarray) -> np.ndarray:
+        part = self._original
+        u = part.k_la @ v
+        return u - part.k_la @ (part.c_a @ self._k0_lu.solve(part.c_a.T @ u))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.q == 0:
             return v.copy()
-        return sla.cho_solve(self._cho, v)
+        # W subtracts two nearly equal terms when the additional components
+        # are stiff against the rest (~3.5e4-fold cancellation on the graded
+        # frame); one refinement step against M0 restores full accuracy, which
+        # self-reanalysis needs to end after exactly one iteration
+        z = self._woodbury(v)
+        z += self._woodbury(v - reduced_apply(self._original, z))
+        return z
 
 
 def build_sri_preconditioner(partition_original: SystemPartition) -> SriPreconditioner:
-    """Materialize and factorize the q x q reduced operator of the original
-    structure; cheap to apply afterwards, built once per reanalysis campaign."""
-    q = partition_original.q
-    m = reduced_gram(partition_original)
-    for blk, off in zip(partition_original.add_blocks_inv, partition_original.add_offsets[:-1]):
-        w = blk.shape[0]
-        m[off:off + w, off:off + w] += blk
-    if q == 0:
-        m = np.zeros((0, 0))
-    return SriPreconditioner(m)
+    """Factorize the original stiffness K0 = C_b^T K_Lb0 C_b + C_a^T K_La0 C_a
+    formed from the partition; built once per reanalysis campaign.
+
+    Raises UnstableStructureError when K0 is singular or its pivot ratio is
+    below the threshold factorize_stiffness applies.
+    """
+    part = partition_original
+    original = dataclasses.replace(part, cs_t=None)
+    if part.q == 0:
+        return SriPreconditioner(original, None)
+    k0 = part.c_b.T @ part.k_lb @ part.c_b + part.c_a.T @ part.k_la @ part.c_a
+    k0_lu = sparse_lu(symmetrize(k0), UnstableStructureError, "original stiffness")
+    return SriPreconditioner(original, k0_lu)
 
 
 def recover_displacements(partition: SystemPartition, f_a: np.ndarray, r: np.ndarray,
@@ -155,8 +201,7 @@ def recover_displacements(partition: SystemPartition, f_a: np.ndarray, r: np.nda
     if b_s is None:
         b_s = partition.k_lb_inv @ partition.solve_c_b_t(r)
     if partition.q:
-        w = partition.cs_t @ f_a
-        inner = b_s - partition.k_lb_inv @ w
+        inner = b_s - partition.k_lb_inv @ partition.apply_c_s_t(f_a)
     else:
         inner = b_s
     return partition.solve_c_b(inner)
@@ -172,10 +217,12 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
     displacement field through the basis factorization.  The convergence test
     divides the residual norm by ||B|| unless norm_ref overrides the
     denominator (the nonlinear driver normalizes by the step load instead).
+    A non-finite load raises InvalidParameterError.
     """
     if preconditioner.q != partition_modified.q:
         raise InternalError(
             f"preconditioner size {preconditioner.q} != reduced size {partition_modified.q}")
+    _check_finite(r)
     n, q = partition_modified.n, partition_modified.q
     if max_iter is None:
         max_iter = max(10 * q, 1)
@@ -189,41 +236,10 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
                            wall_time=time.perf_counter() - t0)
 
     b, b_s = reduced_rhs(partition_modified, r)
-    x = np.zeros(q)
-    res_vec = b.copy()
     ref = norm_ref if norm_ref is not None else float(np.linalg.norm(b))
-    history: list[float] = []
-    rz_history: list[float] = []
-    iterations = 0
-    converged = True
-    if ref == 0.0:
-        history.append(0.0)
-    else:
-        res = float(np.linalg.norm(res_vec)) / ref
-        history.append(res)
-        if res >= tol:
-            z = preconditioner.apply(res_vec)
-            p = z.copy()
-            rz = float(res_vec @ z)
-            rz_history.append(rz)
-            converged = False
-            while iterations < max_iter:
-                ap = reduced_apply(partition_modified, p)
-                alpha = rz / float(ap @ p)
-                x += alpha * p
-                res_vec -= alpha * ap
-                iterations += 1
-                res = float(np.linalg.norm(res_vec)) / ref
-                history.append(res)
-                if res < tol:
-                    converged = True
-                    break
-                z = preconditioner.apply(res_vec)
-                rz_new = float(res_vec @ z)
-                rz_history.append(rz_new)
-                p = z + (rz_new / rz) * p
-                rz = rz_new
-
+    x, iterations, history, rz_history, converged = _cg(
+        lambda p: reduced_apply(partition_modified, p), preconditioner.apply,
+        b, ref, tol, max_iter)
     d = recover_displacements(partition_modified, x, r, b_s=b_s)
     wall = time.perf_counter() - t0
     return SolveReport(method="sri", d=d, f_a=x, iterations=iterations,

@@ -154,6 +154,17 @@ class TestRunNewtonRaphson:
             diffs = np.abs(np.array(runs[backend].n_nle) - np.array(runs["regular"].n_nle))
             assert diffs.max() <= 2
 
+    def test_inner_iterations_per_step(self):
+        runs = {}
+        for backend in ("regular", "sri"):
+            model = bilinear_truss(4, 4, sigma_y=2.0)
+            runs[backend] = run_newton_raphson(model, model.load_vector(),
+                                               n_steps=10, backend=backend)
+            assert runs[backend].converged
+            assert len(runs[backend].inner_iterations) == 10
+        assert runs["regular"].inner_iterations == [0] * 10
+        assert all(k > 0 for k in runs["sri"].inner_iterations)
+
     def test_yield_count_nondecreasing(self):
         model = bilinear_truss(4, 4, sigma_y=2.0)
         run = run_newton_raphson(model, model.load_vector(), n_steps=10)

@@ -1,19 +1,26 @@
 """Solver path tests: cross-method agreement, preconditioning, degenerate cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from reanalyze import costmodel
 from reanalyze.assembly import (
+    assemble_global,
     factorize_stiffness,
     make_partition,
+    reduced_apply,
     reduced_gram,
     reduced_rhs,
     update_partition,
 )
-from reanalyze.errors import InternalError
+from reanalyze.errors import InvalidParameterError, UnstableStructureError
 from reanalyze.model import (
+    MaterialSpec,
     PartitionSpec,
+    PointLoad,
+    StructuralModel,
     apply_floor_grading,
     build_frame_grid,
     build_truss_grid,
@@ -37,6 +44,13 @@ def reanalysis_setup(orig, modified, spec=None):
     precond = build_sri_preconditioner(part0)
     part1 = part0 if modified is orig else update_partition(part0, modified)
     return part0, part1, precond
+
+
+def dense_reduced_operator(part):
+    """M = C_s K_Lb^-1 C_s^T + K_La^-1 from dense inverses (small models only)."""
+    c_s = part.c_a.toarray() @ np.linalg.inv(part.c_b.toarray())
+    return (c_s @ np.linalg.inv(part.k_lb.toarray()) @ c_s.T
+            + np.linalg.inv(part.k_la.toarray()))
 
 
 class TestConventional:
@@ -84,6 +98,23 @@ class TestPcgFull:
         assert not rep.converged
         assert rep.iterations == 2
 
+    def test_non_finite_load_raises(self):
+        model = build_truss_grid(7, 16)
+        k0 = factorize_stiffness(model)
+        node = model.meta["node_b"]
+        bad = StructuralModel(list(model.nodes), list(model.elements), model.supports,
+                              list(model.loads) + [PointLoad(node, 1, float("nan"))],
+                              model.meta)
+        with pytest.raises(InvalidParameterError):
+            solve_pcg_full(bad, k0, tol=1e-12)
+
+    def test_indefinite_operator_stops_unconverged(self):
+        model = build_truss_grid(7, 16)
+        k0 = factorize_stiffness(model)
+        rep = solve_pcg_full(model, k0, tol=1e-12, k_matrix=-assemble_global(model))
+        assert not rep.converged
+        assert rep.iterations == 0
+
 
 class TestSriPreconditioner:
     def test_empty_partition(self):
@@ -93,14 +124,14 @@ class TestSriPreconditioner:
         assert precond.q == 0
 
     def test_matches_dense_evaluation(self):
-        model = build_truss_grid(3, 2)
-        part = make_partition(model, default_additional_set(model))
-        precond = build_sri_preconditioner(part)
-        c_b_inv = np.linalg.inv(part.c_b.toarray())
-        c_s = part.c_a.toarray() @ c_b_inv
-        m_dense = (c_s @ np.linalg.inv(part.k_lb.toarray()) @ c_s.T
-                   + np.linalg.inv(part.k_la.toarray()))
-        assert rel_err(precond.matrix, m_dense) < 1e-10
+        ladder = build_truss_grid(3, 2)
+        frame = apply_floor_grading(build_frame_grid(20, 8, n_sb=1), 4000.0, 36000.0, "E")
+        for model in (ladder, frame):
+            part = make_partition(model, default_additional_set(model))
+            precond = build_sri_preconditioner(part)
+            v = np.random.default_rng(3).standard_normal(part.q)
+            expected = np.linalg.solve(dense_reduced_operator(part), v)
+            assert rel_err(precond.apply(v), expected) < 1e-10
 
     def test_apply_is_inverse(self):
         model = build_frame_grid(2, 2, n_sb=2)
@@ -108,12 +139,16 @@ class TestSriPreconditioner:
         precond = build_sri_preconditioner(part)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(part.q)
-        assert rel_err(precond.matrix @ precond.apply(v), v) < 1e-10
+        assert rel_err(reduced_apply(part, precond.apply(v)), v) < 1e-10
 
-    def test_rejects_indefinite_matrix(self):
-        from reanalyze.solvers import SriPreconditioner
-        with pytest.raises(InternalError):
-            SriPreconditioner(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    def test_rejects_singular_original(self):
+        # basis bars 1e-14 as stiff as the rest: K0 is singular to working precision
+        model = build_truss_grid(3, 2)
+        part = make_partition(model, default_additional_set(model))
+        weak = model.replace_materials(
+            {int(i): MaterialSpec(e=20000.0 * 1e-14) for i in part.basis_ids})
+        with pytest.raises(UnstableStructureError):
+            build_sri_preconditioner(update_partition(part, weak))
 
 
 class TestSolveSri:
@@ -129,6 +164,32 @@ class TestSolveSri:
         part0, part1, precond = reanalysis_setup(orig, orig)
         rep = solve_sri(part1, orig.load_vector(), precond, tol=1e-12)
         assert rep.iterations == 1 and rep.converged
+
+    def test_graded_frame_self_reanalysis_one_iteration(self):
+        # graded 50 x 20 frame of the published table: the preconditioner's
+        # Woodbury form cancels ~3.5e4-fold here, and without its refinement
+        # step the first residual is ~1e-9
+        orig = apply_floor_grading(build_frame_grid(50, 20, n_sb=1), 4000.0, 36000.0, "E")
+        part0, part1, precond = reanalysis_setup(orig, orig)
+        rep = solve_sri(part1, orig.load_vector(), precond, tol=1e-12)
+        assert rep.iterations == 1 and rep.converged
+
+    def test_non_finite_load_raises(self):
+        orig = build_truss_grid(7, 16)
+        part0, part1, precond = reanalysis_setup(orig, orig)
+        r = orig.load_vector()
+        r[3] = np.nan
+        with pytest.raises(InvalidParameterError):
+            solve_sri(part1, r, precond)
+
+    def test_indefinite_operator_stops_unconverged(self):
+        orig = build_truss_grid(7, 16)
+        part0, part1, precond = reanalysis_setup(orig, orig)
+        negated = dataclasses.replace(part1, k_lb_inv=-part1.k_lb_inv,
+                                      k_la_inv=-part1.k_la_inv)
+        rep = solve_sri(negated, orig.load_vector(), precond, tol=1e-12)
+        assert not rep.converged
+        assert rep.iterations == 0
 
     def test_empty_partition_solves_directly(self):
         # single-span ladder: the default additional set is empty
