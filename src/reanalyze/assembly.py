@@ -5,24 +5,26 @@ K_L block diagonal over elements.  Splitting the element set into a statically
 determinate basis (square, invertible mode matrix C_b) and the remaining
 additional components (q stiffness parameters) turns K d = R into a q x q
 system on the additional-component deformation forces.  Everything topological
-(C_b factorization, C_a, the dense influence matrix C_s = C_a C_b^-1) is
+(C_b factorization, C_a, the sparse influence matrix C_s = C_a C_b^-1) is
 invariant under material modification and is shared between the original and
 any modified partition; only the block-diagonal parameter matrices are rebuilt.
 
-The reduced right-hand side, operator and displacement recovery never read the
-dense influence matrix: they apply C_s v as C_a (C_b^-1 v) and C_s^T x as
-C_b^-T (C_a^T x) through the sparse basis factorization.  The dense matrix
-serves only the methods that need a dense q x q matrix by definition, the
-direct low-rank path and the tangent reduction backend (reduced_gram).
+The reduced right-hand side, operator and displacement recovery apply C_s v as
+C_a (C_b^-1 v) and C_s^T x as C_b^-T (C_a^T x) through the sparse basis
+factorization.  The stored sparse C_s serves only reduced_gram, the dense
+q x q matrix that the direct low-rank path and the tangent reduction backend
+need by definition; no dense n x q array is formed anywhere.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsyrk
 
 from .elements import (
     ElementDecomposition,
@@ -44,6 +46,15 @@ PIVOT_TOL = 1e-10
 
 # Column-block size for dense solves against the basis factorization.
 _CHUNK = 1024
+
+# reduced_gram forms G as a sparse product when that takes fewer than this
+# share of the dense product's n q^2 multiply-adds.  Measured crossover ~1e-2:
+# the sparse product wins at 3.5e-4 and 4.4e-3 (frames), BLAS syrk at 4.1e-2
+# and above (ladders).
+SPARSE_GRAM_SHARE = 1e-2
+
+# Bytes of one dense row slab of L^T C_s^T in the syrk Gram builder.
+_SLAB_BYTES = 1 << 24
 
 
 def element_decomposition(model: StructuralModel, element: ElementRecord,
@@ -178,30 +189,33 @@ def symmetrize(k: sp.spmatrix) -> sp.csr_matrix:
 
 
 def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str):
-    """Sparse LU of a square matrix; raises error when it is singular or its
-    pivot ratio falls below PIVOT_TOL."""
+    """Sparse LU of a square matrix and its pivot ratio min|U_ii| / max|U_ii|
+    (1.0 for an empty matrix); raises error when the matrix is singular or
+    the ratio falls below PIVOT_TOL."""
     try:
         lu = spla.splu(sp.csc_matrix(matrix))
     except RuntimeError as exc:
         raise error(f"{what} is singular: {exc}") from exc
     pivots = np.abs(lu.U.diagonal())
-    if pivots.size and pivots.min() < PIVOT_TOL * pivots.max():
-        raise error(f"{what} nearly singular (pivot ratio {pivots.min() / pivots.max():.2e})")
-    return lu
+    ratio = float(pivots.min() / pivots.max()) if pivots.size else 1.0
+    if not ratio >= PIVOT_TOL:
+        raise error(f"{what} nearly singular (pivot ratio {ratio:.2e})")
+    return lu, ratio
 
 
 @dataclass(frozen=True)
 class SystemPartition:
     """Basis/additional split with factorized basis mode matrix.
 
-    Topological members (c_b and its factorization, c_a, the dense cs_t with
-    c_s = cs_t.T) are shared across material updates; k_lb/k_la and their
-    blockwise inverses belong to one material state.  Instances are immutable;
-    solves through the factorization do not mutate visible state.
+    Topological members (c_b, its factorization and pivot ratio, c_a, the
+    sparse influence matrix c_s = C_a C_b^-1 and the model fingerprint
+    element_nodes/node_xy) are shared across material updates;
+    k_lb/k_la and their blockwise inverses belong to one material state.
+    Instances are immutable; solves through the factorization do not mutate
+    visible state.
 
-    cs_t is read only by reduced_gram and the direct low-rank path; every
-    other C_s product goes through apply_c_s / apply_c_s_t.  A copy whose
-    cs_t is None (kept by the SRI preconditioner) serves those products alone.
+    c_s is read only by reduced_gram; every other C_s product goes through
+    apply_c_s / apply_c_s_t and the basis factorization.
     """
 
     basis_ids: np.ndarray
@@ -210,18 +224,17 @@ class SystemPartition:
     q: int
     c_b: sp.csc_matrix
     c_b_lu: object
+    basis_pivot_ratio: float  # min|U_ii| / max|U_ii| of the C_b factorization
     c_a: sp.csr_matrix
-    cs_t: np.ndarray | None  # (n, q), column j = row j of C_s
+    c_s: sp.csr_matrix  # (q, n), exact zeros dropped
     k_lb: sp.csr_matrix
     k_lb_inv: sp.csr_matrix
+    basis_offsets: np.ndarray
     k_la: sp.csr_matrix
     k_la_inv: sp.csr_matrix
-    add_blocks_inv: tuple[np.ndarray, ...]
     add_offsets: np.ndarray
-
-    @property
-    def c_s(self) -> np.ndarray:
-        return self.cs_t.T
+    element_nodes: np.ndarray  # (elements, 2) end nodes of the partitioned model
+    node_xy: np.ndarray  # (nodes, 2) its node coordinates
 
     def solve_c_b(self, v: np.ndarray) -> np.ndarray:
         """Apply C_b^-1."""
@@ -252,13 +265,33 @@ def _split_rows(decomp: GlobalDecomposition, ids: np.ndarray):
     return decomp.c[row_idx], blocks, offsets
 
 
+def _sparse_rows(a: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of the nonzero entries of a dense 2-D array."""
+    nonzero = np.flatnonzero(a)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(a, axis=1))])
+    return sp.csr_matrix((a.ravel()[nonzero], nonzero % a.shape[1], indptr), shape=a.shape)
+
+
+def _influence_matrix(lu, c_a: sp.csr_matrix) -> sp.csr_matrix:
+    """Sparse C_s = C_a C_b^-1 from transposed solves with the basis
+    factorization, in row blocks that drop their exact zeros as they are
+    made."""
+    q, n = c_a.shape
+    if q == 0:
+        return sp.csr_matrix((0, n))
+    c_a_t = c_a.T.tocsc()
+    # the solve returns C_s^T columns in Fortran order, so .T is row-major
+    blocks = [_sparse_rows(lu.solve(c_a_t[:, lo:lo + _CHUNK].toarray(), trans="T").T)
+              for lo in range(0, q, _CHUNK)]
+    return sp.vstack(blocks, format="csr")
+
+
 def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartition:
     """Build and factorize the basis/additional partition of a model.
 
-    The basis parameter count must equal the number of free DOFs; the dense
-    influence matrix (for reduced_gram and the direct low-rank path) is
-    materialized column-block-wise through transposed solves with the basis
-    factorization.
+    The basis parameter count must equal the number of free DOFs; the sparse
+    influence matrix (for reduced_gram) is built column-block-wise through
+    transposed solves with the basis factorization.
     """
     all_ids = np.arange(len(model.elements))
     add_mask = np.zeros(len(model.elements), dtype=bool)
@@ -270,7 +303,7 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     additional_ids = all_ids[add_mask]
 
     decomp = assemble_parameters(model)
-    c_b, basis_blocks, _ = _split_rows(decomp, basis_ids)
+    c_b, basis_blocks, basis_offsets = _split_rows(decomp, basis_ids)
     c_a, add_blocks, add_offsets = _split_rows(decomp, additional_ids)
     if c_b.shape[0] != model.n:
         raise NotDeterminateError(
@@ -278,35 +311,46 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     q = int(add_offsets[-1])
 
     c_b = c_b.tocsc()
-    lu = sparse_lu(c_b, BasisUnstableError, "basis mode matrix")
-    cs_t = np.empty((model.n, q))
-    if q:
-        c_a_t = c_a.T.tocsc()
-        for lo in range(0, q, _CHUNK):
-            hi = min(lo + _CHUNK, q)
-            cs_t[:, lo:hi] = lu.solve(c_a_t[:, lo:hi].toarray(), trans="T")
-
-    basis_inv = _invert_blocks(basis_blocks)
-    add_inv = _invert_blocks(add_blocks)
-    basis_offsets = np.concatenate(
-        [[0], np.cumsum([b.shape[0] for b in basis_blocks])]).astype(np.int64)
+    lu, pivot_ratio = sparse_lu(c_b, BasisUnstableError, "basis mode matrix")
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
-        c_b=c_b, c_b_lu=lu, c_a=c_a, cs_t=cs_t,
+        c_b=c_b, c_b_lu=lu, basis_pivot_ratio=pivot_ratio,
+        c_a=c_a, c_s=_influence_matrix(lu, c_a),
         k_lb=_block_diag(basis_blocks, basis_offsets),
-        k_lb_inv=_block_diag(basis_inv, basis_offsets),
+        k_lb_inv=_block_diag(_invert_blocks(basis_blocks), basis_offsets),
+        basis_offsets=basis_offsets,
         k_la=_block_diag(add_blocks, add_offsets),
-        k_la_inv=_block_diag(add_inv, add_offsets),
-        add_blocks_inv=tuple(add_inv), add_offsets=add_offsets)
+        k_la_inv=_block_diag(_invert_blocks(add_blocks), add_offsets),
+        add_offsets=add_offsets,
+        element_nodes=model.element_nodes, node_xy=model.xy)
+
+
+def _check_topology(partition: SystemPartition, model: StructuralModel) -> None:
+    """Raise InvalidParameterError unless model has the free-DOF count, the
+    elements, their end nodes and the node coordinates of the partitioned one."""
+    if model.n != partition.n:
+        raise InvalidParameterError(
+            f"model has {model.n} free DOFs, the partition {partition.n}")
+    if len(model.elements) != len(partition.element_nodes):
+        raise InvalidParameterError(
+            f"model has {len(model.elements)} elements, "
+            f"the partition {len(partition.element_nodes)}")
+    if not np.array_equal(model.element_nodes, partition.element_nodes):
+        raise InvalidParameterError("element end nodes differ from the partitioned model's")
+    if not np.array_equal(model.xy, partition.node_xy):
+        raise InvalidParameterError("node coordinates differ from the partitioned model's")
 
 
 def update_partition(partition: SystemPartition, model: StructuralModel,
                      modulus_by_element: np.ndarray | None = None) -> SystemPartition:
     """Partition for a materially modified model, reusing all topology.
 
-    The model must share the original's geometry and element layout; only the
-    parameter blocks (and their blockwise inverses) are rebuilt.
+    The model must share the original's free DOFs, elements, end nodes and
+    node coordinates (InvalidParameterError otherwise); only the parameter
+    blocks (and their blockwise inverses) are rebuilt.
     """
+    _check_topology(partition, model)
+
     def blocks_for(ids):
         out = []
         for i in ids:
@@ -316,18 +360,12 @@ def update_partition(partition: SystemPartition, model: StructuralModel,
 
     basis_blocks = blocks_for(partition.basis_ids)
     add_blocks = blocks_for(partition.additional_ids)
-    basis_offsets = np.concatenate(
-        [[0], np.cumsum([b.shape[0] for b in basis_blocks])]).astype(np.int64)
-    add_inv = _invert_blocks(add_blocks)
-    return SystemPartition(
-        basis_ids=partition.basis_ids, additional_ids=partition.additional_ids,
-        n=partition.n, q=partition.q, c_b=partition.c_b, c_b_lu=partition.c_b_lu,
-        c_a=partition.c_a, cs_t=partition.cs_t,
-        k_lb=_block_diag(basis_blocks, basis_offsets),
-        k_lb_inv=_block_diag(_invert_blocks(basis_blocks), basis_offsets),
+    return dataclasses.replace(
+        partition,
+        k_lb=_block_diag(basis_blocks, partition.basis_offsets),
+        k_lb_inv=_block_diag(_invert_blocks(basis_blocks), partition.basis_offsets),
         k_la=_block_diag(add_blocks, partition.add_offsets),
-        k_la_inv=_block_diag(add_inv, partition.add_offsets),
-        add_blocks_inv=tuple(add_inv), add_offsets=partition.add_offsets)
+        k_la_inv=_block_diag(_invert_blocks(add_blocks), partition.add_offsets))
 
 
 def reduced_rhs(partition: SystemPartition, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,17 +386,59 @@ def reduced_apply(partition: SystemPartition, x: np.ndarray) -> np.ndarray:
     return partition.k_la_inv @ x + partition.apply_c_s(h)
 
 
-def reduced_gram(partition: SystemPartition, chunk: int = 512) -> np.ndarray:
-    """Dense q x q matrix C_s K_Lb^-1 C_s^T, built in column blocks."""
-    q = partition.q
-    out = np.empty((q, q))
-    for lo in range(0, q, chunk):
-        hi = min(lo + chunk, q)
-        w = partition.k_lb_inv @ partition.cs_t[:, lo:hi]
-        out[:, lo:hi] = partition.cs_t.T @ w
-    return out
+def gram_multiply_adds(partition: SystemPartition) -> int:
+    """Multiply-adds of the sparse product C_s (K_Lb^-1 C_s^T): the sum over
+    the n columns of C_s of their nonzero count squared, in int64 (on a
+    31 x 128 ladder it passes 2^31)."""
+    counts = np.bincount(partition.c_s.indices, minlength=partition.n).astype(np.int64)
+    return int(counts @ counts)
+
+
+def _block_cholesky(matrix: sp.csr_matrix, offsets: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal lower L with L L^T = matrix, a block-diagonal matrix
+    whose blocks start at offsets; raises UnstableStructureError when a block
+    is not positive definite."""
+    sizes = np.diff(offsets)
+    rows, cols, data = [], [], []
+    for m in np.unique(sizes):
+        idx = offsets[:-1][sizes == m, None] + np.arange(m)  # (blocks, m)
+        r = np.repeat(idx, m, axis=1).ravel()
+        c = np.tile(idx, (1, m)).ravel()
+        blocks = np.asarray(matrix[r, c]).reshape(-1, m, m)
+        try:
+            data.append(np.linalg.cholesky(blocks).ravel())
+        except np.linalg.LinAlgError as exc:
+            raise UnstableStructureError(
+                f"basis parameter block not positive definite: {exc}") from exc
+        rows.append(r)
+        cols.append(c)
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=matrix.shape)
+
+
+def reduced_gram(partition: SystemPartition) -> np.ndarray:
+    """Dense q x q matrix G = C_s K_Lb^-1 C_s^T, in Fortran order.
+
+    G is the sparse product C_s (K_Lb^-1 C_s^T) when that takes fewer than
+    SPARSE_GRAM_SHARE of the dense product's n q^2 multiply-adds; otherwise
+    it is Y^T Y, accumulated by BLAS syrk over row slabs of Y = L^T C_s^T
+    with K_Lb^-1 = L L^T blockwise.  Neither way forms a dense n x q array.
+    """
+    n, q = partition.n, partition.q
+    c_s = partition.c_s
+    if gram_multiply_adds(partition) <= SPARSE_GRAM_SHARE * n * q * q:
+        return (c_s @ (partition.k_lb_inv @ c_s.T)).toarray(order="F")
+    y = (_block_cholesky(partition.k_lb_inv, partition.basis_offsets).T @ c_s.T).tocsr()
+    gram = np.zeros((q, q), order="F")
+    rows = max(_SLAB_BYTES // (8 * q), 1)
+    for lo in range(0, n, rows):
+        # a C-ordered slab's transpose is the Fortran q x rows operand syrk takes
+        gram = dsyrk(1.0, y[lo:lo + rows].toarray().T, beta=1.0, c=gram, overwrite_c=True)
+    gram += np.triu(gram, 1).T  # syrk fills the upper triangle
+    return gram
 
 
 def factorize_stiffness(model: StructuralModel):
     """Sparse LU of the assembled stiffness; raises on singular structures."""
-    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix")
+    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix")[0]

@@ -159,6 +159,8 @@ class StructuralModel:
 
     dof_map[node, local_dof] is the global free-DOF index or -1 when the DOF
     is constrained.  Free DOFs are numbered node-major in node-id order.
+    xy[node] holds the node coordinates and element_nodes[element] the
+    (node_i, node_j) pair of each element.
     """
 
     def __init__(self, nodes: list[Node], elements: list[ElementRecord],
@@ -197,7 +199,11 @@ class StructuralModel:
                 raise InvalidParameterError(
                     f"load targets constrained DOF (node {ld.node}, dof {ld.dof})")
 
-        self._xy = np.array([[nd.x, nd.y] for nd in self.nodes]) if self.nodes else np.zeros((0, 2))
+        self.xy = np.array([[nd.x, nd.y] for nd in self.nodes]).reshape(-1, 2)
+        ne = len(self.elements)
+        self.element_nodes = np.column_stack([
+            np.fromiter((e.node_i for e in self.elements), np.int64, ne),
+            np.fromiter((e.node_j for e in self.elements), np.int64, ne)])
 
     # -- geometry -----------------------------------------------------------
 

@@ -28,7 +28,12 @@ from .assembly import (
 )
 from .errors import InvalidStateError, UnsupportedModelError
 from .model import ElementKind, PartitionSpec, StructuralModel, default_additional_set
-from .solvers import build_sri_preconditioner, recover_displacements, solve_sri
+from .solvers import (
+    build_sri_preconditioner,
+    recover_displacements,
+    solve_reduced_dense,
+    solve_sri,
+)
 
 OUTER_CAP = 50
 
@@ -156,8 +161,7 @@ def tangent_partition(model: StructuralModel, state: MaterialState,
         k_lb=sp.diags(kb).tocsr(),
         k_lb_inv=sp.diags(1.0 / kb).tocsr(),
         k_la=sp.diags(ka).tocsr() if q else sp.csr_matrix((0, 0)),
-        k_la_inv=sp.diags(1.0 / ka).tocsr() if q else sp.csr_matrix((0, 0)),
-        add_blocks_inv=tuple(np.array([[1.0 / k]]) for k in ka))
+        k_la_inv=sp.diags(1.0 / ka).tocsr() if q else sp.csr_matrix((0, 0)))
 
 
 @dataclass
@@ -179,12 +183,17 @@ class NonlinearRun:
 def _solve_reduction(partition_t: SystemPartition, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of the tangent reduced system, then recovery."""
     b, b_s = reduced_rhs(partition_t, rhs)
-    if partition_t.q == 0:
-        return partition_t.solve_c_b(b_s)
-    a_mat = reduced_gram(partition_t)
-    a_mat += sp.diags(partition_t.k_la_inv.diagonal())
-    f_a = np.linalg.solve(a_mat, b)
+    f_a = solve_reduced_dense(partition_t, reduced_gram(partition_t), b)
     return recover_displacements(partition_t, f_a, rhs, b_s=b_s)
+
+
+def _fail(run: NonlinearRun, step: int, state: MaterialState, t0: float) -> NonlinearRun:
+    """End a run unconverged at the given load step."""
+    run.converged = False
+    run.failed_step = step
+    run.final_state = state
+    run.wall_time = time.perf_counter() - t0
+    return run
 
 
 def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20,
@@ -196,8 +205,9 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
     backend "regular" solves the assembled tangent directly, "reduction" the
     tangent reduced system directly, "sri" the reduced system iteratively with
     the elastic preconditioner kept for the whole run (residuals normalized by
-    the step load norm).  Steps that fail to converge within max_outer
-    iterations terminate the run with the history accumulated so far.
+    the step load norm).  A step that fails to converge within max_outer
+    iterations, or whose inner SRI solve ends unconverged, terminates the run
+    with the history accumulated so far.
     """
     if backend not in ("regular", "reduction", "sri"):
         raise UnsupportedModelError(f"unknown backend {backend!r}")
@@ -226,11 +236,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
             if res_norm < tol_outer * target_norm or res_norm == 0.0:
                 break
             if iters >= max_outer:
-                run.converged = False
-                run.failed_step = step
-                run.final_state = state
-                run.wall_time = time.perf_counter() - t0
-                return run
+                return _fail(run, step, state, t0)
             if backend == "regular":
                 k_t = assemble_tangent(model, state, arrays)
                 delta = spla.splu(k_t.tocsc()).solve(-residual)
@@ -241,6 +247,8 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
                 part_t = tangent_partition(model, state, partition, arrays)
                 rep = solve_sri(part_t, -residual, precond, tol=tol_inner,
                                 norm_ref=target_norm)
+                if not rep.converged:
+                    return _fail(run, step, state, t0)
                 delta = rep.d
                 inner += rep.iterations
             d = d + delta

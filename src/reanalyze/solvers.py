@@ -3,20 +3,21 @@
 SRI solves the reduced system (K_La^-1 + C_s K_Lb^-1 C_s^T) F_a = B by
 conjugate gradients preconditioned with the same operator built from the
 original (unmodified) structure; FDP solves it in closed form through a dense
-q x q factorization; PCG iterates on the full system preconditioned with the
-factorized original stiffness.  All paths return a uniform SolveReport and,
-per the operation-count model, evaluate strictly as matrix-vector chains with
-the operator applied once per iteration.
+q x q Cholesky factorization; PCG iterates on the full system preconditioned
+with the factorized original stiffness.  All paths return a uniform
+SolveReport and, per the operation-count model, evaluate strictly as
+matrix-vector chains with the operator applied once per iteration.
 
 SRI is matrix-free: its operator applies C_s through the sparse basis
 factorization, and its preconditioner inverts the original reduced operator
 through the Woodbury identity with the sparse LU of the original stiffness.
-Only FDP reads the dense influence matrix cs_t.
+FDP forms the dense q x q operator from the sparse influence matrix
+(reduced_gram) and factors it with solve_reduced_dense, which the nonlinear
+reduction backend shares.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -152,8 +153,7 @@ class SriPreconditioner:
     original stiffness,
         M0^-1 = W = K_La0 - K_La0 C_a K0^-1 C_a^T K_La0,
     so apply() costs sparse solves with the LU factor of K0 and with the basis
-    factorization.  original is the original partition without its dense
-    influence matrix.
+    factorization.
     """
 
     def __init__(self, original: SystemPartition, k0_lu):
@@ -186,12 +186,11 @@ def build_sri_preconditioner(partition_original: SystemPartition) -> SriPrecondi
     below the threshold factorize_stiffness applies.
     """
     part = partition_original
-    original = dataclasses.replace(part, cs_t=None)
     if part.q == 0:
-        return SriPreconditioner(original, None)
+        return SriPreconditioner(part, None)
     k0 = part.c_b.T @ part.k_lb @ part.c_b + part.c_a.T @ part.k_la @ part.c_a
-    k0_lu = sparse_lu(symmetrize(k0), UnstableStructureError, "original stiffness")
-    return SriPreconditioner(original, k0_lu)
+    k0_lu, _ = sparse_lu(symmetrize(k0), UnstableStructureError, "original stiffness")
+    return SriPreconditioner(part, k0_lu)
 
 
 def recover_displacements(partition: SystemPartition, f_a: np.ndarray, r: np.ndarray,
@@ -248,35 +247,40 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
                        wall_time=wall, converged=converged)
 
 
+def solve_reduced_dense(partition: SystemPartition, gram: np.ndarray,
+                        b: np.ndarray) -> np.ndarray:
+    """Additional-component forces F_a from (K_La^-1 + G) F_a = B, with G the
+    dense reduced_gram of the partition, by an in-place Cholesky
+    factorization (gram is overwritten).
+
+    Raises UnstableStructureError when the reduced operator is not positive
+    definite.
+    """
+    k = partition.k_la_inv.tocoo()
+    gram[k.row, k.col] += k.data
+    try:
+        factor = sla.cho_factor(gram, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise UnstableStructureError(
+            f"reduced operator is not positive definite: {exc}") from exc
+    return sla.cho_solve(factor, b)
+
+
 def solve_fdp(partition_modified: SystemPartition, r: np.ndarray) -> SolveReport:
     """Direct reduced-system path via the low-rank update identity.
 
-    Factorizes I + C_s K_Lb^-1 C_s^T K_La densely, recovers the
-    additional-component forces in closed form and evaluates the displacement
-    expression as matrix-vector chains.
+    Forms the dense reduced operator K_La^-1 + C_s K_Lb^-1 C_s^T, solves it
+    for the additional-component forces by Cholesky and recovers the
+    displacements as matrix-vector chains.  A non-finite load raises
+    InvalidParameterError; a reduced operator that is not positive definite
+    raises UnstableStructureError.
     """
+    _check_finite(r)
     n, q = partition_modified.n, partition_modified.q
     t0 = time.perf_counter()
-    p_r = partition_modified.solve_c_b_t(r)
-    z = partition_modified.k_lb_inv @ p_r
-    if q == 0:
-        d = partition_modified.solve_c_b(z)
-        return SolveReport(method="fdp", d=d, f_a=np.zeros(0),
-                           flops_estimate=costmodel.flops_fdp(n, 0),
-                           wall_time=time.perf_counter() - t0)
-    y = partition_modified.cs_t.T @ z
-    gram = reduced_gram(partition_modified)
-    s_inv = (partition_modified.k_la @ gram).T
-    del gram
-    s_inv += np.eye(q)
-    try:
-        lu, piv = sla.lu_factor(s_inv, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise InternalError(f"reduced update matrix is singular: {exc}") from exc
-    u_a = sla.lu_solve((lu, piv), y)
-    f_a = partition_modified.k_la @ u_a
-    inner = z - partition_modified.k_lb_inv @ (partition_modified.cs_t @ f_a)
-    d = partition_modified.solve_c_b(inner)
+    b, b_s = reduced_rhs(partition_modified, r)
+    f_a = solve_reduced_dense(partition_modified, reduced_gram(partition_modified), b)
+    d = recover_displacements(partition_modified, f_a, r, b_s=b_s)
     wall = time.perf_counter() - t0
     return SolveReport(method="fdp", d=d, f_a=f_a,
                        flops_estimate=costmodel.flops_fdp(n, q),

@@ -1,19 +1,30 @@
 """Assembly and partition tests: reconstruction, determinacy, reduced operators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from reanalyze.assembly import (
+    PIVOT_TOL,
+    SPARSE_GRAM_SHARE,
     assemble_global,
     assemble_parameters,
     factorize_stiffness,
+    gram_multiply_adds,
     make_partition,
     reduced_apply,
     reduced_gram,
     reduced_rhs,
     update_partition,
 )
-from reanalyze.errors import BasisUnstableError, NotDeterminateError, UnstableStructureError
+from reanalyze.errors import (
+    BasisUnstableError,
+    InvalidParameterError,
+    NotDeterminateError,
+    UnstableStructureError,
+)
 from reanalyze.model import (
     MaterialSpec,
     Node,
@@ -179,7 +190,8 @@ class TestPartitionConsistency:
         c_b = part.c_b.toarray()
         c_a = part.c_a.toarray()
         c_s_dense = c_a @ np.linalg.inv(c_b)
-        assert rel_err(part.c_s, c_s_dense) < 1e-10
+        assert sp.issparse(part.c_s)
+        assert rel_err(part.c_s.toarray(), c_s_dense) < 1e-10
 
     def test_update_shares_topology(self):
         model = build_truss_grid(3, 2)
@@ -187,11 +199,60 @@ class TestPartitionConsistency:
         graded = apply_floor_grading(model, 10000.0, 30000.0, "E")
         updated = update_partition(part, graded)
         assert updated.c_b_lu is part.c_b_lu
-        assert updated.cs_t is part.cs_t
+        assert updated.c_s is part.c_s
         k = assemble_global(graded).toarray()
         k_split = (updated.c_b.T @ updated.k_lb @ updated.c_b
                    + updated.c_a.T @ updated.k_la @ updated.c_a).toarray()
         assert rel_err(k_split, k) < 1e-12
+
+    def test_no_dense_influence_matrix(self):
+        model = build_frame_grid(20, 8)
+        part = make_partition(model, default_additional_set(model))
+        for f in dataclasses.fields(part):
+            value = getattr(part, f.name)
+            assert not (isinstance(value, np.ndarray) and value.size >= part.n * part.q), f.name
+        assert part.c_s.nnz < 0.1 * part.n * part.q
+
+    @pytest.mark.parametrize("model", [build_truss_grid(7, 16), build_frame_grid(20, 8)],
+                             ids=["ladder", "frame"])
+    def test_basis_pivot_ratio(self, model):
+        part = make_partition(model, default_additional_set(model))
+        assert PIVOT_TOL < part.basis_pivot_ratio <= 1.0
+        pivots = np.abs(part.c_b_lu.U.diagonal())
+        assert part.basis_pivot_ratio == pivots.min() / pivots.max()
+
+
+class TestUpdateTopologyCheck:
+    def test_moved_node_raises(self):
+        model = build_truss_grid(3, 2)
+        part = make_partition(model, default_additional_set(model))
+        nodes = list(model.nodes)
+        nodes[5] = Node(5, nodes[5].x + 1.0, nodes[5].y)
+        moved = StructuralModel(nodes, list(model.elements), model.supports,
+                                list(model.loads), model.meta)
+        with pytest.raises(InvalidParameterError, match="coordinates"):
+            update_partition(part, moved)
+
+    def test_different_span_count_raises(self):
+        model = build_truss_grid(3, 2)
+        part = make_partition(model, default_additional_set(model))
+        with pytest.raises(InvalidParameterError, match="free DOFs"):
+            update_partition(part, build_truss_grid(4, 2))
+
+    def test_reconnected_element_raises(self):
+        # same nodes, DOFs and element count; one diagonal turned the other way
+        model = build_truss_grid(3, 2)
+        part = make_partition(model, default_additional_set(model))
+        elems = list(model.elements)
+        diag = next(e for e in elems if e.tag.kind == "diagonal" and e.tag.span == 2)
+        cols = model.meta["n_span"] + 1
+        flipped = dataclasses.replace(diag, node_i=diag.node_i + 1, node_j=diag.node_j - 1)
+        assert flipped.node_j - flipped.node_i == cols - 1
+        elems[diag.id] = flipped
+        other = StructuralModel(list(model.nodes), elems, model.supports,
+                                list(model.loads), model.meta)
+        with pytest.raises(InvalidParameterError, match="end nodes"):
+            update_partition(part, other)
 
 
 class TestReducedOperators:
@@ -239,7 +300,7 @@ class TestReducedOperators:
     def test_gram_matches_apply(self):
         model = build_frame_grid(2, 1, n_sb=2)
         part = make_partition(model, default_additional_set(model))
-        g = reduced_gram(part, chunk=3)
+        g = reduced_gram(part)
         k_la_inv = part.k_la_inv.toarray()
         rng = np.random.default_rng(5)
         x = rng.standard_normal(part.q)
@@ -261,3 +322,35 @@ class TestReducedOperators:
             b, _ = reduced_rhs(part, r)
             f_a = np.linalg.solve(a_mat, b)
             assert rel_err(f_a, f_a_expected) < 1e-10
+
+
+class TestReducedGram:
+    @pytest.mark.parametrize("model,sparse_path", [
+        (build_frame_grid(20, 8), True),
+        (apply_floor_grading(build_frame_grid(10, 6, n_sb=2), 4000.0, 36000.0, "E"), False),
+        (build_truss_grid(7, 16), False),
+    ], ids=["frame-sparse", "frame-syrk", "ladder-syrk"])
+    def test_matches_definition(self, model, sparse_path):
+        part = make_partition(model, default_additional_set(model))
+        share = gram_multiply_adds(part) / (part.n * part.q**2)
+        assert (share <= SPARSE_GRAM_SHARE) is sparse_path
+        c_s = part.c_a.toarray() @ np.linalg.inv(part.c_b.toarray())
+        expected = c_s @ np.linalg.inv(part.k_lb.toarray()) @ c_s.T
+        g = reduced_gram(part)
+        assert g.flags.f_contiguous
+        assert rel_err(g, expected) < 1e-12
+
+    def test_multiply_adds_exceed_int32(self):
+        # the 31 x 128 ladder's count passes 2^31 and would wrap in int32
+        model = build_truss_grid(31, 128)
+        part = make_partition(model, default_additional_set(model))
+        per_column = np.diff(part.c_s.tocsc().indptr)
+        expected = sum(int(k) ** 2 for k in per_column)
+        assert gram_multiply_adds(part) == expected > 2**31
+
+    def test_syrk_path_rejects_indefinite_basis_block(self):
+        model = build_truss_grid(7, 16)
+        part = make_partition(model, default_additional_set(model))
+        negated = dataclasses.replace(part, k_lb_inv=-part.k_lb_inv)
+        with pytest.raises(UnstableStructureError):
+            reduced_gram(negated)

@@ -1,8 +1,11 @@
 """Newton-Raphson driver tests: state evaluation, backends, failure handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from reanalyze import nonlinear
 from reanalyze.assembly import assemble_global, make_partition
 from reanalyze.errors import InvalidStateError, UnsupportedModelError
 from reanalyze.model import (
@@ -185,6 +188,19 @@ class TestRunNewtonRaphson:
         assert not run.converged
         assert run.failed_step == 1
         assert run.lambdas == []
+
+    def test_unconverged_inner_solve_fails_step(self, monkeypatch):
+        real = nonlinear.solve_sri
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(nonlinear, "solve_sri", unconverged)
+        model = bilinear_truss(3, 2, sigma_y=2.0)
+        run = run_newton_raphson(model, model.load_vector(), n_steps=5, backend="sri")
+        assert not run.converged
+        assert run.failed_step == 1
+        assert run.lambdas == [] and run.final_state is not None
 
     def test_unknown_backend(self):
         model = bilinear_truss()

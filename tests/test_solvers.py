@@ -282,6 +282,24 @@ class TestSolveFdp:
         assert rel_err(rep_f.f_a, rep_s.f_a) < 1e-8
         assert rel_err(rep_f.d, rep_s.d) < 1e-9
 
+    def test_non_finite_load_raises(self):
+        orig = build_truss_grid(7, 16)
+        part0, part1, precond = reanalysis_setup(orig, orig)
+        r = orig.load_vector()
+        r[3] = np.inf
+        with pytest.raises(InvalidParameterError):
+            solve_fdp(part1, r)
+
+    @pytest.mark.parametrize("builder", [lambda: build_truss_grid(7, 16),
+                                         lambda: build_frame_grid(20, 8)],
+                             ids=["ladder", "frame"])
+    def test_non_positive_definite_operator_raises(self, builder):
+        orig = builder()
+        part0, part1, precond = reanalysis_setup(orig, orig)
+        negated = dataclasses.replace(part1, k_la=-part1.k_la, k_la_inv=-part1.k_la_inv)
+        with pytest.raises(UnstableStructureError, match="not positive definite"):
+            solve_fdp(negated, orig.load_vector())
+
     def test_empty_partition(self):
         model = build_truss_grid(1, 2)
         part = make_partition(model, PartitionSpec.of([]))
