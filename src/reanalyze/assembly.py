@@ -1,7 +1,12 @@
 """Global stiffness assembly, basis/additional partitioning and reduced operators.
 
 The assembled stiffness of the whole structure factorizes as K = C^T K_L C with
-K_L block diagonal over elements.  Splitting the element set into a statically
+K_L block diagonal over elements, and stiffness() is the one place the package
+forms a stiffness matrix: the assembled stiffness, the original stiffness the
+SRI preconditioner factors and the nonlinear tangent all go through it.  Every
+element of a model has the same block size m (1 for bars, 3 for beams), so the
+parameter blocks are one (elements, m, m) array and element i owns the stacked
+rows m i ... m i + m - 1.  Splitting the element set into a statically
 determinate basis (square, invertible mode matrix C_b) and the remaining
 additional components (q stiffness parameters) turns K d = R into a q x q
 system on the additional-component deformation forces.  Everything topological
@@ -57,21 +62,17 @@ SPARSE_GRAM_SHARE = 1e-2
 _SLAB_BYTES = 1 << 24
 
 
-def element_decomposition(model: StructuralModel, element: ElementRecord,
-                          modulus: float | None = None) -> ElementDecomposition:
-    """Mode-row decomposition of one element, optionally with an overridden
-    homogeneous modulus (used for tangent stiffness)."""
+def element_decomposition(model: StructuralModel, element: ElementRecord) -> ElementDecomposition:
+    """Mode-row decomposition of one element."""
     length, angle = model.geometry(element)
     sec, mat = element.section, element.material
     if element.kind is ElementKind.TRUSS_BAR:
-        young = modulus if modulus is not None else mat.elastic_modulus
-        return truss_decomposition(length, angle, young, sec.area)
+        return truss_decomposition(length, angle, mat.elastic_modulus, sec.area)
     if element.kind is ElementKind.HOMOGENEOUS_BEAM:
-        young = modulus if modulus is not None else mat.elastic_modulus
         if sec.area is None or sec.inertia is None:
             raise InvalidParameterError(
                 f"element {element.id}: beam section needs area and inertia")
-        return beam_decomposition(length, angle, young, sec.area, sec.inertia)
+        return beam_decomposition(length, angle, mat.elastic_modulus, sec.area, sec.inertia)
     if mat.e_us is None or mat.e_ls is None or mat.p is None:
         raise InvalidParameterError(
             f"element {element.id}: graded material needs e_us, e_ls and p")
@@ -85,105 +86,75 @@ def element_decomposition(model: StructuralModel, element: ElementRecord,
 
 @dataclass(frozen=True)
 class GlobalDecomposition:
-    """Per-element stiffness parameters and the stacked global mode rows.
+    """Parameter blocks and stacked global mode rows of a whole structure.
 
-    blocks[i] is the m_i x m_i parameter matrix of element i, c the
-    (sum m_i) x n sparse matrix of extended mode rows, offsets the row offset
-    of each element's block (offsets[-1] = total parameter count).
+    Every element of a model has the same block size m (1 for bars, 3 for
+    beams): blocks is the (elements, m, m) array of parameter matrices and c
+    the (elements m) x n sparse matrix of extended mode rows, element i's rows
+    being m i ... m i + m - 1.
     """
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
     c: sp.csr_matrix
-    offsets: np.ndarray
 
     @property
     def total_params(self) -> int:
-        return int(self.offsets[-1])
+        return self.c.shape[0]
 
     def k_l(self) -> sp.csr_matrix:
         """Block-diagonal parameter matrix of the whole structure."""
-        return _block_diag(self.blocks, self.offsets)
+        return _block_diag(self.blocks)
 
 
-def _block_diag(blocks, offsets) -> sp.csr_matrix:
-    size = int(offsets[-1])
-    rows, cols, data = [], [], []
-    for blk, off in zip(blocks, offsets[:-1]):
-        m = blk.shape[0]
-        idx = np.arange(m) + off
-        rows.append(np.repeat(idx, m))
-        cols.append(np.tile(idx, m))
-        data.append(blk.ravel())
-    if not blocks:
-        return sp.csr_matrix((size, size))
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size))
+def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal matrix of a (k, m, m) block array, built directly in
+    CSR form: each row is m consecutive entries of blocks.ravel()."""
+    k, m, _ = blocks.shape
+    cols = np.tile(np.arange(k * m).reshape(k, 1, m), (1, m, 1))
+    return sp.csr_matrix((blocks.ravel(), cols.ravel(), np.arange(0, k * m * m + 1, m)),
+                         shape=(k * m, k * m))
 
 
-def _invert_blocks(blocks) -> list[np.ndarray]:
-    out = []
-    for blk in blocks:
-        if blk.shape[0] == 1:
-            out.append(np.array([[1.0 / blk[0, 0]]]))
-        else:
-            out.append(np.linalg.inv(blk))
-    return out
+def _rows(ids: np.ndarray, m: int) -> np.ndarray:
+    """Stacked-row indices of the given elements' m-row blocks."""
+    return (m * ids[:, None] + np.arange(m)).ravel()
 
 
-def assemble_parameters(model: StructuralModel,
-                        modulus_by_element: np.ndarray | None = None) -> GlobalDecomposition:
+def assemble_parameters(model: StructuralModel) -> GlobalDecomposition:
     """Element blocks and extended mode rows restricted to free DOFs."""
-    blocks: list[np.ndarray] = []
-    offsets = np.zeros(len(model.elements) + 1, dtype=np.int64)
-    rows, cols, data = [], [], []
+    m = 2 * model.dofs_per_node - 3
+    blocks, rows, cols, data = [], [], [], []
     for elem in model.elements:
-        override = None if modulus_by_element is None else float(modulus_by_element[elem.id])
-        dec = element_decomposition(model, elem, override)
+        dec = element_decomposition(model, elem)
         blocks.append(dec.k_params)
-        off = offsets[elem.id]
-        offsets[elem.id + 1] = off + dec.m
         dofs = model.element_dofs(elem)
         free = dofs >= 0
-        c_rows = dec.c_global[:, free]
-        free_dofs = dofs[free]
-        m = dec.m
-        rows.append(np.repeat(np.arange(m) + off, free_dofs.size))
-        cols.append(np.tile(free_dofs, m))
-        data.append(c_rows.ravel())
+        rows.append(np.repeat(np.arange(m) + m * elem.id, np.count_nonzero(free)))
+        cols.append(np.tile(dofs[free], m))
+        data.append(dec.c_global[:, free].ravel())
     c = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(int(offsets[-1]), model.n))
-    return GlobalDecomposition(tuple(blocks), c, offsets)
+        shape=(m * len(blocks), model.n))
+    return GlobalDecomposition(np.array(blocks).reshape(-1, m, m), c)
 
 
-def assemble_global(model: StructuralModel,
-                    modulus_by_element: np.ndarray | None = None) -> sp.csr_matrix:
+def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
+    """Stiffness C^T K_L C of stacked mode rows c and parameters k_l: the one
+    way the package forms a stiffness matrix."""
+    return symmetrize(c.T @ k_l @ c)
+
+
+def assemble_global(model: StructuralModel) -> sp.csr_matrix:
     """Assembled free-DOF stiffness matrix K = C^T K_L C."""
-    rows, cols, data = [], [], []
-    for elem in model.elements:
-        override = None if modulus_by_element is None else float(modulus_by_element[elem.id])
-        dec = element_decomposition(model, elem, override)
-        k_e = dec.stiffness()
-        dofs = model.element_dofs(elem)
-        free = np.flatnonzero(dofs >= 0)
-        sub = k_e[np.ix_(free, free)]
-        gdofs = dofs[free]
-        rows.append(np.repeat(gdofs, gdofs.size))
-        cols.append(np.tile(gdofs, gdofs.size))
-        data.append(sub.ravel())
-    k = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(model.n, model.n))
-    k.sum_duplicates()
-    return symmetrize(k)
+    dec = assemble_parameters(model)
+    return stiffness(dec.c, dec.k_l())
 
 
 def symmetrize(k: sp.spmatrix) -> sp.csr_matrix:
-    """Average a summed sparse stiffness with its transpose.
+    """Average a sparse stiffness with its transpose.
 
-    Duplicate-summation order is not symmetric under (i, j) <-> (j, i), so
-    the average is what makes K bitwise symmetric.
+    The summation order of C^T K_L C is not symmetric under (i, j) <-> (j, i),
+    so the average is what makes K bitwise symmetric.
     """
     return ((k + k.T) * 0.5).tocsr()
 
@@ -211,6 +182,9 @@ class SystemPartition:
     sparse influence matrix c_s = C_a C_b^-1 and the model fingerprint
     element_nodes/node_xy) are shared across material updates;
     k_lb/k_la and their blockwise inverses belong to one material state.
+    All blocks have the model's one block size m: basis element i owns rows
+    m i ... m i + m - 1 of c_b and k_lb, additional element i those of c_a
+    and k_la.
     Instances are immutable; solves through the factorization do not mutate
     visible state.
 
@@ -229,10 +203,8 @@ class SystemPartition:
     c_s: sp.csr_matrix  # (q, n), exact zeros dropped
     k_lb: sp.csr_matrix
     k_lb_inv: sp.csr_matrix
-    basis_offsets: np.ndarray
     k_la: sp.csr_matrix
     k_la_inv: sp.csr_matrix
-    add_offsets: np.ndarray
     element_nodes: np.ndarray  # (elements, 2) end nodes of the partitioned model
     node_xy: np.ndarray  # (nodes, 2) its node coordinates
 
@@ -253,16 +225,16 @@ class SystemPartition:
         return self.solve_c_b_t(self.c_a.T @ x)
 
 
-def _split_rows(decomp: GlobalDecomposition, ids: np.ndarray):
-    """Stacked mode rows, blocks and offsets for the given element ids."""
-    blocks = [decomp.blocks[i] for i in ids]
-    sizes = np.array([b.shape[0] for b in blocks], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    if len(ids) == 0:
-        return sp.csr_matrix((0, decomp.c.shape[1])), blocks, offsets
-    row_idx = np.concatenate(
-        [np.arange(decomp.offsets[i], decomp.offsets[i + 1]) for i in ids])
-    return decomp.c[row_idx], blocks, offsets
+def parameter_matrices(blocks: np.ndarray, basis_ids: np.ndarray,
+                       additional_ids: np.ndarray) -> dict[str, sp.csr_matrix]:
+    """K_Lb, K_La and their blockwise inverses, keyed by their SystemPartition
+    field names, from an (elements, m, m) block array."""
+    out = {}
+    for name, ids in (("k_lb", basis_ids), ("k_la", additional_ids)):
+        part = blocks[ids]
+        out[name] = _block_diag(part)
+        out[name + "_inv"] = _block_diag(np.linalg.inv(part))
+    return out
 
 
 def _sparse_rows(a: np.ndarray) -> sp.csr_matrix:
@@ -303,25 +275,20 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     additional_ids = all_ids[add_mask]
 
     decomp = assemble_parameters(model)
-    c_b, basis_blocks, basis_offsets = _split_rows(decomp, basis_ids)
-    c_a, add_blocks, add_offsets = _split_rows(decomp, additional_ids)
+    m = decomp.blocks.shape[1]
+    c_b = decomp.c[_rows(basis_ids, m)].tocsc()
+    c_a = decomp.c[_rows(additional_ids, m)]
     if c_b.shape[0] != model.n:
         raise NotDeterminateError(
             f"basis parameter count {c_b.shape[0]} != free DOFs {model.n}")
-    q = int(add_offsets[-1])
+    q = c_a.shape[0]
 
-    c_b = c_b.tocsc()
     lu, pivot_ratio = sparse_lu(c_b, BasisUnstableError, "basis mode matrix")
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
         c_b=c_b, c_b_lu=lu, basis_pivot_ratio=pivot_ratio,
         c_a=c_a, c_s=_influence_matrix(lu, c_a),
-        k_lb=_block_diag(basis_blocks, basis_offsets),
-        k_lb_inv=_block_diag(_invert_blocks(basis_blocks), basis_offsets),
-        basis_offsets=basis_offsets,
-        k_la=_block_diag(add_blocks, add_offsets),
-        k_la_inv=_block_diag(_invert_blocks(add_blocks), add_offsets),
-        add_offsets=add_offsets,
+        **parameter_matrices(decomp.blocks, basis_ids, additional_ids),
         element_nodes=model.element_nodes, node_xy=model.xy)
 
 
@@ -341,8 +308,7 @@ def _check_topology(partition: SystemPartition, model: StructuralModel) -> None:
         raise InvalidParameterError("node coordinates differ from the partitioned model's")
 
 
-def update_partition(partition: SystemPartition, model: StructuralModel,
-                     modulus_by_element: np.ndarray | None = None) -> SystemPartition:
+def update_partition(partition: SystemPartition, model: StructuralModel) -> SystemPartition:
     """Partition for a materially modified model, reusing all topology.
 
     The model must share the original's free DOFs, elements, end nodes and
@@ -350,22 +316,9 @@ def update_partition(partition: SystemPartition, model: StructuralModel,
     blocks (and their blockwise inverses) are rebuilt.
     """
     _check_topology(partition, model)
-
-    def blocks_for(ids):
-        out = []
-        for i in ids:
-            override = None if modulus_by_element is None else float(modulus_by_element[i])
-            out.append(element_decomposition(model, model.elements[i], override).k_params)
-        return out
-
-    basis_blocks = blocks_for(partition.basis_ids)
-    add_blocks = blocks_for(partition.additional_ids)
+    blocks = np.stack([element_decomposition(model, elem).k_params for elem in model.elements])
     return dataclasses.replace(
-        partition,
-        k_lb=_block_diag(basis_blocks, partition.basis_offsets),
-        k_lb_inv=_block_diag(_invert_blocks(basis_blocks), partition.basis_offsets),
-        k_la=_block_diag(add_blocks, partition.add_offsets),
-        k_la_inv=_block_diag(_invert_blocks(add_blocks), partition.add_offsets))
+        partition, **parameter_matrices(blocks, partition.basis_ids, partition.additional_ids))
 
 
 def reduced_rhs(partition: SystemPartition, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,27 +347,19 @@ def gram_multiply_adds(partition: SystemPartition) -> int:
     return int(counts @ counts)
 
 
-def _block_cholesky(matrix: sp.csr_matrix, offsets: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal lower L with L L^T = matrix, a block-diagonal matrix
-    whose blocks start at offsets; raises UnstableStructureError when a block
-    is not positive definite."""
-    sizes = np.diff(offsets)
-    rows, cols, data = [], [], []
-    for m in np.unique(sizes):
-        idx = offsets[:-1][sizes == m, None] + np.arange(m)  # (blocks, m)
-        r = np.repeat(idx, m, axis=1).ravel()
-        c = np.tile(idx, (1, m)).ravel()
-        blocks = np.asarray(matrix[r, c]).reshape(-1, m, m)
-        try:
-            data.append(np.linalg.cholesky(blocks).ravel())
-        except np.linalg.LinAlgError as exc:
-            raise UnstableStructureError(
-                f"basis parameter block not positive definite: {exc}") from exc
-        rows.append(r)
-        cols.append(c)
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=matrix.shape)
+def _block_cholesky(matrix: sp.csr_matrix, m: int) -> sp.csr_matrix:
+    """Block-diagonal lower L with L L^T = matrix, a block-diagonal matrix of
+    m x m blocks; raises UnstableStructureError when a block is not positive
+    definite."""
+    idx = np.arange(matrix.shape[0]).reshape(-1, m)
+    rows = np.repeat(idx, m, axis=1).ravel()
+    cols = np.tile(idx, (1, m)).ravel()
+    blocks = np.asarray(matrix[rows, cols]).reshape(-1, m, m)
+    try:
+        return _block_diag(np.linalg.cholesky(blocks))
+    except np.linalg.LinAlgError as exc:
+        raise UnstableStructureError(
+            f"basis parameter block not positive definite: {exc}") from exc
 
 
 def reduced_gram(partition: SystemPartition) -> np.ndarray:
@@ -429,7 +374,8 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray:
     c_s = partition.c_s
     if gram_multiply_adds(partition) <= SPARSE_GRAM_SHARE * n * q * q:
         return (c_s @ (partition.k_lb_inv @ c_s.T)).toarray(order="F")
-    y = (_block_cholesky(partition.k_lb_inv, partition.basis_offsets).T @ c_s.T).tocsr()
+    m = n // len(partition.basis_ids)
+    y = (_block_cholesky(partition.k_lb_inv, m).T @ c_s.T).tocsr()
     gram = np.zeros((q, q), order="F")
     rows = max(_SLAB_BYTES // (8 * q), 1)
     for lo in range(0, n, rows):

@@ -5,8 +5,7 @@ Timing follows the reanalysis convention: everything precomputable for a
 campaign (influence matrix, preconditioner factorizations, assembled modified
 stiffness) is built outside the timed region; the conventional method is timed
 as a complete analysis.  Reported times are medians over `repeat` runs; with
-repeat = 0 timing is disabled and scenarios may run on a small thread pool
-capped by REANALYZE_THREADS.
+repeat = 0 timing is disabled.
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -254,23 +251,10 @@ def cmd_generate(config: dict, out_dir: Path, precision: str) -> int:
 def _run_table_command(config: dict, out_dir: Path, precision: str, repeat: int | None,
                        tol: float | None, from_original: bool, default_repeat: int,
                        suffix: str) -> int:
-    jobs = config["scenarios"]
-
-    def run_one(scn):
+    for scn in config["scenarios"]:
         reps = repeat if repeat is not None else scn.get("repeat", default_repeat)
-        return scn, run_linear_scenario(scn, from_original=from_original,
-                                        repeat=reps, tol=tol, max_iter=None)
-
-    timing_off = (repeat if repeat is not None else
-                  max((s.get("repeat", default_repeat) for s in jobs), default=0)) == 0
-    if timing_off and len(jobs) > 1:
-        workers = int(os.environ.get("REANALYZE_THREADS", "0")) or (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=max(1, min(workers, len(jobs)))) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(scn) for scn in jobs]
-
-    for scn, rows in results:
+        rows = run_linear_scenario(scn, from_original=from_original,
+                                   repeat=reps, tol=tol, max_iter=None)
         path = out_dir / _out_name(scn, f"{scn['id']}.{suffix}.csv")
         write_csv(path, RESULT_COLUMNS, rows, precision)
         print(f"wrote {path}")

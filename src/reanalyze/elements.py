@@ -37,8 +37,7 @@ class ElementDecomposition:
         return self.k_params.shape[0]
 
     def stiffness(self) -> np.ndarray:
-        """Reconstruct the global element stiffness C^T K_L C (symmetrized to
-        keep assembled matrices bitwise symmetric)."""
+        """Reconstruct the global element stiffness C^T K_L C, symmetrized."""
         s = self.c_global.T @ self.k_params @ self.c_global
         return 0.5 * (s + s.T)
 
@@ -214,16 +213,17 @@ def fg_beam_decomposition(length: float, angle: float, width: float,
     return ElementDecomposition(k_params, c_local, c_global)
 
 
-def bilinear_stress(strain: float, e0: float, et: float, sigma_y: float) -> tuple[float, float]:
+def bilinear_stress(strain, e0, et, sigma_y):
     """Stress and tangent modulus of the bilinear law at a total strain.
 
     Elastic branch up to the yield strain sigma_y/e0 (boundary counted as
-    elastic), hardening slope et beyond; odd in strain.
+    elastic), hardening slope et beyond; odd in strain.  Takes scalars or
+    arrays, elementwise.
     """
-    if e0 <= 0.0 or sigma_y <= 0.0:
+    if np.any(np.asarray(e0) <= 0.0) or np.any(np.asarray(sigma_y) <= 0.0):
         raise InvalidParameterError("e0 and sigma_y must be positive")
     eps_y = sigma_y / e0
-    if abs(strain) <= eps_y:
-        return e0 * strain, e0
-    sign = 1.0 if strain > 0.0 else -1.0
-    return sign * (sigma_y + et * (abs(strain) - eps_y)), et
+    yielded = np.abs(strain) > eps_y
+    stress = np.where(yielded, np.sign(strain) * (sigma_y + et * (np.abs(strain) - eps_y)),
+                      e0 * strain)
+    return stress, np.where(yielded, et, e0)

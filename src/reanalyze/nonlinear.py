@@ -7,6 +7,12 @@ reduced system directly, "sri" runs the reduced preconditioned iteration with
 the elastic-state preconditioner held fixed for the whole run.  The material
 law is total-strain bilinear (monotonic loading, no unloading hysteresis), so
 the state is a pure function of the current displacement field.
+
+Bars share the linear path's factorization K = C^T K_L C: the bars' unit
+axial mode rows C give the strains sqrt(2) C d / L and the internal force
+C^T (sqrt(2) A sigma), and a tangent state only changes the 1x1 parameter
+blocks 2 E_t A / L, which the assembled tangent and the tangent partition
+build through the same assembly helpers as the linear stiffness.
 """
 
 from __future__ import annotations
@@ -17,16 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     SystemPartition,
     make_partition,
+    parameter_matrices,
     reduced_gram,
     reduced_rhs,
-    symmetrize,
+    sparse_lu,
+    stiffness,
 )
-from .errors import InvalidStateError, UnsupportedModelError
+from .elements import SQRT2, bilinear_stress
+from .errors import InvalidStateError, UnstableStructureError, UnsupportedModelError
 from .model import ElementKind, PartitionSpec, StructuralModel, default_additional_set
 from .solvers import (
     build_sri_preconditioner,
@@ -52,10 +60,24 @@ class MaterialState:
         return int(np.count_nonzero(self.yielded))
 
 
-class _TrussArrays:
-    """Vectorized element data of a bilinear truss model."""
+@dataclass(frozen=True)
+class Bars:
+    """Unit mode rows and bilinear material data of a truss model's bars.
 
-    def __init__(self, model: StructuralModel):
+    c is the (bars, n) matrix of axial mode rows (-a, a) / sqrt(2) on the free
+    DOFs, a being the unit bar axis: assemble_parameters(model).c, built
+    here from the model's node coordinates and DOF map alone.
+    """
+
+    c: sp.csr_matrix
+    length: np.ndarray
+    area: np.ndarray
+    e0: np.ndarray
+    et: np.ndarray
+    sigma_y: np.ndarray
+
+    @staticmethod
+    def of(model: StructuralModel) -> "Bars":
         for elem in model.elements:
             if elem.kind is not ElementKind.TRUSS_BAR:
                 raise UnsupportedModelError("nonlinear driver handles truss models only")
@@ -63,105 +85,69 @@ class _TrussArrays:
             if m.e0 is None or m.et is None or m.sigma_y is None:
                 raise UnsupportedModelError(
                     f"element {elem.id} lacks bilinear material data")
-        ne = len(model.elements)
-        self.node_i = np.array([e.node_i for e in model.elements])
-        self.node_j = np.array([e.node_j for e in model.elements])
-        xy = np.array([[nd.x, nd.y] for nd in model.nodes])
-        delta = xy[self.node_j] - xy[self.node_i]
-        self.length = np.hypot(delta[:, 0], delta[:, 1])
-        self.axis = delta / self.length[:, None]
-        self.area = np.array([e.section.area for e in model.elements])
-        self.e0 = np.array([e.material.e0 for e in model.elements])
-        self.et = np.array([e.material.et for e in model.elements])
-        self.sigma_y = np.array([e.material.sigma_y for e in model.elements])
-        self.eps_y = self.sigma_y / self.e0
-        # global DOF indices of (xi, yi, xj, yj); -1 marks constrained slots
-        self.dofs = np.hstack([model.dof_map[self.node_i], model.dof_map[self.node_j]])
-        self.n = model.n
-        self.n_nodes = len(model.nodes)
-        self.dof_map = model.dof_map
-        free = self.dofs.reshape(ne, 4)
-        self.free_mask = free >= 0
-
-    def pad(self, d: np.ndarray) -> np.ndarray:
-        full = np.zeros((self.n_nodes, 2))
-        mask = self.dof_map >= 0
-        full[mask] = d[self.dof_map[mask]]
-        return full
+        ends = model.element_nodes
+        delta = model.xy[ends[:, 1]] - model.xy[ends[:, 0]]
+        length = np.hypot(delta[:, 0], delta[:, 1])
+        axis = delta / length[:, None]
+        rows = np.hstack([-axis, axis]) / SQRT2
+        dofs = model.dof_map[ends].reshape(len(ends), 4)
+        free = dofs >= 0
+        c = sp.csr_matrix((rows[free], (np.nonzero(free)[0], dofs[free])),
+                          shape=(len(ends), model.n))
+        return Bars(
+            c=c, length=length,
+            area=np.array([e.section.area for e in model.elements]),
+            e0=np.array([e.material.e0 for e in model.elements]),
+            et=np.array([e.material.et for e in model.elements]),
+            sigma_y=np.array([e.material.sigma_y for e in model.elements]))
 
 
 def evaluate_state(model: StructuralModel, d: np.ndarray,
-                   arrays: _TrussArrays | None = None) -> MaterialState:
+                   bars: Bars | None = None) -> MaterialState:
     """Bilinear stress/tangent state of every bar at displacement d."""
-    ta = arrays if arrays is not None else _TrussArrays(model)
-    full = ta.pad(d)
-    rel = full[ta.node_j] - full[ta.node_i]
-    strain = np.einsum("ij,ij->i", rel, ta.axis) / ta.length
-    yielded = np.abs(strain) > ta.eps_y
-    stress = np.where(
-        yielded,
-        np.sign(strain) * (ta.sigma_y + ta.et * (np.abs(strain) - ta.eps_y)),
-        ta.e0 * strain)
-    tangent = np.where(yielded, ta.et, ta.e0)
-    return MaterialState(strain, stress, tangent, yielded)
+    b = bars if bars is not None else Bars.of(model)
+    strain = SQRT2 * (b.c @ d) / b.length
+    stress, tangent = bilinear_stress(strain, b.e0, b.et, b.sigma_y)
+    return MaterialState(strain, stress, tangent, np.abs(strain) > b.sigma_y / b.e0)
 
 
 def internal_force(model: StructuralModel, d: np.ndarray,
                    state: MaterialState | None = None,
-                   arrays: _TrussArrays | None = None) -> np.ndarray:
-    """Assembled internal nodal force vector F(d) on the free DOFs."""
-    ta = arrays if arrays is not None else _TrussArrays(model)
-    st = state if state is not None else evaluate_state(model, d, ta)
-    axial = st.stress * ta.area
-    contrib = np.hstack([-axial[:, None] * ta.axis, axial[:, None] * ta.axis])
-    f = np.zeros(ta.n)
-    dofs = ta.dofs.ravel()
-    vals = contrib.ravel()
-    keep = dofs >= 0
-    np.add.at(f, dofs[keep], vals[keep])
-    return f
+                   bars: Bars | None = None) -> np.ndarray:
+    """Assembled internal nodal force vector F(d) = C^T (sqrt(2) A sigma) on
+    the free DOFs."""
+    b = bars if bars is not None else Bars.of(model)
+    st = state if state is not None else evaluate_state(model, d, b)
+    return b.c.T @ (SQRT2 * b.area * st.stress)
+
+
+def _tangent_parameters(bars: Bars, state: MaterialState) -> np.ndarray:
+    """Bar parameters 2 E_t A / L of a state; raises InvalidStateError on a
+    non-positive tangent modulus."""
+    if np.any(state.tangent <= 0.0):
+        raise InvalidStateError("non-positive tangent modulus")
+    return 2.0 * state.tangent * bars.area / bars.length
 
 
 def assemble_tangent(model: StructuralModel, state: MaterialState,
-                     arrays: _TrussArrays | None = None) -> sp.csr_matrix:
-    """Assembled tangent stiffness with per-element bilinear tangent moduli."""
-    ta = arrays if arrays is not None else _TrussArrays(model)
-    if np.any(state.tangent <= 0.0):
-        raise InvalidStateError("non-positive tangent modulus")
-    coeff = state.tangent * ta.area / ta.length
-    v = np.hstack([-ta.axis, ta.axis])  # (ne, 4)
-    k_e = coeff[:, None, None] * v[:, :, None] * v[:, None, :]
-    dofs = ta.dofs  # (ne, 4)
-    rows = np.repeat(dofs, 4, axis=1).ravel()
-    cols = np.tile(dofs, (1, 4)).ravel()
-    data = k_e.reshape(-1, 16).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    k = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(ta.n, ta.n))
-    k.sum_duplicates()
-    return symmetrize(k)
+                     bars: Bars | None = None) -> sp.csr_matrix:
+    """Assembled tangent stiffness C^T diag(2 E_t A / L) C."""
+    b = bars if bars is not None else Bars.of(model)
+    return stiffness(b.c, sp.diags(_tangent_parameters(b, state)))
 
 
 def tangent_partition(model: StructuralModel, state: MaterialState,
                       partition: SystemPartition,
-                      arrays: _TrussArrays | None = None) -> SystemPartition:
+                      bars: Bars | None = None) -> SystemPartition:
     """Partition with parameter blocks rebuilt from the tangent moduli.
 
     The topology (basis factorization, influence matrix) is element-layout
     bound and is reused untouched; only the 1x1 bar blocks change.
     """
-    if np.any(state.tangent <= 0.0):
-        raise InvalidStateError("non-positive tangent modulus")
-    ta = arrays if arrays is not None else _TrussArrays(model)
-    k_all = 2.0 * state.tangent * ta.area / ta.length
-    kb = k_all[partition.basis_ids]
-    ka = k_all[partition.additional_ids]
-    q = partition.q
+    b = bars if bars is not None else Bars.of(model)
+    blocks = _tangent_parameters(b, state)[:, None, None]
     return dataclasses.replace(
-        partition,
-        k_lb=sp.diags(kb).tocsr(),
-        k_lb_inv=sp.diags(1.0 / kb).tocsr(),
-        k_la=sp.diags(ka).tocsr() if q else sp.csr_matrix((0, 0)),
-        k_la_inv=sp.diags(1.0 / ka).tocsr() if q else sp.csr_matrix((0, 0)))
+        partition, **parameter_matrices(blocks, partition.basis_ids, partition.additional_ids))
 
 
 @dataclass
@@ -211,7 +197,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
     """
     if backend not in ("regular", "reduction", "sri"):
         raise UnsupportedModelError(f"unknown backend {backend!r}")
-    arrays = _TrussArrays(model)
+    bars = Bars.of(model)
     t0 = time.perf_counter()
 
     partition = precond = None
@@ -223,28 +209,30 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
 
     run = NonlinearRun(backend=backend)
     d = np.zeros(model.n)
-    state = evaluate_state(model, d, arrays)
+    state = evaluate_state(model, d, bars)
     for step in range(1, n_steps + 1):
         lam = step / n_steps
         target = lam * p0
         target_norm = float(np.linalg.norm(target))
         iters = inner = 0
         while True:
-            state = evaluate_state(model, d, arrays)
-            residual = internal_force(model, d, state, arrays) - target
+            state = evaluate_state(model, d, bars)
+            residual = internal_force(model, d, state, bars) - target
             res_norm = float(np.linalg.norm(residual))
             if res_norm < tol_outer * target_norm or res_norm == 0.0:
                 break
             if iters >= max_outer:
                 return _fail(run, step, state, t0)
             if backend == "regular":
-                k_t = assemble_tangent(model, state, arrays)
-                delta = spla.splu(k_t.tocsc()).solve(-residual)
+                k_t = assemble_tangent(model, state, bars)
+                lu = sparse_lu(k_t, UnstableStructureError, "tangent stiffness")[0]
+                delta = lu.solve(-residual)
+                del lu  # a factor kept to the next iteration doubles the peak memory
             elif backend == "reduction":
-                part_t = tangent_partition(model, state, partition, arrays)
+                part_t = tangent_partition(model, state, partition, bars)
                 delta = _solve_reduction(part_t, -residual)
             else:
-                part_t = tangent_partition(model, state, partition, arrays)
+                part_t = tangent_partition(model, state, partition, bars)
                 rep = solve_sri(part_t, -residual, precond, tol=tol_inner,
                                 norm_ref=target_norm)
                 if not rep.converged:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import costmodel
 from .assembly import (
@@ -33,7 +34,7 @@ from .assembly import (
     reduced_gram,
     reduced_rhs,
     sparse_lu,
-    symmetrize,
+    stiffness,
 )
 from .errors import InternalError, InvalidParameterError, UnstableStructureError
 from .model import StructuralModel
@@ -179,8 +180,9 @@ class SriPreconditioner:
 
 
 def build_sri_preconditioner(partition_original: SystemPartition) -> SriPreconditioner:
-    """Factorize the original stiffness K0 = C_b^T K_Lb0 C_b + C_a^T K_La0 C_a
-    formed from the partition; built once per reanalysis campaign.
+    """Factorize the original stiffness K0 = C^T K_L0 C formed from the
+    partition, with C = [C_b; C_a] and K_L0 = diag(K_Lb0, K_La0); built once
+    per reanalysis campaign.
 
     Raises UnstableStructureError when K0 is singular or its pivot ratio is
     below the threshold factorize_stiffness applies.
@@ -188,8 +190,8 @@ def build_sri_preconditioner(partition_original: SystemPartition) -> SriPrecondi
     part = partition_original
     if part.q == 0:
         return SriPreconditioner(part, None)
-    k0 = part.c_b.T @ part.k_lb @ part.c_b + part.c_a.T @ part.k_la @ part.c_a
-    k0_lu, _ = sparse_lu(symmetrize(k0), UnstableStructureError, "original stiffness")
+    k0 = stiffness(sp.vstack([part.c_b, part.c_a]), sp.block_diag([part.k_lb, part.k_la]))
+    k0_lu, _ = sparse_lu(k0, UnstableStructureError, "original stiffness")
     return SriPreconditioner(part, k0_lu)
 
 

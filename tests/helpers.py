@@ -61,22 +61,33 @@ def graded_profile_moments(height, exponent, e_upper, e_lower):
     return tuple(out)
 
 
-def dense_truss_solution(model):
-    """Independent dense assembly and solve of a bar model (small n only)."""
+def dense_stiffness(model):
+    """Independent dense assembly of a bar or homogeneous-beam model from the
+    textbook element matrices (small n only)."""
     n = model.n
     k = np.zeros((n, n))
     for elem in model.elements:
         length, angle = model.geometry(elem)
-        k_e = truss_global_stiffness(elem.material.elastic_modulus, elem.section.area,
-                                     length, angle)
+        young = elem.material.elastic_modulus
+        if model.dofs_per_node == 2:
+            k_e = truss_global_stiffness(young, elem.section.area, length, angle)
+        else:
+            t = beam_rotation(angle)
+            k_e = t.T @ eb_local_stiffness(young, elem.section.area, elem.section.inertia,
+                                           length) @ t
         dofs = np.concatenate([model.dof_map[elem.node_i], model.dof_map[elem.node_j]])
-        for a in range(4):
+        for a in range(dofs.size):
             if dofs[a] < 0:
                 continue
-            for b in range(4):
+            for b in range(dofs.size):
                 if dofs[b] >= 0:
                     k[dofs[a], dofs[b]] += k_e[a, b]
-    return np.linalg.solve(k, model.load_vector())
+    return k
+
+
+def dense_truss_solution(model):
+    """Independent dense assembly and solve of a bar model (small n only)."""
+    return np.linalg.solve(dense_stiffness(model), model.load_vector())
 
 
 def rel_err(actual, expected):

@@ -39,7 +39,7 @@ from reanalyze.model import (
 )
 from reanalyze.model import ElementKind, ElementRecord, MemberTag
 
-from helpers import dense_truss_solution, rel_err
+from helpers import dense_stiffness, dense_truss_solution, rel_err
 
 
 def small_models():
@@ -103,11 +103,10 @@ class TestAssembleGlobal:
 
 class TestAssembleParameters:
     def test_reconstruction_identity(self):
-        for model in small_models():
-            dec = assemble_parameters(model)
-            k_direct = assemble_global(model).toarray()
-            k_from_modes = (dec.c.T @ dec.k_l() @ dec.c).toarray()
-            assert rel_err(k_from_modes, k_direct) < 1e-12
+        # C^T K_L C against textbook bar and beam matrices assembled densely
+        for model in (build_truss_grid(3, 2), build_truss_grid(2, 4, area=35.0, e0=12000.0),
+                      build_frame_grid(2, 2), build_frame_grid(1, 2, n_sb=2, n_sc=3)):
+            assert rel_err(assemble_global(model).toarray(), dense_stiffness(model)) < 1e-12
 
     def test_parameter_counts(self):
         truss = build_truss_grid(4, 3)
@@ -166,8 +165,8 @@ class TestMakePartition:
         assert np.all(np.diff(part.additional_ids) > 0)
         d = np.arange(model.n, dtype=float)
         dec = assemble_parameters(model)
-        stacked = np.concatenate(
-            [dec.c[dec.offsets[i]:dec.offsets[i + 1]] @ d for i in part.additional_ids])
+        m = dec.blocks.shape[1]
+        stacked = np.concatenate([dec.c[m * i:m * i + m] @ d for i in part.additional_ids])
         assert np.allclose(part.c_a @ d, stacked)
 
 
@@ -192,6 +191,21 @@ class TestPartitionConsistency:
         c_s_dense = c_a @ np.linalg.inv(c_b)
         assert sp.issparse(part.c_s)
         assert rel_err(part.c_s.toarray(), c_s_dense) < 1e-10
+
+    def test_update_matches_fresh_partition(self):
+        # graded beams carry full 3x3 blocks, so this checks the batched inverse
+        fg = MaterialSpec(e_us=26000.0, e_ls=14000.0, p=2.0)
+        model = build_frame_grid(2, 3, n_sb=2, material=fg)
+        spec = default_additional_set(model)
+        graded = apply_floor_grading(model, 4000.0, 36000.0, "E_US")
+        updated = update_partition(make_partition(model, spec), graded)
+        fresh = make_partition(graded, spec)
+        for name in ("k_lb", "k_lb_inv", "k_la", "k_la_inv"):
+            assert rel_err(getattr(updated, name).toarray(),
+                           getattr(fresh, name).toarray()) < 1e-14, name
+        identity = (updated.k_lb_inv @ updated.k_lb).toarray()
+        assert rel_err(identity, np.eye(updated.n)) < 1e-12
+        assert np.count_nonzero(updated.k_lb.toarray()[0, 1:3]) == 1  # coupled block
 
     def test_update_shares_topology(self):
         model = build_truss_grid(3, 2)

@@ -156,8 +156,7 @@ class TestBenchAndThreads:
             if r["method"] != "conventional":
                 assert float(r["rct"]) > 0.0
 
-    def test_untimed_runs_use_thread_pool(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REANALYZE_THREADS", "2")
+    def test_untimed_runs_leave_wall_time_blank(self, tmp_path):
         scn2 = dict(TRUSS_SCENARIO, id="t2")
         cfg = write_config(tmp_path, {"scenarios": [TRUSS_SCENARIO, scn2]})
         assert main(["reanalyze", "--config", cfg, "--out", str(tmp_path),

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from reanalyze import nonlinear
-from reanalyze.assembly import assemble_global, make_partition
-from reanalyze.errors import InvalidStateError, UnsupportedModelError
+from reanalyze.assembly import assemble_global, assemble_parameters, make_partition
+from reanalyze.errors import InvalidStateError, UnstableStructureError, UnsupportedModelError
 from reanalyze.model import (
     ElementKind,
     ElementRecord,
@@ -22,6 +22,7 @@ from reanalyze.model import (
     default_additional_set,
 )
 from reanalyze.nonlinear import (
+    Bars,
     MaterialState,
     assemble_tangent,
     evaluate_state,
@@ -78,6 +79,15 @@ class TestInternalForce:
             evaluate_state(build_truss_grid(2, 2), np.zeros(12))
         with pytest.raises(UnsupportedModelError):
             evaluate_state(build_frame_grid(1, 1), np.zeros(6))
+
+
+class TestBars:
+    def test_mode_rows_match_assembled_rows(self):
+        for model in (bilinear_truss(), bilinear_truss(4, 3), single_bar()):
+            c = Bars.of(model).c.toarray()
+            expected = assemble_parameters(model).c.toarray()
+            assert c.shape == expected.shape
+            assert np.max(np.abs(c - expected)) <= 1e-15
 
 
 class TestTangentPartition:
@@ -201,6 +211,15 @@ class TestRunNewtonRaphson:
         assert not run.converged
         assert run.failed_step == 1
         assert run.lambdas == [] and run.final_state is not None
+
+    def test_singular_tangent_raises(self):
+        # two collinear bars whose shared node is free transversally
+        nodes = [Node(0, 0.0, 0.0), Node(1, 100.0, 0.0), Node(2, 200.0, 0.0)]
+        bars = [ElementRecord(i, ElementKind.TRUSS_BAR, i, i + 1, SectionSpec(area=2.0),
+                              BILINEAR, MemberTag("chord", 1, i + 1)) for i in (0, 1)]
+        model = StructuralModel(nodes, bars, {0: (0, 1), 2: (0, 1)}, [PointLoad(1, 0, 1.0)])
+        with pytest.raises(UnstableStructureError):
+            run_newton_raphson(model, model.load_vector(), n_steps=2, backend="regular")
 
     def test_unknown_backend(self):
         model = bilinear_truss()
