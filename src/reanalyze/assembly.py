@@ -141,22 +141,16 @@ def assemble_parameters(model: StructuralModel) -> GlobalDecomposition:
 def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
     """Stiffness C^T K_L C of stacked mode rows c and parameters k_l: the one
     way the package forms a stiffness matrix."""
-    return symmetrize(c.T @ k_l @ c)
+    k = c.T @ k_l @ c
+    # the summation order of C^T K_L C is not symmetric under (i, j) <-> (j, i),
+    # so averaging with the transpose is what makes K bitwise symmetric
+    return ((k + k.T) * 0.5).tocsr()
 
 
 def assemble_global(model: StructuralModel) -> sp.csr_matrix:
     """Assembled free-DOF stiffness matrix K = C^T K_L C."""
     dec = assemble_parameters(model)
     return stiffness(dec.c, dec.k_l())
-
-
-def symmetrize(k: sp.spmatrix) -> sp.csr_matrix:
-    """Average a sparse stiffness with its transpose.
-
-    The summation order of C^T K_L C is not symmetric under (i, j) <-> (j, i),
-    so the average is what makes K bitwise symmetric.
-    """
-    return ((k + k.T) * 0.5).tocsr()
 
 
 def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str):
@@ -180,8 +174,9 @@ class SystemPartition:
 
     Topological members (c_b, its factorization and pivot ratio, c_a, the
     sparse influence matrix c_s = C_a C_b^-1 and the model fingerprint
-    element_nodes/node_xy) are shared across material updates;
-    k_lb/k_la and their blockwise inverses belong to one material state.
+    element_nodes/node_xy/dof_map) are shared across material updates;
+    k_lb/k_la and their blockwise inverses belong to one material state, and
+    with_blocks gives the same topology under another state.
     All blocks have the model's one block size m: basis element i owns rows
     m i ... m i + m - 1 of c_b and k_lb, additional element i those of c_a
     and k_la.
@@ -207,6 +202,7 @@ class SystemPartition:
     k_la_inv: sp.csr_matrix
     element_nodes: np.ndarray  # (elements, 2) end nodes of the partitioned model
     node_xy: np.ndarray  # (nodes, 2) its node coordinates
+    dof_map: np.ndarray  # (nodes, dofs per node) its free-DOF numbering, -1 where supported
 
     def solve_c_b(self, v: np.ndarray) -> np.ndarray:
         """Apply C_b^-1."""
@@ -224,9 +220,14 @@ class SystemPartition:
         """Apply C_s^T = C_b^-T C_a^T to a q-vector."""
         return self.solve_c_b_t(self.c_a.T @ x)
 
+    def with_blocks(self, blocks: np.ndarray) -> "SystemPartition":
+        """The same topology under the (elements, m, m) parameter blocks."""
+        return dataclasses.replace(
+            self, **_parameter_matrices(blocks, self.basis_ids, self.additional_ids))
 
-def parameter_matrices(blocks: np.ndarray, basis_ids: np.ndarray,
-                       additional_ids: np.ndarray) -> dict[str, sp.csr_matrix]:
+
+def _parameter_matrices(blocks: np.ndarray, basis_ids: np.ndarray,
+                        additional_ids: np.ndarray) -> dict[str, sp.csr_matrix]:
     """K_Lb, K_La and their blockwise inverses, keyed by their SystemPartition
     field names, from an (elements, m, m) block array."""
     out = {}
@@ -288,13 +289,14 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
         c_b=c_b, c_b_lu=lu, basis_pivot_ratio=pivot_ratio,
         c_a=c_a, c_s=_influence_matrix(lu, c_a),
-        **parameter_matrices(decomp.blocks, basis_ids, additional_ids),
-        element_nodes=model.element_nodes, node_xy=model.xy)
+        **_parameter_matrices(decomp.blocks, basis_ids, additional_ids),
+        element_nodes=model.element_nodes, node_xy=model.xy, dof_map=model.dof_map)
 
 
 def _check_topology(partition: SystemPartition, model: StructuralModel) -> None:
     """Raise InvalidParameterError unless model has the free-DOF count, the
-    elements, their end nodes and the node coordinates of the partitioned one."""
+    elements, their end nodes, the node coordinates and the supports (as its
+    free-DOF numbering) of the partitioned one."""
     if model.n != partition.n:
         raise InvalidParameterError(
             f"model has {model.n} free DOFs, the partition {partition.n}")
@@ -306,19 +308,20 @@ def _check_topology(partition: SystemPartition, model: StructuralModel) -> None:
         raise InvalidParameterError("element end nodes differ from the partitioned model's")
     if not np.array_equal(model.xy, partition.node_xy):
         raise InvalidParameterError("node coordinates differ from the partitioned model's")
+    if not np.array_equal(model.dof_map, partition.dof_map):
+        raise InvalidParameterError("supports differ from the partitioned model's")
 
 
 def update_partition(partition: SystemPartition, model: StructuralModel) -> SystemPartition:
     """Partition for a materially modified model, reusing all topology.
 
-    The model must share the original's free DOFs, elements, end nodes and
-    node coordinates (InvalidParameterError otherwise); only the parameter
-    blocks (and their blockwise inverses) are rebuilt.
+    The model must share the original's free DOFs, elements, end nodes, node
+    coordinates and supports (InvalidParameterError otherwise); only the
+    parameter blocks (and their blockwise inverses) are rebuilt.
     """
     _check_topology(partition, model)
-    blocks = np.stack([element_decomposition(model, elem).k_params for elem in model.elements])
-    return dataclasses.replace(
-        partition, **parameter_matrices(blocks, partition.basis_ids, partition.additional_ids))
+    return partition.with_blocks(
+        np.stack([element_decomposition(model, elem).k_params for elem in model.elements]))
 
 
 def reduced_rhs(partition: SystemPartition, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,23 +22,34 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ElementDecomposition:
-    """Unit-norm mode rows and stiffness parameters of a single element.
+    """Stiffness parameters and geometry of a single element.
 
-    k_params is the m x m (symmetric positive definite) parameter matrix,
-    c_local / c_global the m x nd mode rows in local / global axes.
+    k_params is the m x m (symmetric positive definite) parameter matrix;
+    the m x nd global mode rows c_global are formed from length and angle
+    when read, so code that needs only the parameters forms no rows.
     """
 
     k_params: np.ndarray
-    c_local: np.ndarray
-    c_global: np.ndarray
+    length: float
+    angle: float
 
     @property
     def m(self) -> int:
         return self.k_params.shape[0]
 
+    @property
+    def c_global(self) -> np.ndarray:
+        """Unit-norm mode rows in global axes: the bar's axial row, or
+        beam_mode_rows for a beam."""
+        if self.m == 1:
+            c, s = np.cos(self.angle), np.sin(self.angle)
+            return np.array([[-c, -s, c, s]]) / SQRT2
+        return beam_mode_rows(self.length, self.angle)
+
     def stiffness(self) -> np.ndarray:
         """Reconstruct the global element stiffness C^T K_L C, symmetrized."""
-        s = self.c_global.T @ self.k_params @ self.c_global
+        c_global = self.c_global
+        s = c_global.T @ self.k_params @ c_global
         return 0.5 * (s + s.T)
 
 
@@ -56,16 +67,13 @@ class FgSectionConstants:
     d_e: float
 
 
-def _rotation(angle: float, dofs_per_node: int) -> np.ndarray:
-    """Global->local DOF transform for a two-node plane element."""
+def _rotation(angle: float) -> np.ndarray:
+    """Global->local DOF transform of a two-node plane beam."""
     c, s = np.cos(angle), np.sin(angle)
-    if dofs_per_node == 2:
-        node = np.array([[c, s], [-s, c]])
-    else:
-        node = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    t = np.zeros((2 * dofs_per_node, 2 * dofs_per_node))
-    t[:dofs_per_node, :dofs_per_node] = node
-    t[dofs_per_node:, dofs_per_node:] = node
+    node = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    t = np.zeros((6, 6))
+    t[:3, :3] = node
+    t[3:, 3:] = node
     return t
 
 
@@ -78,9 +86,7 @@ def truss_decomposition(length: float, angle: float, young: float, area: float) 
     if length <= 0.0:
         raise DegenerateElementError(f"bar length must be positive, got {length}")
     k_params = np.array([[2.0 * young * area / length]])
-    c_local = np.array([[-1.0, 0.0, 1.0, 0.0]]) / SQRT2
-    c_global = c_local @ _rotation(angle, 2)
-    return ElementDecomposition(k_params, c_local, c_global)
+    return ElementDecomposition(k_params, length, angle)
 
 
 def beam_parameter_matrix(young: float, area: float, inertia: float, length: float) -> np.ndarray:
@@ -121,17 +127,15 @@ def beam_mode_rows(length: float, angle: float = 0.0) -> np.ndarray:
     rows[1] /= SQRT2
     rows[2] /= np.sqrt(2.0 * (length * length + 4.0))
     if angle != 0.0:
-        rows = rows @ _rotation(angle, 3)
+        rows = rows @ _rotation(angle)
     return rows
 
 
 def beam_decomposition(length: float, angle: float, young: float, area: float,
                        inertia: float) -> ElementDecomposition:
     """Three-mode decomposition of a homogeneous Euler-Bernoulli beam."""
-    k_params = beam_parameter_matrix(young, area, inertia, length)
-    c_local = beam_mode_rows(length)
-    c_global = beam_mode_rows(length, angle)
-    return ElementDecomposition(k_params, c_local, c_global)
+    return ElementDecomposition(beam_parameter_matrix(young, area, inertia, length),
+                                length, angle)
 
 
 def fg_section_constants(height: float, exponent: float, e_upper: float,
@@ -207,10 +211,8 @@ def fg_beam_local_stiffness(width: float, constants: FgSectionConstants,
 def fg_beam_decomposition(length: float, angle: float, width: float,
                           constants: FgSectionConstants) -> ElementDecomposition:
     """Three-mode decomposition of a depth-graded beam."""
-    k_params = fg_beam_parameter_matrix(width, constants, length)
-    c_local = beam_mode_rows(length)
-    c_global = beam_mode_rows(length, angle)
-    return ElementDecomposition(k_params, c_local, c_global)
+    return ElementDecomposition(fg_beam_parameter_matrix(width, constants, length),
+                                length, angle)
 
 
 def bilinear_stress(strain, e0, et, sigma_y):

@@ -12,12 +12,12 @@ Bars share the linear path's factorization K = C^T K_L C: the bars' unit
 axial mode rows C give the strains sqrt(2) C d / L and the internal force
 C^T (sqrt(2) A sigma), and a tangent state only changes the 1x1 parameter
 blocks 2 E_t A / L, which the assembled tangent and the tangent partition
-build through the same assembly helpers as the linear stiffness.
+build through the same assembly helpers as the linear stiffness.  The
+helpers below take the Bars a run builds once from its model, not the model.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +27,6 @@ import scipy.sparse as sp
 from .assembly import (
     SystemPartition,
     make_partition,
-    parameter_matrices,
     reduced_gram,
     reduced_rhs,
     sparse_lu,
@@ -35,7 +34,7 @@ from .assembly import (
 )
 from .elements import SQRT2, bilinear_stress
 from .errors import InvalidStateError, UnstableStructureError, UnsupportedModelError
-from .model import ElementKind, PartitionSpec, StructuralModel, default_additional_set
+from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
     build_sri_preconditioner,
     recover_displacements,
@@ -102,23 +101,17 @@ class Bars:
             sigma_y=np.array([e.material.sigma_y for e in model.elements]))
 
 
-def evaluate_state(model: StructuralModel, d: np.ndarray,
-                   bars: Bars | None = None) -> MaterialState:
+def evaluate_state(bars: Bars, d: np.ndarray) -> MaterialState:
     """Bilinear stress/tangent state of every bar at displacement d."""
-    b = bars if bars is not None else Bars.of(model)
-    strain = SQRT2 * (b.c @ d) / b.length
-    stress, tangent = bilinear_stress(strain, b.e0, b.et, b.sigma_y)
-    return MaterialState(strain, stress, tangent, np.abs(strain) > b.sigma_y / b.e0)
+    strain = SQRT2 * (bars.c @ d) / bars.length
+    stress, tangent = bilinear_stress(strain, bars.e0, bars.et, bars.sigma_y)
+    return MaterialState(strain, stress, tangent, np.abs(strain) > bars.sigma_y / bars.e0)
 
 
-def internal_force(model: StructuralModel, d: np.ndarray,
-                   state: MaterialState | None = None,
-                   bars: Bars | None = None) -> np.ndarray:
+def internal_force(bars: Bars, state: MaterialState) -> np.ndarray:
     """Assembled internal nodal force vector F(d) = C^T (sqrt(2) A sigma) on
-    the free DOFs."""
-    b = bars if bars is not None else Bars.of(model)
-    st = state if state is not None else evaluate_state(model, d, b)
-    return b.c.T @ (SQRT2 * b.area * st.stress)
+    the free DOFs, sigma being the stresses of the state at d."""
+    return bars.c.T @ (SQRT2 * bars.area * state.stress)
 
 
 def _tangent_parameters(bars: Bars, state: MaterialState) -> np.ndarray:
@@ -129,25 +122,19 @@ def _tangent_parameters(bars: Bars, state: MaterialState) -> np.ndarray:
     return 2.0 * state.tangent * bars.area / bars.length
 
 
-def assemble_tangent(model: StructuralModel, state: MaterialState,
-                     bars: Bars | None = None) -> sp.csr_matrix:
+def assemble_tangent(bars: Bars, state: MaterialState) -> sp.csr_matrix:
     """Assembled tangent stiffness C^T diag(2 E_t A / L) C."""
-    b = bars if bars is not None else Bars.of(model)
-    return stiffness(b.c, sp.diags(_tangent_parameters(b, state)))
+    return stiffness(bars.c, sp.diags(_tangent_parameters(bars, state)))
 
 
-def tangent_partition(model: StructuralModel, state: MaterialState,
-                      partition: SystemPartition,
-                      bars: Bars | None = None) -> SystemPartition:
+def tangent_partition(bars: Bars, state: MaterialState,
+                      partition: SystemPartition) -> SystemPartition:
     """Partition with parameter blocks rebuilt from the tangent moduli.
 
     The topology (basis factorization, influence matrix) is element-layout
     bound and is reused untouched; only the 1x1 bar blocks change.
     """
-    b = bars if bars is not None else Bars.of(model)
-    blocks = _tangent_parameters(b, state)[:, None, None]
-    return dataclasses.replace(
-        partition, **parameter_matrices(blocks, partition.basis_ids, partition.additional_ids))
+    return partition.with_blocks(_tangent_parameters(bars, state)[:, None, None])
 
 
 @dataclass
@@ -184,14 +171,14 @@ def _fail(run: NonlinearRun, step: int, state: MaterialState, t0: float) -> Nonl
 
 def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20,
                        backend: str = "regular", tol_outer: float = 1e-8,
-                       tol_inner: float = 1e-15, max_outer: int = OUTER_CAP,
-                       partition_spec: PartitionSpec | None = None) -> NonlinearRun:
+                       tol_inner: float = 1e-15, max_outer: int = OUTER_CAP) -> NonlinearRun:
     """Equal-increment load-controlled Newton-Raphson run.
 
     backend "regular" solves the assembled tangent directly, "reduction" the
     tangent reduced system directly, "sri" the reduced system iteratively with
     the elastic preconditioner kept for the whole run (residuals normalized by
-    the step load norm).  A step that fails to converge within max_outer
+    the step load norm); both reduced backends partition the model with its
+    default_additional_set.  A step that fails to converge within max_outer
     iterations, or whose inner SRI solve ends unconverged, terminates the run
     with the history accumulated so far.
     """
@@ -202,37 +189,36 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
 
     partition = precond = None
     if backend in ("reduction", "sri"):
-        spec = partition_spec if partition_spec is not None else default_additional_set(model)
-        partition = make_partition(model, spec)
+        partition = make_partition(model, default_additional_set(model))
         if backend == "sri":
             precond = build_sri_preconditioner(partition)
 
     run = NonlinearRun(backend=backend)
     d = np.zeros(model.n)
-    state = evaluate_state(model, d, bars)
+    state = evaluate_state(bars, d)
     for step in range(1, n_steps + 1):
         lam = step / n_steps
         target = lam * p0
         target_norm = float(np.linalg.norm(target))
         iters = inner = 0
         while True:
-            state = evaluate_state(model, d, bars)
-            residual = internal_force(model, d, state, bars) - target
+            state = evaluate_state(bars, d)
+            residual = internal_force(bars, state) - target
             res_norm = float(np.linalg.norm(residual))
             if res_norm < tol_outer * target_norm or res_norm == 0.0:
                 break
             if iters >= max_outer:
                 return _fail(run, step, state, t0)
             if backend == "regular":
-                k_t = assemble_tangent(model, state, bars)
+                k_t = assemble_tangent(bars, state)
                 lu = sparse_lu(k_t, UnstableStructureError, "tangent stiffness")[0]
                 delta = lu.solve(-residual)
                 del lu  # a factor kept to the next iteration doubles the peak memory
             elif backend == "reduction":
-                part_t = tangent_partition(model, state, partition, bars)
+                part_t = tangent_partition(bars, state, partition)
                 delta = _solve_reduction(part_t, -residual)
             else:
-                part_t = tangent_partition(model, state, partition, bars)
+                part_t = tangent_partition(bars, state, partition)
                 rep = solve_sri(part_t, -residual, precond, tol=tol_inner,
                                 norm_ref=target_norm)
                 if not rep.converged:

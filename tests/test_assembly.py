@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from reanalyze import elements
 from reanalyze.assembly import (
     PIVOT_TOL,
     SPARSE_GRAM_SHARE,
@@ -219,6 +220,18 @@ class TestPartitionConsistency:
                    + updated.c_a.T @ updated.k_la @ updated.c_a).toarray()
         assert rel_err(k_split, k) < 1e-12
 
+    def test_update_forms_no_mode_rows(self, monkeypatch):
+        # a material update rebuilds parameters only
+        model = build_frame_grid(3, 2)
+        part = make_partition(model, default_additional_set(model))
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("mode rows formed")
+
+        monkeypatch.setattr(elements, "beam_mode_rows", no_rows)
+        updated = update_partition(part, apply_floor_grading(model, 4000.0, 36000.0, "E"))
+        assert updated.c_b_lu is part.c_b_lu
+
     def test_no_dense_influence_matrix(self):
         model = build_frame_grid(20, 8)
         part = make_partition(model, default_additional_set(model))
@@ -267,6 +280,20 @@ class TestUpdateTopologyCheck:
                                 list(model.loads), model.meta)
         with pytest.raises(InvalidParameterError, match="end nodes"):
             update_partition(part, other)
+
+
+    def test_moved_support_raises(self):
+        # node 0's x DOF freed, node B's x DOF fixed: the free-DOF count stays
+        model = build_truss_grid(3, 2)
+        part = make_partition(model, default_additional_set(model))
+        supports = dict(model.supports)
+        supports[0] = (1,)
+        supports[model.meta["node_b"]] = (0,)
+        moved = StructuralModel(list(model.nodes), list(model.elements), supports,
+                                list(model.loads), model.meta)
+        assert moved.n == model.n
+        with pytest.raises(InvalidParameterError, match="supports"):
+            update_partition(part, moved)
 
 
 class TestReducedOperators:

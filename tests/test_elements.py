@@ -119,7 +119,7 @@ class TestBeamModeRows:
 
     def test_mode_count(self):
         assert beam_mode_rows(3.0).shape == (3, 6)
-        assert truss_decomposition(3.0, 0.0, 1.0, 1.0).c_local.shape == (1, 4)
+        assert truss_decomposition(3.0, 0.0, 1.0, 1.0).c_global.shape == (1, 4)
 
 
 class TestGradedSectionConstants:

@@ -52,33 +52,36 @@ def single_bar(sigma_y=25.0):
 class TestInternalForce:
     def test_zero_displacement(self):
         model = bilinear_truss()
-        assert np.all(internal_force(model, np.zeros(model.n)) == 0.0)
+        bars = Bars.of(model)
+        assert np.all(internal_force(bars, evaluate_state(bars, np.zeros(model.n))) == 0.0)
 
     def test_elastic_regime_matches_linear_stiffness(self):
         model = bilinear_truss()
         k = assemble_global(model).toarray()
         rng = np.random.default_rng(4)
         d = rng.uniform(-1e-4, 1e-4, model.n) * 100.0  # strains well below yield
-        state = evaluate_state(model, d)
+        bars = Bars.of(model)
+        state = evaluate_state(bars, d)
         assert not state.yielded.any()
-        assert rel_err(internal_force(model, d), k @ d) < 1e-12
+        assert rel_err(internal_force(bars, state), k @ d) < 1e-12
 
     def test_single_yielded_bar_hand_value(self):
         model = single_bar()
         # axial displacement 0.05 cm over L=100 -> strain 5e-4, beyond yield 1.25e-4
         d = np.array([0.05])
-        state = evaluate_state(model, d)
+        bars = Bars.of(model)
+        state = evaluate_state(bars, d)
         assert state.yielded.tolist() == [True]
         sigma = 25.0 + 0.3e5 * (5e-4 - 1.25e-4)
         assert state.stress[0] == pytest.approx(sigma)
-        f = internal_force(model, d, state)
+        f = internal_force(bars, state)
         assert f[0] == pytest.approx(sigma * 2.0)  # area = 2
 
     def test_requires_bilinear_truss(self):
         with pytest.raises(UnsupportedModelError):
-            evaluate_state(build_truss_grid(2, 2), np.zeros(12))
+            Bars.of(build_truss_grid(2, 2))
         with pytest.raises(UnsupportedModelError):
-            evaluate_state(build_frame_grid(1, 1), np.zeros(6))
+            Bars.of(build_frame_grid(1, 1))
 
 
 class TestBars:
@@ -94,8 +97,8 @@ class TestTangentPartition:
     def test_elastic_state_reproduces_elastic_partition(self):
         model = bilinear_truss()
         part = make_partition(model, default_additional_set(model))
-        state = evaluate_state(model, np.zeros(model.n))
-        part_t = tangent_partition(model, state, part)
+        bars = Bars.of(model)
+        part_t = tangent_partition(bars, evaluate_state(bars, np.zeros(model.n)), part)
         assert rel_err(part_t.k_lb.toarray(), part.k_lb.toarray()) < 1e-14
         assert rel_err(part_t.k_la.toarray(), part.k_la.toarray()) < 1e-14
         assert part_t.c_b_lu is part.c_b_lu
@@ -104,10 +107,10 @@ class TestTangentPartition:
         mat = MaterialSpec(e0=2e5, et=2e5, sigma_y=1e-6)  # Et = E0, yields instantly
         model = build_truss_grid(2, 2, area=200.0, load=500.0, material=mat)
         part = make_partition(model, default_additional_set(model))
-        d = np.full(model.n, 0.5)
-        state = evaluate_state(model, d)
+        bars = Bars.of(model)
+        state = evaluate_state(bars, np.full(model.n, 0.5))
         assert state.yielded.any()
-        part_t = tangent_partition(model, state, part)
+        part_t = tangent_partition(bars, state, part)
         assert rel_err(part_t.k_lb.toarray(), part.k_lb.toarray()) < 1e-14
 
     def test_tangent_split_matches_assembled_tangent(self):
@@ -115,10 +118,11 @@ class TestTangentPartition:
         part = make_partition(model, default_additional_set(model))
         rng = np.random.default_rng(9)
         d = rng.uniform(-0.02, 0.02, model.n)  # strains straddle the yield strain
-        state = evaluate_state(model, d)
+        bars = Bars.of(model)
+        state = evaluate_state(bars, d)
         assert state.yielded.any() and not state.yielded.all()
-        part_t = tangent_partition(model, state, part)
-        k_t = assemble_tangent(model, state).toarray()
+        part_t = tangent_partition(bars, state, part)
+        k_t = assemble_tangent(bars, state).toarray()
         k_split = (part_t.c_b.T @ part_t.k_lb @ part_t.c_b
                    + part_t.c_a.T @ part_t.k_la @ part_t.c_a).toarray()
         assert rel_err(k_split, k_t) < 1e-12
@@ -126,13 +130,14 @@ class TestTangentPartition:
     def test_rejects_nonpositive_tangent(self):
         model = bilinear_truss()
         part = make_partition(model, default_additional_set(model))
-        state = evaluate_state(model, np.zeros(model.n))
+        bars = Bars.of(model)
+        state = evaluate_state(bars, np.zeros(model.n))
         bad = MaterialState(state.strain, state.stress,
                             np.zeros_like(state.tangent), state.yielded)
         with pytest.raises(InvalidStateError):
-            tangent_partition(model, bad, part)
+            tangent_partition(bars, bad, part)
         with pytest.raises(InvalidStateError):
-            assemble_tangent(model, bad)
+            assemble_tangent(bars, bad)
 
 
 class TestRunNewtonRaphson:
@@ -188,8 +193,9 @@ class TestRunNewtonRaphson:
         model = bilinear_truss(4, 4, sigma_y=2.0)
         p0 = model.load_vector()
         run = run_newton_raphson(model, p0, n_steps=10, tol_outer=1e-8)
+        bars = Bars.of(model)
         for lam, d in zip(run.lambdas, run.displacements):
-            res = internal_force(model, d) - lam * p0
+            res = internal_force(bars, evaluate_state(bars, d)) - lam * p0
             assert np.linalg.norm(res) / np.linalg.norm(lam * p0) < 1e-8
 
     def test_step_failure_keeps_partial_history(self):

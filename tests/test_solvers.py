@@ -193,11 +193,18 @@ class TestSolveSri:
 
     def test_empty_partition_solves_directly(self):
         # single-span ladder: the default additional set is empty
+        # through the general path, under ||B|| = 0 and under the Newton
+        # driver's step-load denominator
         model = build_truss_grid(1, 3)
         part0, part1, precond = reanalysis_setup(model, model)
-        rep = solve_sri(part1, model.load_vector(), precond)
-        assert part1.q == 0 and rep.iterations == 0
-        assert rel_err(rep.d, solve_conventional(model).d) < 1e-10
+        r = model.load_vector()
+        d_ref = solve_conventional(model).d
+        assert part1.q == 0
+        for norm_ref in (None, float(np.linalg.norm(r))):
+            rep = solve_sri(part1, r, precond, norm_ref=norm_ref)
+            assert rep.converged and rep.iterations == 0 and rep.f_a.shape == (0,)
+            assert rel_err(rep.d, d_ref) < 1e-10
+        assert rel_err(solve_fdp(part1, r).d, d_ref) < 1e-10
 
     def test_forces_match_conventional_deformation_forces(self):
         orig = build_truss_grid(6, 10)
