@@ -3,12 +3,9 @@
 CG over q/n, and vs the direct path over k/q) as plot-ready CSV."""
 
 import argparse
-import json
 import sys
-import tempfile
-from pathlib import Path
 
-from reanalyze.cli import main as cli_main
+from reanalyze.cli import run
 
 
 def main():
@@ -18,10 +15,7 @@ def main():
     args = parser.parse_args()
     config = {"scenarios": [{"id": f"flops-n{args.n}",
                              "flops": {"mode": "both", "n": args.n}}]}
-    with tempfile.TemporaryDirectory() as tmp:
-        config_path = Path(tmp) / "config.json"
-        config_path.write_text(json.dumps(config))
-        return cli_main(["flops", "--config", str(config_path), "--out", args.out])
+    return run("flops", config, args.out)
 
 
 if __name__ == "__main__":

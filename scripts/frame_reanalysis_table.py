@@ -8,12 +8,9 @@ benchmark solutions use.
 """
 
 import argparse
-import json
 import sys
-import tempfile
-from pathlib import Path
 
-from reanalyze.cli import main as cli_main
+from reanalyze.cli import run
 
 
 def build_config(coupling):
@@ -52,10 +49,7 @@ def main():
                         default="simplified",
                         help="coupling-moment convention for the graded frames")
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        config_path = Path(tmp) / "config.json"
-        config_path.write_text(json.dumps(build_config(args.coupling)))
-        return cli_main(["reanalyze", "--config", str(config_path), "--out", args.out])
+    return run("reanalyze", build_config(args.coupling), args.out)
 
 
 if __name__ == "__main__":

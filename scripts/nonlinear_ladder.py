@@ -7,12 +7,9 @@ variant where all three backends are quick to compare.
 """
 
 import argparse
-import json
 import sys
-import tempfile
-from pathlib import Path
 
-from reanalyze.cli import main as cli_main
+from reanalyze.cli import run
 
 
 def main():
@@ -32,10 +29,7 @@ def main():
         "nonlinear": {"sigma_y": sigma_y, "backends": args.backends,
                       "n_steps": 20, "e0": 2e5, "et": 0.3e5},
     }]}
-    with tempfile.TemporaryDirectory() as tmp:
-        config_path = Path(tmp) / "config.json"
-        config_path.write_text(json.dumps(config))
-        return cli_main(["nonlinear", "--config", str(config_path), "--out", args.out])
+    return run("nonlinear", config, args.out)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,9 @@ all seven printed digits.  Writes one result CSV per scale.
 """
 
 import argparse
-import json
 import sys
-import tempfile
-from pathlib import Path
 
-from reanalyze.cli import main as cli_main
+from reanalyze.cli import run
 
 
 def build_config(sizes):
@@ -35,10 +32,7 @@ def main():
     parser.add_argument("--sizes", type=int, nargs="+", default=[2048, 4096, 6144],
                         help="free-node counts (multiples of 32)")
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        config_path = Path(tmp) / "config.json"
-        config_path.write_text(json.dumps(build_config(args.sizes)))
-        return cli_main(["reanalyze", "--config", str(config_path), "--out", args.out])
+    return run("reanalyze", build_config(args.sizes), args.out)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,13 @@
 """Batch front end: model generation, solve/reanalysis campaigns, flop sweeps
 and nonlinear runs driven by JSON scenario configs.
 
+The front end is thin.  Configs are checked against
+schemas/scenario.schema.json, and each command forwards only the keys a
+scenario gives to the library, whose own defaults cover the rest.  A command
+takes only the flags in COMMAND_FLAGS.  `run` is the in-process entry point
+(the scripts/ drivers call it); `main` parses the command line, reads the
+config file and calls `run`.
+
 Timing follows the reanalysis convention: everything precomputable for a
 campaign (influence matrix, preconditioner factorizations, assembled modified
 stiffness) is built outside the timed region; the conventional method is timed
@@ -20,7 +27,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import costmodel, modelio
+from . import costmodel
 from .assembly import assemble_global, factorize_stiffness, make_partition, update_partition
 from .errors import ReanalysisError
 from .model import (
@@ -35,6 +42,7 @@ from .model import (
     replace_fg_exponent,
     spans_from_level,
 )
+from .modelio import load_model, save_model, schema
 from .nonlinear import run_newton_raphson
 from .solvers import (
     build_sri_preconditioner,
@@ -51,67 +59,57 @@ EXIT_MODEL = 3
 RESULT_COLUMNS = ["scenario", "method", "node", "dof", "value",
                   "iterations", "flops", "wall_time", "rct", "converged"]
 
-_SCENARIO_SCHEMA = None
+FLAG_ARGS = {
+    "repeat": {"type": int, "help": "timing repetitions (0 disables timing)"},
+    "tol": {"type": float, "help": "override the solver tolerance (nonlinear: the inner one)"},
+    "precision": {"choices": ("table", "full"),
+                  "help": "float formatting: 7 significant digits (table, the default) or full"},
+}
+COMMAND_FLAGS = {
+    "generate": (),
+    "solve": ("repeat", "tol", "precision"),
+    "reanalyze": ("repeat", "tol", "precision"),
+    "bench": ("repeat", "tol", "precision"),
+    "flops": ("precision",),
+    "nonlinear": ("tol", "precision"),
+}
+# result-table commands: (operators from the original structure, default repeat)
+TABLE_COMMANDS = {"solve": (False, 1), "reanalyze": (True, 1), "bench": (True, 5)}
+GENERATORS = {"truss": build_truss_grid, "frame": build_frame_grid}
 
 
 class ConfigError(Exception):
     pass
 
 
-def scenario_schema() -> dict:
-    global _SCENARIO_SCHEMA
-    if _SCENARIO_SCHEMA is None:
-        from importlib import resources
-        text = resources.files("reanalyze.schemas").joinpath(
-            "scenario.schema.json").read_text()
-        _SCENARIO_SCHEMA = json.loads(text)
-    return _SCENARIO_SCHEMA
-
-
-def load_config(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(doc, scenario_schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config {path} violates schema: {exc.message}") from exc
-    return doc
+def _given(block: dict, *keys: str) -> dict:
+    """The entries of block under keys; absent keys keep the library default."""
+    return {k: block[k] for k in keys if k in block}
 
 
 def build_model(block: dict) -> StructuralModel:
+    """The model of a scenario's model block: a model file, or the block's
+    generator called with exactly the keys the block gives."""
     if "path" in block:
-        model, _ = modelio.load_model(block["path"])
-        return model
-    gen = block.get("generator")
+        return load_model(block["path"])[0]
+    kwargs = dict(block)
+    gen = kwargs.pop("generator", None)
     if gen is None:
         raise ConfigError("model block needs a generator or a path")
-    material = MaterialSpec(**block["material"]) if "material" in block else None
-    if gen == "truss":
-        n_span = block.get("n_span")
-        if n_span is None and "level" in block:
-            n_span = spans_from_level(block["level"])
-        return build_truss_grid(
-            n_span=n_span, n_floor=block["n_floor"],
-            span=block.get("span", 500.0), height=block.get("height", 500.0),
-            area=block.get("area", 20.0), e0=block.get("e0", 20000.0),
-            load=block.get("load", 20.0), material=material)
-    return build_frame_grid(
-        n_span=block["n_span"], n_floor=block["n_floor"],
-        n_sb=block.get("n_sb", 1), n_sc=block.get("n_sc", 1),
-        width=block.get("width", 10.0), depth=block.get("depth", 30.0),
-        material=material, load=block.get("load", 20.0),
-        span=block.get("span", 500.0), story=block.get("height", 500.0))
+    if "material" in kwargs:
+        kwargs["material"] = MaterialSpec(**kwargs["material"])
+    if "level" in kwargs:
+        kwargs["n_span"] = spans_from_level(kwargs.pop("level"))
+    return GENERATORS[gen](**kwargs)
 
 
 def apply_modification(model: StructuralModel, block: dict) -> StructuralModel:
     out = model
     if "p" in block:
         out = replace_fg_exponent(out, block["p"])
-    if "e_lower" in block or "e_upper" in block:
+    if "e_lower" in block:
         out = apply_floor_grading(out, block["e_lower"], block["e_upper"],
-                                  block.get("target", "E"))
+                                  **_given(block, "target"))
     return out
 
 
@@ -130,8 +128,11 @@ def resolve_nodes(model: StructuralModel, scn: dict) -> list[int]:
             out.append(int(model.meta["node_a"]))
         elif entry == "B":
             out.append(int(model.meta["node_b"]))
-        else:
+        elif entry < len(model.nodes):
             out.append(int(entry))
+        else:
+            raise ConfigError(f"report node {entry} does not exist: "
+                              f"the model has {len(model.nodes)} nodes")
     return out
 
 
@@ -159,12 +160,13 @@ def write_csv(path: Path, header: list[str], rows: list[list], precision: str) -
 
 
 def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
-                        tol: float | None, max_iter: int | None) -> list[list]:
+                        tol: float | None) -> list[list]:
     """Rows of the result table for one scenario.
 
     from_original=True is reanalysis (partition topology, preconditioners and
     the full-system factorization come from the unmodified structure);
     from_original=False solves the final structure with its own operators.
+    tol, if given, overrides the scenario's solver tolerance.
     """
     model_orig = build_model(scn.get("model", {}))
     mod_block = scn.get("modification")
@@ -175,8 +177,9 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
 
     solver_block = scn.get("solvers", {})
     methods = solver_block.get("methods", ["conventional", "pcg", "sri", "fdp"])
-    tol = tol if tol is not None else solver_block.get("tol", 1e-12)
-    max_iter = max_iter if max_iter is not None else solver_block.get("max_iter")
+    solve_kw = _given(solver_block, "tol", "max_iter")
+    if tol is not None:
+        solve_kw["tol"] = tol
 
     # preprocessing, excluded from reanalysis timing
     part_final = precond = k0 = k_mod = None
@@ -200,10 +203,9 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
             if method == "conventional":
                 rep = solve_conventional(model_final)
             elif method == "pcg":
-                rep = solve_pcg_full(model_final, k0, tol=tol, max_iter=max_iter,
-                                     k_matrix=k_mod)
+                rep = solve_pcg_full(model_final, k0, k_matrix=k_mod, **solve_kw)
             elif method == "sri":
-                rep = solve_sri(part_final, r, precond, tol=tol, max_iter=max_iter)
+                rep = solve_sri(part_final, r, precond, **solve_kw)
             else:
                 rep = solve_fdp(part_final, r)
             times.append(rep.wall_time)
@@ -231,73 +233,65 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
     return rows
 
 
-def _out_name(scn: dict, default: str) -> str:
-    return scn.get("output", {}).get("filename", default)
-
-
-def cmd_generate(config: dict, out_dir: Path, precision: str) -> int:
+def cmd_generate(config: dict, out_dir: Path) -> int:
     for scn in config["scenarios"]:
         model = build_model(scn.get("model", {}))
         partition = None
         if "partition" in scn:
             partition = partition_spec_for(model, scn)
-        path = out_dir / _out_name(scn, f"{scn['id']}.model.json")
+        path = out_dir / f"{scn['id']}.model.json"
         path.parent.mkdir(parents=True, exist_ok=True)
-        modelio.save_model(model, path, partition)
+        save_model(model, path, partition)
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _run_table_command(config: dict, out_dir: Path, precision: str, repeat: int | None,
-                       tol: float | None, from_original: bool, default_repeat: int,
-                       suffix: str) -> int:
+def cmd_table(command: str, config: dict, out_dir: Path, repeat: int | None = None,
+              tol: float | None = None, precision: str = "table") -> int:
+    """One result table per scenario for solve, reanalyze or bench."""
+    from_original, default_repeat = TABLE_COMMANDS[command]
     for scn in config["scenarios"]:
         reps = repeat if repeat is not None else scn.get("repeat", default_repeat)
-        rows = run_linear_scenario(scn, from_original=from_original,
-                                   repeat=reps, tol=tol, max_iter=None)
-        path = out_dir / _out_name(scn, f"{scn['id']}.{suffix}.csv")
+        rows = run_linear_scenario(scn, from_original=from_original, repeat=reps, tol=tol)
+        path = out_dir / f"{scn['id']}.{command}.csv"
         write_csv(path, RESULT_COLUMNS, rows, precision)
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_flops(config: dict, out_dir: Path, precision: str) -> int:
+def cmd_flops(config: dict, out_dir: Path, precision: str = "table") -> int:
     for scn in config["scenarios"]:
         block = scn.get("flops", {})
         mode = block.get("mode", "both")
         modes = ["sri_vs_pcg", "sri_vs_fdp"] if mode == "both" else [mode]
         for m in modes:
-            sweep = costmodel.ratio_sweep(
-                m, n=block.get("n", 10000),
-                axis=block.get("axis"), parameters=block.get("parameters"))
+            sweep = costmodel.ratio_sweep(m, **_given(block, "n", "axis", "parameters"))
             rows = [[x, label, ratio] for x, label, ratio in sweep.rows()]
-            path = out_dir / _out_name(scn, f"{scn['id']}.flops.{m}.csv")
+            path = out_dir / f"{scn['id']}.flops.{m}.csv"
             write_csv(path, ["x", "series_label", "ratio"], rows, precision)
             print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_nonlinear(config: dict, out_dir: Path, precision: str, tol: float | None) -> int:
+def cmd_nonlinear(config: dict, out_dir: Path, tol: float | None = None,
+                  precision: str = "table") -> int:
     for scn in config["scenarios"]:
         block = scn.get("nonlinear")
         if block is None:
             raise ConfigError(f"scenario {scn['id']} lacks a nonlinear block")
         backends = block.get("backends", ["regular"])
+        newton_kw = _given(block, "n_steps", "tol_outer", "tol_inner")
+        if tol is not None:
+            newton_kw["tol_inner"] = tol
         summary = []
         for sigma_y in block["sigma_y"]:
-            material = MaterialSpec(e0=block.get("e0", 2e5), et=block.get("et", 0.3e5),
-                                    sigma_y=sigma_y)
-            model_block = dict(scn.get("model", {}))
-            model_block["material"] = {"e0": material.e0, "et": material.et,
-                                       "sigma_y": material.sigma_y}
-            model = build_model(model_block)
+            material = {"e0": block.get("e0", 2e5), "et": block.get("et", 0.3e5),
+                        "sigma_y": sigma_y}
+            model = build_model({**scn.get("model", {}), "material": material})
             p0 = model.load_vector()
             nodes = resolve_nodes(model, scn)
             for backend in backends:
-                run = run_newton_raphson(
-                    model, p0, n_steps=block.get("n_steps", 20), backend=backend,
-                    tol_outer=block.get("tol_outer", 1e-8),
-                    tol_inner=tol if tol is not None else block.get("tol_inner", 1e-15))
+                run = run_newton_raphson(model, p0, backend=backend, **newton_kw)
                 rows = []
                 for i, lam in enumerate(run.lambdas):
                     for node in nodes:
@@ -306,8 +300,7 @@ def cmd_nonlinear(config: dict, out_dir: Path, precision: str, tol: float | None
                             value = float(run.displacements[i][g]) if g >= 0 else 0.0
                             rows.append([i + 1, lam, node, dof, value,
                                          run.outer_iterations[i], run.n_nle[i]])
-                name = f"{scn['id']}.nonlinear.sy{sigma_y:g}.{backend}.csv"
-                path = out_dir / _out_name(scn, name)
+                path = out_dir / f"{scn['id']}.nonlinear.sy{sigma_y:g}.{backend}.csv"
                 write_csv(path, ["step", "lambda", "node_id", "dof", "value",
                                  "outer_iters", "n_nle"], rows, precision)
                 print(f"wrote {path}" + ("" if run.converged else
@@ -328,53 +321,51 @@ def make_parser() -> argparse.ArgumentParser:
         prog="reanalyze",
         description="Structural reanalysis benchmark driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "solve", "reanalyze", "flops", "nonlinear", "bench"):
+    for name, flags in COMMAND_FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--repeat", type=int, default=None,
-                       help="timing repetitions (0 disables timing)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override solver tolerance")
-        p.add_argument("--precision", choices=("table", "full"), default="table",
-                       help="float formatting: 7 significant digits or full")
+        for flag in flags:
+            # an absent flag is not passed, so the command's own default holds
+            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **FLAG_ARGS[flag])
     return parser
 
 
-def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+def run(command: str, config: dict, out_dir: str | Path, **flags) -> int:
+    """Validate config against the scenario schema, run command on it and
+    return the exit code: 0 done, 2 config error, 3 model error.
+
+    flags are the command's flags from COMMAND_FLAGS, as keywords (repeat,
+    tol, precision); any other keyword raises TypeError.
+    """
+    out_dir = Path(out_dir)
     try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(args.out)
-    try:
-        if args.command == "generate":
-            return cmd_generate(config, out_dir, args.precision)
-        if args.command == "solve":
-            return _run_table_command(config, out_dir, args.precision, args.repeat,
-                                      args.tol, from_original=False,
-                                      default_repeat=1, suffix="solve")
-        if args.command == "reanalyze":
-            return _run_table_command(config, out_dir, args.precision, args.repeat,
-                                      args.tol, from_original=True,
-                                      default_repeat=1, suffix="reanalyze")
-        if args.command == "bench":
-            return _run_table_command(config, out_dir, args.precision, args.repeat,
-                                      args.tol, from_original=True,
-                                      default_repeat=5, suffix="bench")
-        if args.command == "flops":
-            return cmd_flops(config, out_dir, args.precision)
-        if args.command == "nonlinear":
-            return cmd_nonlinear(config, out_dir, args.precision, args.tol)
+        try:
+            jsonschema.validate(config, schema("scenario"))
+        except jsonschema.ValidationError as exc:
+            raise ConfigError(f"config violates schema at {exc.json_path}: "
+                              f"{exc.message}") from exc
+        if command in TABLE_COMMANDS:
+            return cmd_table(command, config, out_dir, **flags)
+        handlers = {"generate": cmd_generate, "flops": cmd_flops, "nonlinear": cmd_nonlinear}
+        return handlers[command](config, out_dir, **flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ReanalysisError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    raise AssertionError(f"unhandled command {args.command}")
+
+
+def main(argv=None) -> int:
+    flags = vars(make_parser().parse_args(argv))
+    command, path, out_dir = flags.pop("command"), flags.pop("config"), flags.pop("out")
+    try:
+        config = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"config error: cannot read config {path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return run(command, config, out_dir, **flags)
 
 
 if __name__ == "__main__":

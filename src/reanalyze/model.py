@@ -297,9 +297,10 @@ def build_truss_grid(n_span: int, n_floor: int, span: float = 500.0, height: flo
 def build_frame_grid(n_span: int, n_floor: int, n_sb: int = 1, n_sc: int = 1,
                      width: float = 10.0, depth: float = 30.0,
                      material: MaterialSpec | None = None, load: float = 20.0,
-                     span: float = 500.0, story: float = 500.0) -> StructuralModel:
+                     span: float = 500.0, height: float = 500.0) -> StructuralModel:
     """Rigid-jointed frame grid: every beam split into n_sb elements, every
-    column into n_sc elements.
+    column into n_sc elements.  Bays are span wide and stories height tall,
+    as in build_truss_grid.
 
     Base junction nodes are fixed in all three DOFs; a horizontal point load
     acts at every free left-edge junction.  Element kind is depth-graded when
@@ -318,7 +319,7 @@ def build_frame_grid(n_span: int, n_floor: int, n_sb: int = 1, n_sc: int = 1,
 
     cols = n_span + 1
     junction = lambda level, c: level * cols + c
-    nodes = [Node(junction(lv, c), c * span, lv * story)
+    nodes = [Node(junction(lv, c), c * span, lv * height)
              for lv in range(n_floor + 1) for c in range(cols)]
 
     col_mid: dict[tuple[int, int, int], int] = {}
@@ -326,14 +327,14 @@ def build_frame_grid(n_span: int, n_floor: int, n_sb: int = 1, n_sc: int = 1,
         for c in range(cols):
             for k in range(1, n_sc):
                 col_mid[(s, c, k)] = len(nodes)
-                nodes.append(Node(len(nodes), c * span, (s - 1) * story + k * story / n_sc))
+                nodes.append(Node(len(nodes), c * span, (s - 1) * height + k * height / n_sc))
 
     beam_mid: dict[tuple[int, int, int], int] = {}
     for f in range(1, n_floor + 1):
         for j in range(1, n_span + 1):
             for k in range(1, n_sb):
                 beam_mid[(f, j, k)] = len(nodes)
-                nodes.append(Node(len(nodes), (j - 1) * span + k * span / n_sb, f * story))
+                nodes.append(Node(len(nodes), (j - 1) * span + k * span / n_sb, f * height))
 
     elements: list[ElementRecord] = []
 
@@ -357,7 +358,7 @@ def build_frame_grid(n_span: int, n_floor: int, n_sb: int = 1, n_sc: int = 1,
     loads = [PointLoad(junction(f, 0), 0, load) for f in range(1, n_floor + 1)]
     meta = {
         "generator": "frame_grid", "n_span": n_span, "n_floor": n_floor,
-        "n_sb": n_sb, "n_sc": n_sc, "span": span, "height": story,
+        "n_sb": n_sb, "n_sc": n_sc, "span": span, "height": height,
         "node_a": junction(n_floor, 0), "node_b": junction(n_floor, n_span),
     }
     return StructuralModel(nodes, elements, supports, loads, meta)

@@ -7,6 +7,7 @@ numbers round-trip at full double precision (plain JSON decimal encoding).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from importlib import resources
 from pathlib import Path
@@ -26,15 +27,11 @@ from .model import (
     StructuralModel,
 )
 
-_SCHEMA = None
-
-
-def model_schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        text = resources.files("reanalyze.schemas").joinpath("model.schema.json").read_text()
-        _SCHEMA = json.loads(text)
-    return _SCHEMA
+@functools.cache
+def schema(name: str) -> dict:
+    """The JSON Schema in schemas/<name>.schema.json ("model" or "scenario")."""
+    path = resources.files("reanalyze.schemas").joinpath(f"{name}.schema.json")
+    return json.loads(path.read_text())
 
 
 def _clean(obj) -> dict:
@@ -67,7 +64,7 @@ def to_document(model: StructuralModel, partition: PartitionSpec | None = None) 
 
 
 def from_document(doc: dict) -> tuple[StructuralModel, PartitionSpec | None]:
-    jsonschema.validate(doc, model_schema())
+    jsonschema.validate(doc, schema("model"))
     nodes = [Node(d["id"], d["x"], d["y"]) for d in doc["nodes"]]
     elements = [
         ElementRecord(
@@ -97,7 +94,7 @@ def from_document(doc: dict) -> tuple[StructuralModel, PartitionSpec | None]:
 def save_model(model: StructuralModel, path: str | Path,
                partition: PartitionSpec | None = None) -> None:
     doc = to_document(model, partition)
-    jsonschema.validate(doc, model_schema())
+    jsonschema.validate(doc, schema("model"))
     Path(path).write_text(json.dumps(doc, indent=1))
 
 

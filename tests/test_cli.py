@@ -3,7 +3,9 @@
 import csv
 import json
 
-from reanalyze.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main
+import pytest
+
+from reanalyze.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main, run
 from reanalyze.modelio import load_model
 
 
@@ -16,6 +18,14 @@ def write_config(tmp_path, doc, name="config.json"):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_config_error(capsys, code):
+    """Exit 2 with a one-line config error message and no traceback."""
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    return err
 
 
 TRUSS_SCENARIO = {
@@ -59,6 +69,36 @@ class TestGenerate:
         bad = tmp_path / "nope.json"
         bad.write_text("{")
         assert main(["generate", "--config", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("block", [
+        {"generator": "truss", "n_floor": 2},
+        {"generator": "truss", "n_span": 2},
+        {"generator": "frame", "n_floor": 2},
+        {"generator": "truss", "n_span": 2, "n_floor": 2, "n_sb": 3},
+        {"generator": "frame", "n_span": 2, "n_floor": 2, "e0": 5.0},
+        {"generator": "truss", "n_span": 3, "level": 2, "n_floor": 2},
+        {"path": "m.model.json", "n_span": 2},
+    ], ids=["truss-no-span", "truss-no-floor", "frame-no-span", "truss-frame-key",
+            "frame-truss-key", "truss-span-and-level", "path-and-generator-key"])
+    def test_malformed_generator_block_exits_2(self, tmp_path, capsys, block):
+        cfg = write_config(tmp_path, {"scenarios": [{"id": "g", "model": block}]})
+        out = tmp_path / "out"
+        assert_config_error(capsys, main(["generate", "--config", cfg, "--out", str(out)]))
+        assert not out.exists()
+
+    def test_flag_not_read_by_command_is_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenarios": [{"id": "f", "flops": {"n": 100}}]})
+        for argv in (["generate", "--repeat", "3"], ["flops", "--tol", "1e-3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--config", cfg, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_output_filename_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenarios": [{
+            "id": "f", "flops": {"n": 100}, "output": {"filename": "x.csv"}}]})
+        assert_config_error(capsys, main(["flops", "--config", cfg, "--out", str(tmp_path)]))
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSolveAndReanalyze:
@@ -128,6 +168,21 @@ class TestSolveAndReanalyze:
         rows2 = read_rows(tmp_path / "direct.reanalyze.csv")
         assert [r["value"] for r in rows] == [r["value"] for r in rows2]
 
+    @pytest.mark.parametrize("bound", ["e_lower", "e_upper"])
+    def test_partial_grading_bounds_exit_2(self, tmp_path, capsys, bound):
+        scn = dict(TRUSS_SCENARIO, modification={bound: 5000, "target": "E"})
+        cfg = write_config(tmp_path, {"scenarios": [scn]})
+        assert_config_error(capsys, main(["reanalyze", "--config", cfg,
+                                          "--out", str(tmp_path)]))
+
+    def test_out_of_range_report_node_exits_2(self, tmp_path, capsys):
+        scn = dict(TRUSS_SCENARIO, model={"generator": "truss", "n_span": 2, "n_floor": 2},
+                   report={"nodes": ["A", 999]})
+        cfg = write_config(tmp_path, {"scenarios": [scn]})
+        err = assert_config_error(capsys, main(["reanalyze", "--config", cfg,
+                                                "--out", str(tmp_path)]))
+        assert "999" in err and "9 nodes" in err
+
     def test_model_error_exits_3(self, tmp_path):
         scn = {"id": "bad", "model": {"generator": "truss", "n_span": 2, "n_floor": 2},
                "modification": {"e_lower": 5000, "e_upper": 35000, "target": "E_US"}}
@@ -188,6 +243,12 @@ class TestFlops:
         assert len(pcg_rows) == 18 * 4
         assert len(fdp_rows) == 80 * 4
         assert set(pcg_rows[0]) == {"x", "series_label", "ratio"}
+
+    def test_run_in_process(self, tmp_path):
+        config = {"scenarios": [{"id": "f", "flops": {"n": 10000}}]}
+        assert run("flops", config, tmp_path) == EXIT_OK
+        assert (tmp_path / "f.flops.sri_vs_pcg.csv").exists()
+        assert (tmp_path / "f.flops.sri_vs_fdp.csv").exists()
 
     def test_single_point_query(self, tmp_path):
         cfg = write_config(tmp_path, {"scenarios": [{

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reanalyze.model import MaterialSpec, build_frame_grid, build_truss_grid, default_additional_set
-from reanalyze.modelio import from_document, load_model, model_schema, save_model, to_document
+from reanalyze.modelio import from_document, load_model, save_model, schema, to_document
 from reanalyze.solvers import solve_conventional
 
 
@@ -39,7 +39,7 @@ class TestRoundTrip:
 
     def test_document_validates_against_schema(self):
         doc = to_document(build_truss_grid(2, 2))
-        jsonschema.validate(doc, model_schema())
+        jsonschema.validate(doc, schema("model"))
 
 
 class TestSchemaEnforcement:
