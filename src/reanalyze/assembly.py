@@ -124,12 +124,12 @@ def assemble_parameters(model: StructuralModel) -> GlobalDecomposition:
     """Element blocks and extended mode rows restricted to free DOFs."""
     m = 2 * model.dofs_per_node - 3
     blocks, rows, cols, data = [], [], [], []
-    for elem in model.elements:
+    for i, elem in enumerate(model.elements):
         dec = element_decomposition(model, elem)
         blocks.append(dec.k_params)
         dofs = model.element_dofs(elem)
         free = dofs >= 0
-        rows.append(np.repeat(np.arange(m) + m * elem.id, np.count_nonzero(free)))
+        rows.append(np.repeat(np.arange(m) + m * i, np.count_nonzero(free)))
         cols.append(np.tile(dofs[free], m))
         data.append(dec.c_global[:, free].ravel())
     c = sp.csr_matrix(

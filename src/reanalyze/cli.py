@@ -124,10 +124,12 @@ def resolve_nodes(model: StructuralModel, scn: dict) -> list[int]:
     entries = scn.get("report", {}).get("nodes", ["A", "B"])
     out = []
     for entry in entries:
-        if entry == "A":
-            out.append(int(model.meta["node_a"]))
-        elif entry == "B":
-            out.append(int(model.meta["node_b"]))
+        if entry in ("A", "B"):
+            key = "node_" + entry.lower()
+            if key not in model.meta:
+                raise ConfigError(f"report node {entry} is not named: "
+                                  f"the model's meta has no {key}")
+            out.append(int(model.meta[key]))
         elif entry < len(model.nodes):
             out.append(int(entry))
         else:
@@ -174,6 +176,7 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
         model_orig = replace_fg_coupling(model_orig, mod_block["fg_coupling"])
     model_final = apply_modification(model_orig, mod_block) if mod_block else model_orig
     base = model_orig if from_original else model_final
+    nodes = resolve_nodes(model_final, scn)
 
     solver_block = scn.get("solvers", {})
     methods = solver_block.get("methods", ["conventional", "pcg", "sri", "fdp"])
@@ -214,7 +217,6 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
 
     timing_on = repeat >= 1
     t_c = walls.get("conventional") if timing_on else None
-    nodes = resolve_nodes(model_final, scn)
     rows = []
     for method in methods:
         rep = reports[method]

@@ -7,6 +7,9 @@ with nd DOFs carries m = nd - 3 modes (two rigid translations, one rigid
 rotation drop out).  The mode-row convention is fixed package-wide so that the
 parameter matrices of homogeneous and depth-graded beams take their closed
 forms; do not renormalize the rows.
+
+The bar and beam formulas live only here: the Newton driver takes its bar
+lengths, axial rows and 2EA/L from bar_rows and bar_parameters.
 """
 
 from __future__ import annotations
@@ -67,14 +70,21 @@ class FgSectionConstants:
     d_e: float
 
 
-def _rotation(angle: float) -> np.ndarray:
-    """Global->local DOF transform of a two-node plane beam."""
-    c, s = np.cos(angle), np.sin(angle)
-    node = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    t = np.zeros((6, 6))
-    t[:3, :3] = node
-    t[3:, 3:] = node
-    return t
+def bar_parameters(young, area, length):
+    """Bar stiffness parameter 2EA/L, for scalars or arrays elementwise."""
+    return 2.0 * young * area / length
+
+
+def bar_rows(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and axial mode rows (-a, a) / sqrt(2), a the unit axis, of bars
+    with end-node coordinate differences delta (bars, 2); raises
+    DegenerateElementError on a non-positive length."""
+    length = np.hypot(delta[:, 0], delta[:, 1])
+    if not np.all(length > 0.0):
+        bad = int(np.argmin(length > 0.0))
+        raise DegenerateElementError(f"bar {bad} length must be positive, got {length[bad]}")
+    axis = delta / length[:, None]
+    return length, np.hstack([-axis, axis]) / SQRT2
 
 
 def truss_decomposition(length: float, angle: float, young: float, area: float) -> ElementDecomposition:
@@ -85,8 +95,7 @@ def truss_decomposition(length: float, angle: float, young: float, area: float) 
     """
     if length <= 0.0:
         raise DegenerateElementError(f"bar length must be positive, got {length}")
-    k_params = np.array([[2.0 * young * area / length]])
-    return ElementDecomposition(k_params, length, angle)
+    return ElementDecomposition(np.array([[bar_parameters(young, area, length)]]), length, angle)
 
 
 def beam_parameter_matrix(young: float, area: float, inertia: float, length: float) -> np.ndarray:
@@ -111,24 +120,23 @@ def beam_parameter_matrix(young: float, area: float, inertia: float, length: flo
 def beam_mode_rows(length: float, angle: float = 0.0) -> np.ndarray:
     """Unit-norm deformation-mode rows of a two-node plane beam, in global axes.
 
-    Local rows over (u1, v1, t1, u2, v2, t2):
-        axial         (-1, 0, 0, 1, 0, 0) / sqrt(2)
-        symmetric     ( 0, 0,-1, 0, 0, 1) / sqrt(2)
-        antisymmetric ( 0, 2, L, 0,-2, L) / sqrt(2 (L^2 + 4))
+    Global rows over (u1, v1, t1, u2, v2, t2), with c, s = cos, sin(angle):
+        axial         (  -c,  -s, 0,   c,   s, 0) / sqrt(2)
+        symmetric     (   0,   0,-1,   0,   0, 1) / sqrt(2)
+        antisymmetric (-2 s, 2 c, L, 2 s,-2 c, L) / sqrt(2 (L^2 + 4))
+    At angle 0 these are the local rows.
     """
     if length <= 0.0:
         raise DegenerateElementError(f"beam length must be positive, got {length}")
-    rows = np.array([
-        [-1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0, 0.0, 0.0, 1.0],
-        [0.0, 2.0, length, 0.0, -2.0, length],
+    c, s = np.cos(angle), np.sin(angle)
+    a = 1.0 / SQRT2
+    norm = np.sqrt(2.0 * (length * length + 4.0))
+    b, l = 2.0 / norm, length / norm
+    return np.array([
+        [-a * c, -a * s, 0.0, a * c, a * s, 0.0],
+        [0.0, 0.0, -a, 0.0, 0.0, a],
+        [-b * s, b * c, l, b * s, -b * c, l],
     ])
-    rows[0] /= SQRT2
-    rows[1] /= SQRT2
-    rows[2] /= np.sqrt(2.0 * (length * length + 4.0))
-    if angle != 0.0:
-        rows = rows @ _rotation(angle)
-    return rows
 
 
 def beam_decomposition(length: float, angle: float, young: float, area: float,

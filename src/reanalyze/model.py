@@ -6,6 +6,9 @@ elements with fixed base nodes.  Floors are numbered 1-based from the bottom;
 member tags record (member kind, floor, span, segment) so that floor-graded
 material assignment and the default basis/additional split never have to
 re-derive topology from coordinates.
+
+StructuralModel owns element identity (element i is record i, with id i) and
+checks that element ends, supports and loads name existing nodes and DOFs.
 """
 
 from __future__ import annotations
@@ -157,6 +160,8 @@ class PartitionSpec:
 class StructuralModel:
     """Immutable assembled-model container with a dense free-DOF numbering.
 
+    Node and element ids are their list positions; element ends, supports
+    and loads must name existing nodes and DOFs (InvalidParameterError).
     dof_map[node, local_dof] is the global free-DOF index or -1 when the DOF
     is constrained.  Free DOFs are numbered node-major in node-id order.
     xy[node] holds the node coordinates and element_nodes[element] the
@@ -174,6 +179,8 @@ class StructuralModel:
 
         if [nd.id for nd in self.nodes] != list(range(len(self.nodes))):
             raise InvalidParameterError("node ids must be dense 0..N-1 in order")
+        if [e.id for e in self.elements] != list(range(len(self.elements))):
+            raise InvalidParameterError("element ids must be dense 0..E-1 in order")
         for nd in self.nodes:
             if not (math.isfinite(nd.x) and math.isfinite(nd.y)):
                 raise InvalidParameterError(f"node {nd.id} has non-finite coordinates")
@@ -183,6 +190,18 @@ class StructuralModel:
         if len(dpn) > 1:
             raise InvalidParameterError("mixed truss/beam models are not supported")
         self.dofs_per_node = dpn.pop() if dpn else 2
+
+        n_nodes = len(self.nodes)
+        for e in self.elements:
+            if not (0 <= e.node_i < n_nodes and 0 <= e.node_j < n_nodes):
+                raise InvalidParameterError(f"element {e.id} ends at nodes {e.node_i}, "
+                                            f"{e.node_j}; the model has 0..{n_nodes - 1}")
+        for what, node, dofs in ([("support", k, v) for k, v in self.supports.items()]
+                                 + [("load", ld.node, (ld.dof,)) for ld in self.loads]):
+            if not (0 <= node < n_nodes and all(0 <= d < self.dofs_per_node for d in dofs)):
+                raise InvalidParameterError(
+                    f"{what} on node {node}, DOFs {dofs}: the model has nodes "
+                    f"0..{n_nodes - 1} with DOFs 0..{self.dofs_per_node - 1}")
 
         self.dof_map = np.full((len(self.nodes), self.dofs_per_node), -1, dtype=np.int64)
         idx = 0

@@ -8,12 +8,15 @@ the elastic-state preconditioner held fixed for the whole run.  The material
 law is total-strain bilinear (monotonic loading, no unloading hysteresis), so
 the state is a pure function of the current displacement field.
 
-Bars share the linear path's factorization K = C^T K_L C: the bars' unit
-axial mode rows C give the strains sqrt(2) C d / L and the internal force
-C^T (sqrt(2) A sigma), and a tangent state only changes the 1x1 parameter
-blocks 2 E_t A / L, which the assembled tangent and the tangent partition
-build through the same assembly helpers as the linear stiffness.  The
-helpers below take the Bars a run builds once from its model, not the model.
+Bars share the linear path's factorization K = C^T K_L C and its element
+kernels: elements.bar_rows gives the bar lengths and unit axial mode rows C,
+whence the strains sqrt(2) C d / L and the internal force C^T (sqrt(2) A
+sigma), and a tangent state only changes the 1x1 parameter blocks
+elements.bar_parameters(E_t, A, L), which the assembled tangent and the
+tangent partition build through the same assembly helpers as the linear
+stiffness.  The "reduction" backend is solvers.solve_fdp on the tangent
+partition.  The helpers below take the Bars a run builds once from its model,
+not the model.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+# reduced_rhs, reduced_gram and recover_displacements are unused here but stay
+# bound: benchmark/tracing.py patches them on this module by name
 from .assembly import (
     SystemPartition,
     make_partition,
@@ -32,13 +37,13 @@ from .assembly import (
     sparse_lu,
     stiffness,
 )
-from .elements import SQRT2, bilinear_stress
+from .elements import SQRT2, bar_parameters, bar_rows, bilinear_stress
 from .errors import InvalidStateError, UnstableStructureError, UnsupportedModelError
 from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
     build_sri_preconditioner,
     recover_displacements,
-    solve_reduced_dense,
+    solve_fdp,
     solve_sri,
 )
 
@@ -63,9 +68,9 @@ class MaterialState:
 class Bars:
     """Unit mode rows and bilinear material data of a truss model's bars.
 
-    c is the (bars, n) matrix of axial mode rows (-a, a) / sqrt(2) on the free
-    DOFs, a being the unit bar axis: assemble_parameters(model).c, built
-    here from the model's node coordinates and DOF map alone.
+    c is the (bars, n) matrix of the axial mode rows of elements.bar_rows on
+    the free DOFs: assemble_parameters(model).c, built here from the model's
+    node coordinates and DOF map alone.
     """
 
     c: sp.csr_matrix
@@ -85,10 +90,7 @@ class Bars:
                 raise UnsupportedModelError(
                     f"element {elem.id} lacks bilinear material data")
         ends = model.element_nodes
-        delta = model.xy[ends[:, 1]] - model.xy[ends[:, 0]]
-        length = np.hypot(delta[:, 0], delta[:, 1])
-        axis = delta / length[:, None]
-        rows = np.hstack([-axis, axis]) / SQRT2
+        length, rows = bar_rows(model.xy[ends[:, 1]] - model.xy[ends[:, 0]])
         dofs = model.dof_map[ends].reshape(len(ends), 4)
         free = dofs >= 0
         c = sp.csr_matrix((rows[free], (np.nonzero(free)[0], dofs[free])),
@@ -119,7 +121,7 @@ def _tangent_parameters(bars: Bars, state: MaterialState) -> np.ndarray:
     non-positive tangent modulus."""
     if np.any(state.tangent <= 0.0):
         raise InvalidStateError("non-positive tangent modulus")
-    return 2.0 * state.tangent * bars.area / bars.length
+    return bar_parameters(state.tangent, bars.area, bars.length)
 
 
 def assemble_tangent(bars: Bars, state: MaterialState) -> sp.csr_matrix:
@@ -151,13 +153,6 @@ class NonlinearRun:
     failed_step: int | None = None
     final_state: MaterialState | None = None
     wall_time: float = 0.0
-
-
-def _solve_reduction(partition_t: SystemPartition, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve of the tangent reduced system, then recovery."""
-    b, b_s = reduced_rhs(partition_t, rhs)
-    f_a = solve_reduced_dense(partition_t, reduced_gram(partition_t), b)
-    return recover_displacements(partition_t, f_a, rhs, b_s=b_s)
 
 
 def _fail(run: NonlinearRun, step: int, state: MaterialState, t0: float) -> NonlinearRun:
@@ -215,12 +210,10 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
                 delta = lu.solve(-residual)
                 del lu  # a factor kept to the next iteration doubles the peak memory
             elif backend == "reduction":
-                part_t = tangent_partition(bars, state, partition)
-                delta = _solve_reduction(part_t, -residual)
+                delta = solve_fdp(tangent_partition(bars, state, partition), -residual).d
             else:
-                part_t = tangent_partition(bars, state, partition)
-                rep = solve_sri(part_t, -residual, precond, tol=tol_inner,
-                                norm_ref=target_norm)
+                rep = solve_sri(tangent_partition(bars, state, partition), -residual,
+                                precond, tol=tol_inner, norm_ref=target_norm)
                 if not rep.converged:
                     return _fail(run, step, state, t0)
                 delta = rep.d

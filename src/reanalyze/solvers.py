@@ -12,8 +12,8 @@ SRI is matrix-free: its operator applies C_s through the sparse basis
 factorization, and its preconditioner inverts the original reduced operator
 through the Woodbury identity with the sparse LU of the original stiffness.
 FDP forms the dense q x q operator from the sparse influence matrix
-(reduced_gram) and factors it with solve_reduced_dense, which the nonlinear
-reduction backend shares.
+(reduced_gram) and factors it in place; the nonlinear "reduction" backend
+is solve_fdp on the tangent partition.
 """
 
 from __future__ import annotations
@@ -190,12 +190,11 @@ def build_sri_preconditioner(partition_original: SystemPartition) -> SriPrecondi
     return SriPreconditioner(part, k0_lu)
 
 
-def recover_displacements(partition: SystemPartition, f_a: np.ndarray, r: np.ndarray,
-                          b_s: np.ndarray | None = None) -> np.ndarray:
+def recover_displacements(partition: SystemPartition, f_a: np.ndarray,
+                          b_s: np.ndarray) -> np.ndarray:
     """Displacements from additional-component forces:
-    d = C_b^-1 (B_s - K_Lb^-1 C_s^T F_a), with B_s = K_Lb^-1 C_b^-T R reusable."""
-    if b_s is None:
-        b_s = partition.k_lb_inv @ partition.solve_c_b_t(r)
+    d = C_b^-1 (B_s - K_Lb^-1 C_s^T F_a), with B_s = K_Lb^-1 C_b^-T R the
+    basis solution reduced_rhs returns."""
     return partition.solve_c_b(b_s - partition.k_lb_inv @ partition.apply_c_s_t(f_a))
 
 
@@ -225,31 +224,12 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
     x, iterations, history, rz_history, converged = _cg(
         lambda p: reduced_apply(partition_modified, p), preconditioner.apply,
         b, ref, tol, max_iter)
-    d = recover_displacements(partition_modified, x, r, b_s=b_s)
+    d = recover_displacements(partition_modified, x, b_s)
     wall = time.perf_counter() - t0
     return SolveReport(method="sri", d=d, f_a=x, iterations=iterations,
                        residual_history=history, rz_history=rz_history,
                        flops_estimate=costmodel.flops_sri(n, q, iterations),
                        wall_time=wall, converged=converged)
-
-
-def solve_reduced_dense(partition: SystemPartition, gram: np.ndarray,
-                        b: np.ndarray) -> np.ndarray:
-    """Additional-component forces F_a from (K_La^-1 + G) F_a = B, with G the
-    dense reduced_gram of the partition, by an in-place Cholesky
-    factorization (gram is overwritten).
-
-    Raises UnstableStructureError when the reduced operator is not positive
-    definite.
-    """
-    k = partition.k_la_inv.tocoo()
-    gram[k.row, k.col] += k.data
-    try:
-        factor = sla.cho_factor(gram, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise UnstableStructureError(
-            f"reduced operator is not positive definite: {exc}") from exc
-    return sla.cho_solve(factor, b)
 
 
 def solve_fdp(partition_modified: SystemPartition, r: np.ndarray) -> SolveReport:
@@ -265,8 +245,16 @@ def solve_fdp(partition_modified: SystemPartition, r: np.ndarray) -> SolveReport
     n, q = partition_modified.n, partition_modified.q
     t0 = time.perf_counter()
     b, b_s = reduced_rhs(partition_modified, r)
-    f_a = solve_reduced_dense(partition_modified, reduced_gram(partition_modified), b)
-    d = recover_displacements(partition_modified, f_a, r, b_s=b_s)
+    gram = reduced_gram(partition_modified)
+    k = partition_modified.k_la_inv.tocoo()
+    gram[k.row, k.col] += k.data  # K_La^-1 + G, then factored in place
+    try:
+        factor = sla.cho_factor(gram, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise UnstableStructureError(
+            f"reduced operator is not positive definite: {exc}") from exc
+    f_a = sla.cho_solve(factor, b)
+    d = recover_displacements(partition_modified, f_a, b_s)
     wall = time.perf_counter() - t0
     return SolveReport(method="fdp", d=d, f_a=f_a,
                        flops_estimate=costmodel.flops_fdp(n, q),

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from reanalyze.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main, run
-from reanalyze.modelio import load_model
+from reanalyze.model import build_truss_grid
+from reanalyze.modelio import load_model, to_document
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -182,6 +183,17 @@ class TestSolveAndReanalyze:
         err = assert_config_error(capsys, main(["reanalyze", "--config", cfg,
                                                 "--out", str(tmp_path)]))
         assert "999" in err and "9 nodes" in err
+
+    def test_unnamed_report_node_exits_2(self, tmp_path, capsys):
+        doc = to_document(build_truss_grid(3, 2))
+        del doc["meta"]  # a model file that names neither node A nor node B
+        (tmp_path / "bare.model.json").write_text(json.dumps(doc))
+        scn = {"id": "bare", "model": {"path": str(tmp_path / "bare.model.json")},
+               "solvers": {"methods": ["conventional"]}}
+        cfg = write_config(tmp_path, {"scenarios": [scn]})
+        err = assert_config_error(capsys, main(["reanalyze", "--config", cfg,
+                                                "--out", str(tmp_path)]))
+        assert "node_a" in err
 
     def test_model_error_exits_3(self, tmp_path):
         scn = {"id": "bad", "model": {"generator": "truss", "n_span": 2, "n_floor": 2},

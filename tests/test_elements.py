@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from reanalyze.elements import (
     FgSectionConstants,
+    bar_parameters,
+    bar_rows,
     beam_decomposition,
     beam_mode_rows,
     beam_parameter_matrix,
@@ -65,6 +67,21 @@ class TestTrussDecomposition:
         assert np.linalg.norm(dec.c_global[0]) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestBarKernel:
+    @given(st.lists(st.tuples(lengths, angles, moduli, areas), min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_arrays_match_single_bars(self, bars):
+        length, angle, young, area = (np.array(v) for v in zip(*bars))
+        got_length, rows = bar_rows(np.column_stack([length * np.cos(angle),
+                                                     length * np.sin(angle)]))
+        params = bar_parameters(young, area, got_length)
+        for i, bar in enumerate(bars):
+            dec = truss_decomposition(got_length[i], *bar[1:])
+            assert got_length[i] == pytest.approx(bar[0], rel=1e-14)
+            assert np.allclose(rows[i], dec.c_global[0], rtol=0.0, atol=1e-15)
+            assert params[i] == dec.k_params[0, 0]
+
+
 class TestBeamParameterMatrix:
     def test_values_match_mode_projection(self):
         # oracle: project the textbook stiffness onto the mode rows
@@ -101,6 +118,12 @@ class TestBeamModeRows:
     def test_unit_norms(self, length):
         rows = beam_mode_rows(length)
         assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
+
+    @given(lengths, angles)
+    @settings(max_examples=200, deadline=None)
+    def test_global_rows_are_rotated_local_rows(self, length, angle):
+        expected = beam_mode_rows(length, 0.0) @ beam_rotation(angle)
+        assert np.max(np.abs(beam_mode_rows(length, angle) - expected)) <= 1e-15
 
     def test_unit_reconstruction(self):
         k_l = beam_parameter_matrix(1.0, 1.0, 1.0, 1.0)

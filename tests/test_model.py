@@ -1,5 +1,7 @@
 """Generator and data-model tests: counts, grading, default partitions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from reanalyze.model import (
     ElementKind,
     MaterialSpec,
     Node,
+    PointLoad,
     SectionSpec,
     StructuralModel,
     apply_floor_grading,
@@ -241,3 +244,41 @@ class TestBasisCountInvariant:
             spec = default_additional_set(m)
             basis_params = 3 * (len(m.elements) - len(spec.additional_ids))
             assert basis_params == m.n
+
+
+def rebuilt(model, elements=None, supports=None, loads=None):
+    """The model with some of its element, support or load lists replaced."""
+    return StructuralModel(list(model.nodes),
+                           list(model.elements if elements is None else elements),
+                           model.supports if supports is None else supports,
+                           list(model.loads if loads is None else loads), model.meta)
+
+
+class TestReferences:
+    @pytest.mark.parametrize("case", ["element end", "support node", "support dof",
+                                      "load node", "load dof"])
+    def test_unknown_node_or_dof_rejected(self, case):
+        model = build_truss_grid(2, 2)
+        elements, supports, loads = list(model.elements), dict(model.supports), list(model.loads)
+        if case == "element end":
+            elements[0] = dataclasses.replace(elements[0], node_j=99)
+        elif case == "support node":
+            supports[99] = (0, 1)
+        elif case == "support dof":
+            supports[0] = (0, 1, 2)
+        elif case == "load node":
+            loads.append(PointLoad(99, 0, 1.0))
+        else:
+            loads.append(PointLoad(model.meta["node_a"], 2, 1.0))
+        with pytest.raises(InvalidParameterError):
+            rebuilt(model, elements, supports, loads)
+
+    def test_element_ids_must_follow_list_order(self):
+        # element i's stiffness rows sit at position i, so a swapped id would
+        # silently pair records with the wrong rows
+        model = build_truss_grid(2, 2)
+        elements = list(model.elements)
+        elements[0] = dataclasses.replace(elements[0], id=1)
+        elements[1] = dataclasses.replace(elements[1], id=0)
+        with pytest.raises(InvalidParameterError):
+            rebuilt(model, elements)

@@ -7,7 +7,12 @@ import pytest
 
 from reanalyze import nonlinear
 from reanalyze.assembly import assemble_global, assemble_parameters, make_partition
-from reanalyze.errors import InvalidStateError, UnstableStructureError, UnsupportedModelError
+from reanalyze.errors import (
+    DegenerateElementError,
+    InvalidStateError,
+    UnstableStructureError,
+    UnsupportedModelError,
+)
 from reanalyze.model import (
     ElementKind,
     ElementRecord,
@@ -226,6 +231,17 @@ class TestRunNewtonRaphson:
         model = StructuralModel(nodes, bars, {0: (0, 1), 2: (0, 1)}, [PointLoad(1, 0, 1.0)])
         with pytest.raises(UnstableStructureError):
             run_newton_raphson(model, model.load_vector(), n_steps=2, backend="regular")
+
+    @pytest.mark.parametrize("backend", ["regular", "reduction", "sri"])
+    def test_coincident_bar_ends_raise(self, backend):
+        # node 4 moved onto node 3 leaves the chord between them zero long
+        model = bilinear_truss(2, 2)
+        nodes = list(model.nodes)
+        nodes[4] = Node(4, nodes[3].x, nodes[3].y)
+        model = StructuralModel(nodes, list(model.elements), model.supports,
+                                list(model.loads), model.meta)
+        with pytest.raises(DegenerateElementError):
+            run_newton_raphson(model, model.load_vector(), n_steps=2, backend=backend)
 
     def test_unknown_backend(self):
         model = bilinear_truss()
