@@ -6,6 +6,12 @@ preconditioned iteration on the additional-component forces, alongside
 full-system PCG, a direct low-rank-update path and conventional analysis.
 """
 
+from .allocator import pin_malloc_thresholds
+
+# before the submodules import numpy and scipy, so every array they allocate
+# follows the fixed thresholds (see allocator.py)
+pin_malloc_thresholds()
+
 from .costmodel import flops_fdp, flops_pcg, flops_sri, ratio_sweep, relative_time
 from .model import (
     ElementKind,

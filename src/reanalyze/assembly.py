@@ -153,12 +153,23 @@ def assemble_global(model: StructuralModel) -> sp.csr_matrix:
     return stiffness(dec.c, dec.k_l())
 
 
-def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str):
+def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *, symmetric: bool):
     """Sparse LU of a square matrix and its pivot ratio min|U_ii| / max|U_ii|
     (1.0 for an empty matrix); raises error when the matrix is singular or
-    the ratio falls below PIVOT_TOL."""
+    the ratio falls below PIVOT_TOL.
+
+    symmetric=True is for the stiffnesses (assembled, original and tangent),
+    which are symmetric and positive definite whenever they are nonsingular:
+    a minimum-degree ordering of A^T + A applied to rows and columns alike,
+    with diagonal pivots, keeps the factor symmetric in structure and a third
+    to a half smaller than COLAMD's.  The basis mode matrix C_b is not
+    symmetric and its diagonal need not be a good pivot, so it takes
+    symmetric=False: a COLAMD column ordering with partial pivoting.
+    """
+    kwargs = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+              "options": {"SymmetricMode": True}} if symmetric else {}
     try:
-        lu = spla.splu(sp.csc_matrix(matrix))
+        lu = spla.splu(sp.csc_matrix(matrix), **kwargs)
     except RuntimeError as exc:
         raise error(f"{what} is singular: {exc}") from exc
     pivots = np.abs(lu.U.diagonal())
@@ -284,7 +295,8 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
             f"basis parameter count {c_b.shape[0]} != free DOFs {model.n}")
     q = c_a.shape[0]
 
-    lu, pivot_ratio = sparse_lu(c_b, BasisUnstableError, "basis mode matrix")
+    lu, pivot_ratio = sparse_lu(c_b, BasisUnstableError, "basis mode matrix",
+                               symmetric=False)
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
         c_b=c_b, c_b_lu=lu, basis_pivot_ratio=pivot_ratio,
@@ -390,4 +402,5 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray:
 
 def factorize_stiffness(model: StructuralModel):
     """Sparse LU of the assembled stiffness; raises on singular structures."""
-    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix")[0]
+    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix",
+                     symmetric=True)[0]

@@ -11,6 +11,10 @@ matrix-vector chains with the operator applied once per iteration.
 SRI is matrix-free: its operator applies C_s through the sparse basis
 factorization, and its preconditioner inverts the original reduced operator
 through the Woodbury identity with the sparse LU of the original stiffness.
+An SRI iteration makes two solves with the basis factorization and one with
+the original stiffness's factor; the first preconditioner apply of a solve
+adds one refinement step (two more basis solves and one more stiffness
+solve).
 FDP forms the dense q x q operator from the sparse influence matrix
 (reduced_gram) and factors it in place; the nonlinear "reduction" backend
 is solve_fdp on the tangent partition.
@@ -70,13 +74,15 @@ def _check_finite(r: np.ndarray) -> None:
         raise InvalidParameterError("load vector holds a non-finite value")
 
 
-def _cg(apply_a, apply_m, b: np.ndarray, ref: float, tol: float, max_iter: int):
+def _cg(apply_a, apply_m, b: np.ndarray, ref: float, tol: float, max_iter: int,
+        apply_m_first=None):
     """Preconditioned conjugate gradients from x = 0.
 
-    Stops converged once ||r|| / ref < tol; stops unconverged at max_iter, on
-    a non-positive curvature p.Ap (the operator is not positive definite) or
-    on a non-finite residual.  Returns x, iterations, the residual history
-    and the (r, M^-1 r) history.
+    apply_m_first, when given, preconditions the initial residual in place of
+    apply_m.  Stops converged once ||r|| / ref < tol; stops unconverged at
+    max_iter, on a non-positive curvature p.Ap (the operator is not positive
+    definite) or on a non-finite residual.  Returns x, iterations, the
+    residual history and the (r, M^-1 r) history.
     """
     x = np.zeros(b.shape[0])
     r = b.copy()
@@ -90,7 +96,7 @@ def _cg(apply_a, apply_m, b: np.ndarray, ref: float, tol: float, max_iter: int):
     history.append(res)
     if res < tol:
         return x, iterations, history, rz_history, True
-    z = apply_m(r)
+    z = (apply_m_first or apply_m)(r)
     p = z.copy()
     rz = float(r @ z)
     rz_history.append(rz)
@@ -152,27 +158,33 @@ class SriPreconditioner:
     By the Woodbury identity, with K0 = C_b^T K_Lb0 C_b + C_a^T K_La0 C_a the
     original stiffness,
         M0^-1 = W = K_La0 - K_La0 C_a K0^-1 C_a^T K_La0,
-    so apply() costs sparse solves with the LU factor of K0 and with the basis
-    factorization.
+    so W(v) costs one sparse solve with the LU factor of K0.  apply() adds
+    one refinement step, z + W(v - M0 z), at one operator apply (two basis
+    solves) and a second K0 solve; apply(v, refine=False) is W(v) alone.
+    pivot_ratio is min|U_ii| / max|U_ii| of the K0 factor.
     """
 
-    def __init__(self, original: SystemPartition, k0_lu):
+    def __init__(self, original: SystemPartition, k0_lu, pivot_ratio: float):
         self.q = original.q
         self._original = original
         self._k0_lu = k0_lu
+        self.pivot_ratio = pivot_ratio
 
     def _woodbury(self, v: np.ndarray) -> np.ndarray:
         part = self._original
         u = part.k_la @ v
         return u - part.k_la @ (part.c_a @ self._k0_lu.solve(part.c_a.T @ u))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, refine: bool = True) -> np.ndarray:
         # W subtracts two nearly equal terms when the additional components
         # are stiff against the rest (~3.5e4-fold cancellation on the graded
-        # frame); one refinement step against M0 restores full accuracy, which
-        # self-reanalysis needs to end after exactly one iteration
+        # frame, ~1e-9 relative error); the refinement step restores full
+        # accuracy.  solve_sri refines only the first apply: that one alone
+        # decides whether self-reanalysis ends after exactly one iteration,
+        # and CG tolerates the error in the later ones
         z = self._woodbury(v)
-        z += self._woodbury(v - reduced_apply(self._original, z))
+        if refine:
+            z += self._woodbury(v - reduced_apply(self._original, z))
         return z
 
 
@@ -186,8 +198,8 @@ def build_sri_preconditioner(partition_original: SystemPartition) -> SriPrecondi
     """
     part = partition_original
     k0 = stiffness(sp.vstack([part.c_b, part.c_a]), sp.block_diag([part.k_lb, part.k_la]))
-    k0_lu, _ = sparse_lu(k0, UnstableStructureError, "original stiffness")
-    return SriPreconditioner(part, k0_lu)
+    k0_lu, ratio = sparse_lu(k0, UnstableStructureError, "original stiffness", symmetric=True)
+    return SriPreconditioner(part, k0_lu, ratio)
 
 
 def recover_displacements(partition: SystemPartition, f_a: np.ndarray,
@@ -222,8 +234,9 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
     b, b_s = reduced_rhs(partition_modified, r)
     ref = norm_ref if norm_ref is not None else float(np.linalg.norm(b))
     x, iterations, history, rz_history, converged = _cg(
-        lambda p: reduced_apply(partition_modified, p), preconditioner.apply,
-        b, ref, tol, max_iter)
+        lambda p: reduced_apply(partition_modified, p),
+        lambda v: preconditioner.apply(v, refine=False), b, ref, tol, max_iter,
+        apply_m_first=preconditioner.apply)
     d = recover_displacements(partition_modified, x, b_s)
     wall = time.perf_counter() - t0
     return SolveReport(method="sri", d=d, f_a=x, iterations=iterations,

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from reanalyze import elements
 from reanalyze.assembly import (
@@ -247,6 +248,21 @@ class TestPartitionConsistency:
         assert PIVOT_TOL < part.basis_pivot_ratio <= 1.0
         pivots = np.abs(part.c_b_lu.U.diagonal())
         assert part.basis_pivot_ratio == pivots.min() / pivots.max()
+
+
+class TestFactorOrdering:
+    def test_stiffness_symmetric_permutation(self):
+        # a symmetric ordering with diagonal pivots permutes rows and columns alike
+        model = apply_floor_grading(build_frame_grid(50, 20, n_sb=1), 4000.0, 36000.0, "E")
+        lu = factorize_stiffness(model)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+    def test_basis_keeps_colamd_with_partial_pivoting(self):
+        model = apply_floor_grading(build_frame_grid(50, 20, n_sb=1), 4000.0, 36000.0, "E")
+        part = make_partition(model, default_additional_set(model))
+        reference = spla.splu(part.c_b)  # SuperLU's defaults: COLAMD, partial pivoting
+        assert np.array_equal(part.c_b_lu.perm_c, reference.perm_c)
+        assert np.array_equal(part.c_b_lu.perm_r, reference.perm_r)
 
 
 class TestUpdateTopologyCheck:

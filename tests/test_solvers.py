@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reanalyze import costmodel
+from reanalyze import costmodel, solvers
 from reanalyze.assembly import (
+    PIVOT_TOL,
     assemble_global,
     factorize_stiffness,
     make_partition,
@@ -44,6 +45,11 @@ def reanalysis_setup(orig, modified, spec=None):
     precond = build_sri_preconditioner(part0)
     part1 = part0 if modified is orig else update_partition(part0, modified)
     return part0, part1, precond
+
+
+def graded_frame(n_sb):
+    """The graded 50 x 20 frame of the published table."""
+    return apply_floor_grading(build_frame_grid(50, 20, n_sb=n_sb), 4000.0, 36000.0, "E")
 
 
 def dense_reduced_operator(part):
@@ -141,6 +147,21 @@ class TestSriPreconditioner:
         v = rng.standard_normal(part.q)
         assert rel_err(reduced_apply(part, precond.apply(v)), v) < 1e-10
 
+    @pytest.mark.parametrize("model", [build_truss_grid(7, 16), graded_frame(n_sb=1)],
+                             ids=["ladder", "frame"])
+    def test_pivot_ratio(self, model):
+        part = make_partition(model, default_additional_set(model))
+        precond = build_sri_preconditioner(part)
+        assert PIVOT_TOL <= precond.pivot_ratio <= 1.0
+        pivots = np.abs(precond._k0_lu.U.diagonal())
+        assert precond.pivot_ratio == pivots.min() / pivots.max()
+
+    def test_original_stiffness_symmetric_permutation(self):
+        # the stiffness ordering permutes rows and columns alike
+        model = graded_frame(n_sb=1)
+        precond = build_sri_preconditioner(make_partition(model, default_additional_set(model)))
+        assert np.array_equal(precond._k0_lu.perm_r, precond._k0_lu.perm_c)
+
     def test_rejects_singular_original(self):
         # basis bars 1e-14 as stiff as the rest: K0 is singular to working precision
         model = build_truss_grid(3, 2)
@@ -159,20 +180,35 @@ class TestSolveSri:
         assert rep.iterations == 0
         assert np.all(rep.d == 0.0)
 
-    def test_exact_preconditioner_one_iteration(self):
-        orig = build_truss_grid(7, 16)
+    @pytest.mark.parametrize("build", [
+        lambda: build_truss_grid(7, 16),
+        lambda: graded_frame(n_sb=1),
+        lambda: graded_frame(n_sb=4),
+        lambda: build_frame_grid(10, 20, n_sb=8, n_sc=8,
+                                 material=MaterialSpec(e_us=20000.0, e_ls=20000.0, p=1.0)),
+    ], ids=["ladder-7x16", "frame-50x20-nsb1", "frame-50x20-nsb4", "frame-c08c"])
+    def test_self_reanalysis_one_iteration(self, build):
+        # on the graded frames the preconditioner's Woodbury form cancels
+        # ~3.5e4-fold, and without the refinement of its first apply the
+        # first residual is ~1e-9
+        orig = build()
         part0, part1, precond = reanalysis_setup(orig, orig)
         rep = solve_sri(part1, orig.load_vector(), precond, tol=1e-12)
         assert rep.iterations == 1 and rep.converged
 
-    def test_graded_frame_self_reanalysis_one_iteration(self):
-        # graded 50 x 20 frame of the published table: the preconditioner's
-        # Woodbury form cancels ~3.5e4-fold here, and without its refinement
-        # step the first residual is ~1e-9
-        orig = apply_floor_grading(build_frame_grid(50, 20, n_sb=1), 4000.0, 36000.0, "E")
-        part0, part1, precond = reanalysis_setup(orig, orig)
-        rep = solve_sri(part1, orig.load_vector(), precond, tol=1e-12)
-        assert rep.iterations == 1 and rep.converged
+    def test_one_refinement_per_solve(self, monkeypatch):
+        # one operator apply per iteration, plus one for the refinement of the
+        # first preconditioner apply; later applies are not refined
+        orig = build_truss_grid(31, 64)
+        mod = apply_floor_grading(orig, 5000.0, 35000.0, "E")
+        part0, part1, precond = reanalysis_setup(orig, mod)
+        calls = []
+        wrapped = solvers.reduced_apply
+        monkeypatch.setattr(solvers, "reduced_apply",
+                            lambda *args: calls.append(1) or wrapped(*args))
+        rep = solve_sri(part1, mod.load_vector(), precond, tol=1e-12)
+        assert rep.converged and rep.iterations > 1
+        assert len(calls) == rep.iterations + 1
 
     def test_non_finite_load_raises(self):
         orig = build_truss_grid(7, 16)
