@@ -18,7 +18,12 @@ The reduced right-hand side, operator and displacement recovery apply C_s v as
 C_a (C_b^-1 v) and C_s^T x as C_b^-T (C_a^T x) through the sparse basis
 factorization.  The stored sparse C_s serves only reduced_gram, the dense
 q x q matrix that the direct low-rank path and the tangent reduction backend
-need by definition; no dense n x q array is formed anywhere.
+need by definition.  make_partition builds C_s once per topology, by
+level-scheduled triangular solves with the L and U factors of the basis LU:
+each factor is reordered once so that its dependency levels are contiguous,
+and each level is one sparse-times-dense product on a block of C_a^T
+columns.  The build forms no dense array larger than a _SLAB_BYTES block,
+and no dense n x q array is kept anywhere.
 """
 
 from __future__ import annotations
@@ -49,16 +54,14 @@ from .model import ElementKind, ElementRecord, PartitionSpec, StructuralModel
 # Relative pivot threshold below which the basis mode matrix counts as singular.
 PIVOT_TOL = 1e-10
 
-# Column-block size for dense solves against the basis factorization.
-_CHUNK = 1024
-
 # reduced_gram forms G as a sparse product when that takes fewer than this
 # share of the dense product's n q^2 multiply-adds.  Measured crossover ~1e-2:
 # the sparse product wins at 3.5e-4 and 4.4e-3 (frames), BLAS syrk at 4.1e-2
 # and above (ladders).
 SPARSE_GRAM_SHARE = 1e-2
 
-# Bytes of one dense row slab of L^T C_s^T in the syrk Gram builder.
+# Bytes of one dense slab: a row slab of L^T C_s^T in the syrk Gram builder,
+# a column block of C_a^T in the influence-matrix build.
 _SLAB_BYTES = 1 << 24
 
 
@@ -250,39 +253,114 @@ def _parameter_matrices(blocks: np.ndarray, basis_ids: np.ndarray,
 
 
 def _sparse_rows(a: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of the nonzero entries of a dense 2-D array."""
-    nonzero = np.flatnonzero(a)
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(a, axis=1))])
+    """CSR matrix of the nonzero entries of a C-ordered 2-D array."""
+    mask = a != 0
+    nonzero = np.flatnonzero(mask)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(mask, axis=1))])
     return sp.csr_matrix((a.ravel()[nonzero], nonzero % a.shape[1], indptr), shape=a.shape)
 
 
+@dataclass(frozen=True)
+class _LevelSchedule:
+    """Solves with a sparse unit triangular matrix T (its stored diagonal is
+    not read), its rows and columns reordered so that each dependency level
+    is a contiguous range.
+
+    A row's level is 0 when it has no off-diagonal entry, else one more than
+    the highest level among the rows its entries reference.  Each level then
+    depends only on the levels before it and is solved as one sparse-times-
+    dense product (Anderson and Saad, Int. J. High Speed Computing 1, 1989).
+    Lower and upper triangular matrices alike: only the dependencies matter.
+    """
+
+    order: np.ndarray  # the row of T at each position of the reordering
+    # (start, stop, rows) of every level past the first, rows holding its
+    # off-diagonal entries, reordered, as a (stop - start) x n CSR matrix
+    levels: list
+
+    @classmethod
+    def of(cls, t: sp.spmatrix) -> "_LevelSchedule":
+        t = t.tocoo()
+        n = t.shape[0]
+        keep = t.row != t.col
+        off = sp.csr_matrix((t.data[keep], (t.row[keep], t.col[keep])), shape=(n, n))
+        off.eliminate_zeros()
+        # Kahn's topological sort a level at a time: a row joins the next
+        # level once every row it references is placed
+        dependents = off.tocsc()  # column j lists the rows that reference row j
+        unplaced = np.diff(off.indptr)
+        level = np.zeros(n, dtype=np.intp)
+        ready, depth = np.flatnonzero(unplaced == 0), 0
+        while ready.size:
+            level[ready] = depth
+            hit = dependents[:, ready].indices
+            np.subtract.at(unplaced, hit, 1)
+            ready, depth = np.unique(hit[unplaced[hit] == 0]), depth + 1
+        order = np.argsort(level, kind="stable")
+        position = np.empty(n, dtype=np.intp)
+        position[order] = np.arange(n)
+        off = off.tocoo()
+        off = sp.csr_matrix((off.data, (position[off.row], position[off.col])), shape=(n, n))
+        bounds = np.cumsum(np.bincount(level)).tolist()
+        return cls(order, [(a, b, off[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+
+    def solve(self, y: np.ndarray) -> None:
+        """Overwrite the reordered C-ordered n x k block y with T^-1 y."""
+        for a, b, rows in self.levels:
+            y[a:b] -= rows @ y  # rows reference only positions below a
+
+
 def _influence_matrix(lu, c_a: sp.csr_matrix) -> sp.csr_matrix:
-    """Sparse C_s = C_a C_b^-1 from transposed solves with the basis
-    factorization, in row blocks that drop their exact zeros as they are
-    made."""
+    """Sparse C_s = C_a C_b^-1 from level-scheduled triangular solves with
+    the factors of the basis LU, C_a^T a dense column block at a time.
+
+    SuperLU factors Pr C_b Pc = L U, so C_s^T = C_b^-T C_a^T
+    = Pr^T L^-T U^-T Pc^T C_a^T.  With D the diagonal of U, U^-T = (D^-1 U^T)^-1
+    D^-1 and D^-1 U^T is unit lower triangular, so the rows of C_a^T enter at
+    positions perm_c, scaled by D^-1 once for all blocks; D^-1 U^T and L^T
+    (unit upper triangular) are solved in their own level orders; and row i
+    of the result is row perm_r[i] of the L^T solve.  A block is _SLAB_BYTES
+    of C_a^T columns and drops its exact zeros as it leaves; the blocks
+    become C_s's rows.
+    """
     q, n = c_a.shape
     if q == 0:
         return sp.csr_matrix((0, n))
-    c_a_t = c_a.T.tocsc()
-    # the solve returns C_s^T columns in Fortran order, so .T is row-major
-    blocks = [_sparse_rows(lu.solve(c_a_t[:, lo:lo + _CHUNK].toarray(), trans="T").T)
-              for lo in range(0, q, _CHUNK)]
+    u = lu.U
+    inv_d = 1.0 / u.diagonal()
+    u_t = _LevelSchedule.of((u @ sp.diags(inv_d)).T)  # D^-1 U^T
+    l_t = _LevelSchedule.of(lu.L.T)
+    # each gather maps a position of its target order to one of its source
+    into_u = np.argsort(lu.perm_c)[u_t.order]
+    u_to_l = np.argsort(u_t.order)[l_t.order]
+    out_of_l = np.argsort(l_t.order)[lu.perm_r]
+    c_a_t = (sp.diags(inv_d[u_t.order]) @ c_a.T.tocsr()[into_u]).tocsc()
+    width = max(_SLAB_BYTES // (8 * n), 1)
+    blocks = []
+    for lo in range(0, q, width):
+        y = c_a_t[:, lo:lo + width].toarray(order="C")
+        u_t.solve(y)
+        y = y[u_to_l]
+        l_t.solve(y)
+        blocks.append(_sparse_rows(y)[out_of_l].T.tocsr())
     return sp.vstack(blocks, format="csr")
 
 
 def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartition:
     """Build and factorize the basis/additional partition of a model.
 
-    The basis parameter count must equal the number of free DOFs; the sparse
-    influence matrix (for reduced_gram) is built column-block-wise through
-    transposed solves with the basis factorization.
+    The basis parameter count must equal the number of free DOFs.  The sparse
+    influence matrix C_s (for reduced_gram) is built here, eagerly, by
+    level-scheduled triangular solves with the factors of the basis LU.
     """
-    all_ids = np.arange(len(model.elements))
-    add_mask = np.zeros(len(model.elements), dtype=bool)
-    for i in spec.additional_ids:
-        if i < 0 or i >= len(model.elements):
-            raise NotDeterminateError(f"additional id {i} outside element range")
-        add_mask[i] = True
+    n_elements = len(model.elements)
+    ids = np.fromiter(spec.additional_ids, dtype=np.int64, count=len(spec.additional_ids))
+    outside = (ids < 0) | (ids >= n_elements)
+    if outside.any():
+        raise NotDeterminateError(f"additional id {ids[outside][0]} outside element range")
+    add_mask = np.zeros(n_elements, dtype=bool)
+    add_mask[ids] = True
+    all_ids = np.arange(n_elements)
     basis_ids = all_ids[~add_mask]
     additional_ids = all_ids[add_mask]
 

@@ -1,13 +1,14 @@
 """Assembly and partition tests: reconstruction, determinacy, reduced operators."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from reanalyze import elements
+from reanalyze import assembly, elements
 from reanalyze.assembly import (
     PIVOT_TOL,
     SPARSE_GRAM_SHARE,
@@ -133,6 +134,7 @@ class TestMakePartition:
         model = build_truss_grid(1, 2)
         part = make_partition(model, PartitionSpec.of([]))
         assert part.q == 0
+        assert part.c_s.shape == (0, part.n)
         k = assemble_global(model).toarray()
         k_b = (part.c_b.T @ part.k_lb @ part.c_b).toarray()
         assert rel_err(k_b, k) < 1e-12
@@ -143,6 +145,14 @@ class TestMakePartition:
         extra = next(e.id for e in model.elements if e.id not in spec.additional_ids)
         with pytest.raises(NotDeterminateError):
             make_partition(model, PartitionSpec.of(set(spec.additional_ids) | {extra}))
+
+    @pytest.mark.parametrize("outside", ["negative", "past-last"])
+    def test_additional_id_outside_element_range(self, outside):
+        model = build_truss_grid(3, 2)
+        bad = -1 if outside == "negative" else len(model.elements)
+        spec = PartitionSpec.of(set(default_additional_set(model).additional_ids) | {bad})
+        with pytest.raises(NotDeterminateError, match=f"additional id {bad} outside"):
+            make_partition(model, spec)
 
     def test_geometrically_unstable_basis(self):
         # removing a first-span chord instead of a diagonal keeps the count but
@@ -379,6 +389,65 @@ class TestReducedOperators:
             b, _ = reduced_rhs(part, r)
             f_a = np.linalg.solve(a_mat, b)
             assert rel_err(f_a, f_a_expected) < 1e-10
+
+
+class TestInfluenceMatrix:
+    """C_s from level-scheduled solves with the basis LU factors, against the
+    dense definition C_a C_b^-1."""
+
+    @staticmethod
+    def assert_matches_definition(part):
+        expected = part.c_a.toarray() @ np.linalg.inv(part.c_b.toarray())
+        assert part.c_s.format == "csr" and part.c_s.shape == (part.q, part.n)
+        assert rel_err(part.c_s.toarray(), expected) < 1e-12
+
+    @pytest.mark.parametrize("model", [
+        build_truss_grid(7, 16),
+        build_frame_grid(3, 2, n_sb=2, n_sc=2,
+                         material=MaterialSpec(e_us=26000.0, e_ls=14000.0, p=2.0)),
+    ], ids=["ladder", "graded-frame"])
+    def test_default_basis(self, model):
+        part = make_partition(model, default_additional_set(model))
+        assert part.q > 0
+        self.assert_matches_definition(part)
+
+    def test_deep_basis(self):
+        # up a tall two-span ladder each floor's basis unknowns wait on the
+        # floor below, so the transposed U factor has over a hundred levels
+        model = build_truss_grid(2, 60)
+        part = make_partition(model, default_additional_set(model))
+        assert len(assembly._LevelSchedule.of(part.c_b_lu.U.T).levels) > 100
+        self.assert_matches_definition(part)
+
+    def test_non_default_basis(self):
+        # span 2 keeps its diagonals instead of span 1; the basis stays determinate
+        model = build_truss_grid(4, 6)
+        spec = PartitionSpec.of(e.id for e in model.elements
+                                if e.tag.kind == "diagonal" and e.tag.span != 2)
+        assert spec != default_additional_set(model)
+        self.assert_matches_definition(make_partition(model, spec))
+
+    def test_blocks_with_partial_last(self, monkeypatch):
+        model = build_truss_grid(7, 16)
+        width = 40
+        monkeypatch.setattr(assembly, "_SLAB_BYTES", 8 * model.n * width)
+        part = make_partition(model, default_additional_set(model))
+        assert part.q > 2 * width and part.q % width  # three blocks, the last partial
+        self.assert_matches_definition(part)
+
+    def test_peak_memory(self):
+        # a dense block is _SLAB_BYTES (16 MiB) and the sparse result is held
+        # once in blocks and once stacked; SuperLU solves of 1024 columns
+        # peaked at 65 MiB on this ladder
+        model = build_truss_grid(31, 64)
+        spec = default_additional_set(model)
+        tracemalloc.start()
+        try:
+            make_partition(model, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 55 * 2**20
 
 
 class TestReducedGram:

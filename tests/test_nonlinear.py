@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reanalyze import nonlinear
+from reanalyze import assembly, nonlinear
 from reanalyze.assembly import assemble_global, assemble_parameters, make_partition
 from reanalyze.errors import (
     DegenerateElementError,
@@ -209,6 +209,21 @@ class TestRunNewtonRaphson:
         assert not run.converged
         assert run.failed_step == 1
         assert run.lambdas == []
+
+    def test_reduction_builds_influence_matrix_once(self, monkeypatch):
+        # every tangent partition shares the one C_s of the elastic partition
+        real = assembly._influence_matrix
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(assembly, "_influence_matrix", counted)
+        model = bilinear_truss(30, 30, sigma_y=5.0)
+        run = run_newton_raphson(model, model.load_vector(), backend="reduction")
+        assert run.converged and run.n_nle[-1] > 0
+        assert len(calls) == 1
 
     def test_unconverged_inner_solve_fails_step(self, monkeypatch):
         real = nonlinear.solve_sri
