@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Per-call times of the library's set-up and solve paths at fixed scales.
+
+    python scripts/bench_trajectory.py --label change --out . --repeats 15
+
+Writes BENCH_<date>_<label>.json into --out: for each scenario the median
+and quartiles, over --repeats interleaved rounds, of make_partition (of the
+original), update_partition (original partition to the design),
+solve_sri, solve_pcg_full (assembly of the design included),
+solve_conventional and solve_fdp (the design's partition given), with SRI's
+iterations and C_s route, PCG's iterations and each method's relative error
+against the direct solve.  The file also records the machine: core count,
+the BLAS numpy was built against, the thread environment variables and the
+process's peak resident set.  Run with BLAS pinned to one thread
+(OPENBLAS_NUM_THREADS=1) to compare with the benchmark's figures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import platform
+import resource
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from reanalyze import assembly, solvers
+from reanalyze.model import (
+    MaterialSpec,
+    apply_floor_grading,
+    build_frame_grid,
+    build_truss_grid,
+    default_additional_set,
+)
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def ladder():
+    """The 31 x 64 ladder and its published grading (ladder-highrank, round 0)."""
+    orig = build_truss_grid(31, 64)
+    return orig, apply_floor_grading(orig, 5000.0, 35000.0, "E")
+
+
+def damaged_frame():
+    """The graded 50 x 20 frame (n_sb = 1) with 5 members softened to 0.2-0.9 E
+    (frame-lowrank's make-up, default_rng(5))."""
+    orig = apply_floor_grading(build_frame_grid(50, 20), 4000.0, 36000.0, "E")
+    rng = np.random.default_rng(5)
+    members = rng.choice(len(orig.elements), size=5, replace=False)
+    factors = rng.uniform(0.2, 0.9, size=5)
+    materials = {}
+    for idx, f in zip(members, factors):
+        mat = orig.elements[idx].material
+        materials[int(idx)] = dataclasses.replace(mat, e=mat.e * f)
+    return orig, orig.replace_materials(materials)
+
+
+def c08c():
+    """The depth-graded 10 x 20 frame (n_sb = n_sc = 8) of the acceptance
+    test that times SRI against a complete analysis, E_US floor-graded."""
+    orig = build_frame_grid(10, 20, n_sb=8, n_sc=8,
+                            material=MaterialSpec(e_us=20000.0, e_ls=20000.0, p=1.0))
+    return orig, apply_floor_grading(orig, 4000.0, 36000.0, "E_US")
+
+
+SCENARIOS = {"ladder-31x64": ladder, "frame-50x20-damaged5": damaged_frame, "c08c": c08c}
+
+
+def timed(fn, *args, **kwargs):
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
+
+
+def summary(times: list[float]) -> dict:
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "runs": len(times)}
+
+
+def rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def run_scenario(build, repeats: int) -> dict:
+    orig, design = build()
+    spec = default_additional_set(orig)
+    part0 = assembly.make_partition(orig, spec)
+    precond = solvers.build_sri_preconditioner(part0)
+    k0 = assembly.factorize_stiffness(orig)
+    r = design.load_vector()
+    times = {name: [] for name in ("make_partition", "update_partition", "solve_sri",
+                                   "solve_pcg_full", "solve_conventional", "solve_fdp")}
+    for _ in range(repeats):
+        _, t = timed(assembly.make_partition, orig, spec)
+        times["make_partition"].append(t)
+        part, t = timed(assembly.update_partition, part0, design)
+        times["update_partition"].append(t)
+        sri, t = timed(solvers.solve_sri, part, r, precond, tol=1e-12)
+        times["solve_sri"].append(t)
+        pcg, t = timed(solvers.solve_pcg_full, design, k0, tol=1e-12)
+        times["solve_pcg_full"].append(t)
+        direct, t = timed(solvers.solve_conventional, design)
+        times["solve_conventional"].append(t)
+        fdp, t = timed(solvers.solve_fdp, part, r)
+        times["solve_fdp"].append(t)
+    return {
+        "n": part0.n, "q": part0.q, "elements": len(orig.elements),
+        "c_s_route": "stored" if part0.c_s_stored else "c_b",
+        "sri_iterations": sri.iterations, "pcg_iterations": pcg.iterations,
+        "rel_err": {"sri": rel_err(sri.d, direct.d), "pcg": rel_err(pcg.d, direct.d),
+                    "fdp": rel_err(fdp.d, direct.d)},
+        "calls": {name: summary(t) for name, t in times.items()},
+    }
+
+
+def library(config: dict) -> dict:
+    """A BLAS or LAPACK entry of numpy's build configuration, without the
+    directories it was found in."""
+    return {k: v for k, v in config.items() if "directory" not in k}
+
+
+def machine() -> dict:
+    config = np.show_config(mode="dicts")["Build Dependencies"]
+    return {
+        "cores": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": library(config["blas"]),
+        "lapack": library(config["lapack"]),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="file name suffix, e.g. parent or change")
+    ap.add_argument("--out", required=True, help="directory to write the JSON file into")
+    ap.add_argument("--repeats", type=int, default=15, help="interleaved rounds per scenario")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    date = time.strftime("%Y-%m-%d")
+    result = {"label": args.label, "date": date, "repeats": args.repeats,
+              "machine": machine(), "scenarios": {}}
+    for name, build in SCENARIOS.items():
+        result["scenarios"][name] = run_scenario(build, args.repeats)
+        calls = result["scenarios"][name]["calls"]
+        print(name, " ".join(f"{k}={v['median_s'] * 1e3:.1f}ms" for k, v in calls.items()),
+              flush=True)
+    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"BENCH_{date}_{args.label}.json"
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,16 +14,25 @@ system on the additional-component deformation forces.  Everything topological
 invariant under material modification and is shared between the original and
 any modified partition; only the block-diagonal parameter matrices are rebuilt.
 
-The reduced right-hand side, operator and displacement recovery apply C_s v as
-C_a (C_b^-1 v) and C_s^T x as C_b^-T (C_a^T x) through the sparse basis
-factorization.  The stored sparse C_s serves only reduced_gram, the dense
-q x q matrix that the direct low-rank path and the tangent reduction backend
-need by definition.  make_partition builds C_s once per topology, by
+element_blocks builds the parameter blocks of all elements array-wise, one
+elementwise kernel call per element kind; make_partition, update_partition
+and assemble_parameters all take their blocks from it, so a partition
+updated to its own model equals a fresh one bitwise.  Only the mode rows are
+still formed element by element, in assemble_parameters.
+
+make_partition builds the sparse influence matrix C_s once per topology, by
 level-scheduled triangular solves with the L and U factors of the basis LU:
 each factor is reordered once so that its dependency levels are contiguous,
 and each level is one sparse-times-dense product on a block of C_a^T
 columns.  The build forms no dense array larger than a _SLAB_BYTES block,
-and no dense n x q array is kept anywhere.
+and no dense n x q array is kept anywhere.  The reduced right-hand side,
+operator and displacement recovery apply C_s v and C_s^T x through
+SystemPartition.apply_c_s / apply_c_s_t, which take one of two routes by
+topology alone: a product with the stored C_s where it is sparse enough
+(frames), else C_a (C_b^-1 v) and C_b^-T (C_a^T x) through the basis
+factorization (ladders, whose C_s fills in).  reduced_gram forms the dense
+q x q matrix that the direct low-rank path and the tangent reduction
+backend need by definition from the stored C_s.
 """
 
 from __future__ import annotations
@@ -36,20 +45,26 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dsyrk
 
+# truss_, beam_ and fg_beam_decomposition are unused here but stay bound:
+# benchmark/tracing.py patches them on this module by name
 from .elements import (
-    ElementDecomposition,
+    bar_parameters,
     beam_decomposition,
+    beam_parameter_matrix,
     fg_beam_decomposition,
+    fg_beam_parameter_matrix,
     fg_section_constants,
+    mode_rows,
     truss_decomposition,
 )
 from .errors import (
     BasisUnstableError,
+    DegenerateElementError,
     InvalidParameterError,
     NotDeterminateError,
     UnstableStructureError,
 )
-from .model import ElementKind, ElementRecord, PartitionSpec, StructuralModel
+from .model import ElementKind, PartitionSpec, StructuralModel
 
 # Relative pivot threshold below which the basis mode matrix counts as singular.
 PIVOT_TOL = 1e-10
@@ -65,26 +80,82 @@ SPARSE_GRAM_SHARE = 1e-2
 _SLAB_BYTES = 1 << 24
 
 
-def element_decomposition(model: StructuralModel, element: ElementRecord) -> ElementDecomposition:
-    """Mode-row decomposition of one element."""
-    length, angle = model.geometry(element)
-    sec, mat = element.section, element.material
-    if element.kind is ElementKind.TRUSS_BAR:
-        return truss_decomposition(length, angle, mat.elastic_modulus, sec.area)
-    if element.kind is ElementKind.HOMOGENEOUS_BEAM:
-        if sec.area is None or sec.inertia is None:
-            raise InvalidParameterError(
-                f"element {element.id}: beam section needs area and inertia")
-        return beam_decomposition(length, angle, mat.elastic_modulus, sec.area, sec.inertia)
-    if mat.e_us is None or mat.e_ls is None or mat.p is None:
-        raise InvalidParameterError(
-            f"element {element.id}: graded material needs e_us, e_ls and p")
-    if sec.width is None or sec.height is None:
-        raise InvalidParameterError(
-            f"element {element.id}: graded section needs width and height")
-    constants = fg_section_constants(sec.height, mat.p, mat.e_us, mat.e_ls,
-                                     coupling=mat.fg_coupling or "exact")
-    return fg_beam_decomposition(length, angle, sec.width, constants)
+# apply_c_s and apply_c_s_t multiply by the stored C_s when it has at most
+# as many nonzeros as the basis LU factors plus ROW_COST per basis row, and
+# solve with C_b otherwise: a SuperLU solve costs about as much as a sparse
+# product over its factors' nonzeros plus ROW_COST entries per row.  Timed
+# as one C_s v plus one C_s^T x on one BLAS thread, the stored product wins
+# 1.5-2.7x on the 50x20 frames (n_sb = 1, 2, 4), c08's 10x20 frame and the
+# 7x16 ladder, where (nnz(C_s) - nnz(LU)) / n is 7-44; it ties on the 15x30
+# and 30x30 ladders (71-77) and loses 1.7-3.6x on the 31x64 and 31x128
+# ladders (188-367).  The nonzero ratio alone does not separate them: the
+# 30x30 ladder ties at 3.84, the graded 50x20 frame wins at 5.55.
+ROW_COST = 50
+
+
+def _fields(flat: list, ids: list, groups) -> np.ndarray:
+    """Columns of the record fields of the elements ids, read as flat, one
+    row per element (a missing field reads NaN).  Raises
+    InvalidParameterError naming the first element that lacks a field of a
+    (message, columns) group."""
+    fields = np.array(flat, dtype=float).reshape(len(ids), -1)
+    for what, columns in groups:
+        missing = np.isnan(fields[:, columns]).any(axis=1)
+        if missing.any():
+            raise InvalidParameterError(f"element {ids[np.argmax(missing)]}: {what}")
+    return fields.T
+
+
+def element_blocks(model: StructuralModel) -> np.ndarray:
+    """(elements, m, m) parameter blocks of a model, element i's block at i.
+
+    Lengths come from the node coordinates and the fields each kind needs
+    from one pass over the records; each element kind then takes one
+    elementwise kernel call.  A non-positive length raises
+    DegenerateElementError and a record lacking a field its kind needs
+    InvalidParameterError, both naming the element.
+    """
+    ends = model.xy[model.element_nodes]
+    delta = ends[:, 1] - ends[:, 0]
+    length = np.hypot(delta[:, 0], delta[:, 1])
+    if not np.all(length > 0.0):
+        bad = int(np.argmin(length > 0.0))
+        raise DegenerateElementError(f"element {bad}: length must be positive, got {length[bad]}")
+    bar, beam, fg = ElementKind.TRUSS_BAR, ElementKind.HOMOGENEOUS_BEAM, ElementKind.FG_BEAM
+    ids = {bar: [], beam: [], fg: []}
+    flat = {bar: [], beam: [], fg: []}
+    coupling = []
+    for i, elem in enumerate(model.elements):
+        sec, mat = elem.section, elem.material
+        ids[elem.kind].append(i)
+        if elem.kind is fg:
+            flat[fg] += (mat.e_us, mat.e_ls, mat.p, sec.width, sec.height)
+            coupling.append(mat.fg_coupling or "exact")
+        elif elem.kind is bar:
+            flat[bar] += (mat.e if mat.e is not None else mat.e0, sec.area)
+        else:
+            flat[beam] += (mat.e if mat.e is not None else mat.e0, sec.area, sec.inertia)
+
+    no_young = "material defines neither e nor e0"
+    m = 2 * model.dofs_per_node - 3
+    blocks = np.zeros((len(length), m, m))
+    if ids[bar]:
+        young, area = _fields(flat[bar], ids[bar], ((no_young, [0]),
+                                                    ("bar section needs area", [1])))
+        blocks[ids[bar], 0, 0] = bar_parameters(young, area, length[ids[bar]])
+    if ids[beam]:
+        young, area, inertia = _fields(
+            flat[beam], ids[beam],
+            ((no_young, [0]), ("beam section needs area and inertia", [1, 2])))
+        blocks[ids[beam]] = beam_parameter_matrix(young, area, inertia, length[ids[beam]])
+    if ids[fg]:
+        e_us, e_ls, p, width, height = _fields(
+            flat[fg], ids[fg],
+            (("graded material needs e_us, e_ls and p", [0, 1, 2]),
+             ("graded section needs width and height", [3, 4])))
+        constants = fg_section_constants(height, p, e_us, e_ls, coupling=np.array(coupling))
+        blocks[ids[fg]] = fg_beam_parameter_matrix(width, constants, length[ids[fg]])
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -124,21 +195,21 @@ def _rows(ids: np.ndarray, m: int) -> np.ndarray:
 
 
 def assemble_parameters(model: StructuralModel) -> GlobalDecomposition:
-    """Element blocks and extended mode rows restricted to free DOFs."""
-    m = 2 * model.dofs_per_node - 3
-    blocks, rows, cols, data = [], [], [], []
+    """Element blocks (element_blocks) and extended mode rows restricted to
+    free DOFs, the rows formed element by element."""
+    blocks = element_blocks(model)
+    m = blocks.shape[1]
+    rows, cols, data = [], [], []
     for i, elem in enumerate(model.elements):
-        dec = element_decomposition(model, elem)
-        blocks.append(dec.k_params)
         dofs = model.element_dofs(elem)
         free = dofs >= 0
         rows.append(np.repeat(np.arange(m) + m * i, np.count_nonzero(free)))
         cols.append(np.tile(dofs[free], m))
-        data.append(dec.c_global[:, free].ravel())
+        data.append(mode_rows(m, *model.geometry(elem))[:, free].ravel())
     c = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m * len(blocks), model.n))
-    return GlobalDecomposition(np.array(blocks).reshape(-1, m, m), c)
+    return GlobalDecomposition(blocks, c)
 
 
 def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
@@ -197,8 +268,9 @@ class SystemPartition:
     Instances are immutable; solves through the factorization do not mutate
     visible state.
 
-    c_s is read only by reduced_gram; every other C_s product goes through
-    apply_c_s / apply_c_s_t and the basis factorization.
+    Every C_s product outside reduced_gram goes through apply_c_s /
+    apply_c_s_t, which multiply by the stored c_s when c_s_stored holds and
+    solve with the basis factorization otherwise.
     """
 
     basis_ids: np.ndarray
@@ -226,12 +298,24 @@ class SystemPartition:
         """Apply C_b^-T."""
         return self.c_b_lu.solve(v, trans="T")
 
+    @property
+    def c_s_stored(self) -> bool:
+        """Whether apply_c_s and apply_c_s_t multiply by the stored c_s rather
+        than solve with C_b: when c_s has at most as many nonzeros as the C_b
+        factors plus ROW_COST per row.  Only topology decides, so a partition,
+        its updates and its preconditioner take the same route."""
+        return self.c_s.nnz <= self.c_b_lu.nnz + ROW_COST * self.n
+
     def apply_c_s(self, v: np.ndarray) -> np.ndarray:
         """Apply C_s = C_a C_b^-1 to an n-vector."""
+        if self.c_s_stored:
+            return self.c_s @ v
         return self.c_a @ self.solve_c_b(v)
 
     def apply_c_s_t(self, x: np.ndarray) -> np.ndarray:
         """Apply C_s^T = C_b^-T C_a^T to a q-vector."""
+        if self.c_s_stored:
+            return self.c_s.T @ x
         return self.solve_c_b_t(self.c_a.T @ x)
 
     def with_blocks(self, blocks: np.ndarray) -> "SystemPartition":
@@ -350,8 +434,8 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     """Build and factorize the basis/additional partition of a model.
 
     The basis parameter count must equal the number of free DOFs.  The sparse
-    influence matrix C_s (for reduced_gram) is built here, eagerly, by
-    level-scheduled triangular solves with the factors of the basis LU.
+    influence matrix C_s is built here, eagerly, by level-scheduled
+    triangular solves with the factors of the basis LU.
     """
     n_elements = len(model.elements)
     ids = np.fromiter(spec.additional_ids, dtype=np.int64, count=len(spec.additional_ids))
@@ -410,8 +494,7 @@ def update_partition(partition: SystemPartition, model: StructuralModel) -> Syst
     parameter blocks (and their blockwise inverses) are rebuilt.
     """
     _check_topology(partition, model)
-    return partition.with_blocks(
-        np.stack([element_decomposition(model, elem).k_params for elem in model.elements]))
+    return partition.with_blocks(element_blocks(model))
 
 
 def reduced_rhs(partition: SystemPartition, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,8 +509,12 @@ def reduced_rhs(partition: SystemPartition, r: np.ndarray) -> tuple[np.ndarray, 
 
 
 def reduced_apply(partition: SystemPartition, x: np.ndarray) -> np.ndarray:
-    """Apply the reduced operator K_La^-1 + C_s K_Lb^-1 C_s^T as mat-vec chains,
-    two sparse solves with the basis factorization per call."""
+    """Apply the reduced operator K_La^-1 + C_s K_Lb^-1 C_s^T as mat-vec chains.
+
+    A call costs two block-diagonal products plus, where c_s_stored holds,
+    one product with the stored C_s and one with its transpose, and
+    otherwise two sparse solves with the basis factorization and two
+    products with C_a."""
     h = partition.k_lb_inv @ partition.apply_c_s_t(x)
     return partition.k_la_inv @ x + partition.apply_c_s(h)
 

@@ -9,7 +9,12 @@ parameter matrices of homogeneous and depth-graded beams take their closed
 forms; do not renormalize the rows.
 
 The bar and beam formulas live only here: the Newton driver takes its bar
-lengths, axial rows and 2EA/L from bar_rows and bar_parameters.
+lengths, axial rows and 2EA/L from bar_rows and bar_parameters.  The
+parameter kernels (bar_parameters, beam_parameter_matrix,
+fg_section_constants, fg_beam_parameter_matrix) take scalars or arrays
+elementwise, so assembly.element_blocks makes one call per element kind;
+the *_decomposition functions are their one-element forms.  Both give the
+same blocks bitwise: the kernels use only +, -, * and /, never a power.
 """
 
 from __future__ import annotations
@@ -42,12 +47,8 @@ class ElementDecomposition:
 
     @property
     def c_global(self) -> np.ndarray:
-        """Unit-norm mode rows in global axes: the bar's axial row, or
-        beam_mode_rows for a beam."""
-        if self.m == 1:
-            c, s = np.cos(self.angle), np.sin(self.angle)
-            return np.array([[-c, -s, c, s]]) / SQRT2
-        return beam_mode_rows(self.length, self.angle)
+        """Unit-norm mode rows in global axes (mode_rows)."""
+        return mode_rows(self.m, self.length, self.angle)
 
     def stiffness(self) -> np.ndarray:
         """Reconstruct the global element stiffness C^T K_L C, symmetrized."""
@@ -56,13 +57,23 @@ class ElementDecomposition:
         return 0.5 * (s + s.T)
 
 
+def mode_rows(m: int, length: float, angle: float) -> np.ndarray:
+    """Unit-norm m x nd mode rows in global axes of an element with m modes:
+    the bar's axial row (m = 1), or beam_mode_rows (m = 3)."""
+    if m == 1:
+        c, s = np.cos(angle), np.sin(angle)
+        return np.array([[-c, -s, c, s]]) / SQRT2
+    return beam_mode_rows(length, angle)
+
+
 @dataclass(frozen=True)
 class FgSectionConstants:
     """Depth-integrated modulus moments of a power-law graded section.
 
     Per unit width: a_e = int E(y) dy, b_e = int E(y) y dy (membrane-bending
     coupling), d_e = int E(y) y^2 dy, with y in [-h/2, h/2] and E(y) the
-    power-law profile between the lower- and upper-surface moduli.
+    power-law profile between the lower- and upper-surface moduli.  The
+    fields are arrays when fg_section_constants was called elementwise.
     """
 
     a_e: float
@@ -98,23 +109,31 @@ def truss_decomposition(length: float, angle: float, young: float, area: float) 
     return ElementDecomposition(np.array([[bar_parameters(young, area, length)]]), length, angle)
 
 
-def beam_parameter_matrix(young: float, area: float, inertia: float, length: float) -> np.ndarray:
-    """Stiffness parameters of a homogeneous Euler-Bernoulli beam element.
+def beam_parameter_matrix(young, area, inertia, length) -> np.ndarray:
+    """Stiffness parameters of a homogeneous Euler-Bernoulli beam element,
+    for scalars (a 3 x 3 matrix) or arrays elementwise (a (..., 3, 3) stack).
 
     Returns diag(2EAL^2, 2EIL^2, 6EI(L^2 + 4)) / L^3.  The L^2 + 4 term mixes
     units; it is exact for the unit-norm mode rows below with L expressed in cm
     (results are length-unit dependent by construction).
     """
-    if length <= 0.0:
-        raise DegenerateElementError(f"beam length must be positive, got {length}")
-    if young <= 0.0 or area <= 0.0 or inertia <= 0.0:
+    if np.any(length <= 0.0):
+        raise DegenerateElementError(f"beam length must be positive, got {np.min(length)}")
+    if np.any((young <= 0.0) | (area <= 0.0) | (inertia <= 0.0)):
         raise InvalidParameterError("young, area and inertia must be positive")
     l2 = length * length
-    return np.diag([
-        2.0 * young * area / length,
-        2.0 * young * inertia / length,
-        6.0 * young * inertia * (l2 + 4.0) / length**3,
-    ])
+    return _diagonal_blocks(2.0 * young * area / length,
+                            2.0 * young * inertia / length,
+                            6.0 * young * inertia * (l2 + 4.0) / (l2 * length))
+
+
+def _diagonal_blocks(*diagonal) -> np.ndarray:
+    """(..., k, k) stack of diagonal matrices from k broadcastable diagonals."""
+    diagonal = np.broadcast_arrays(*diagonal)
+    out = np.zeros(diagonal[0].shape + (len(diagonal),) * 2)
+    for i, entry in enumerate(diagonal):
+        out[..., i, i] = entry
+    return out
 
 
 def beam_mode_rows(length: float, angle: float = 0.0) -> np.ndarray:
@@ -146,9 +165,10 @@ def beam_decomposition(length: float, angle: float, young: float, area: float,
                                 length, angle)
 
 
-def fg_section_constants(height: float, exponent: float, e_upper: float,
-                         e_lower: float, coupling: str = "exact") -> FgSectionConstants:
-    """Closed-form modulus moments of the power-law depth profile.
+def fg_section_constants(height, exponent, e_upper, e_lower,
+                         coupling="exact") -> FgSectionConstants:
+    """Closed-form modulus moments of the power-law depth profile, for
+    scalars or arrays elementwise (coupling too may be an array).
 
     E(y) = (E_upper - E_lower) (y/h + 1/2)^p + E_lower.  With coupling="exact"
     the coupling moment carries a factor p, so p = 0 (uniformly E_upper) gives
@@ -157,44 +177,46 @@ def fg_section_constants(height: float, exponent: float, e_upper: float,
     reproduces published benchmark solutions computed with the simplified
     constant (the two coincide at p = 1).
     """
-    if height <= 0.0:
-        raise InvalidParameterError(f"section height must be positive, got {height}")
-    if exponent < 0.0:
-        raise InvalidParameterError(f"power-law exponent must be >= 0, got {exponent}")
-    if e_upper <= 0.0 or e_lower <= 0.0:
+    if np.any(height <= 0.0):
+        raise InvalidParameterError(f"section height must be positive, got {np.min(height)}")
+    if np.any(exponent < 0.0):
+        raise InvalidParameterError(f"power-law exponent must be >= 0, got {np.min(exponent)}")
+    if np.any((e_upper <= 0.0) | (e_lower <= 0.0)):
         raise InvalidParameterError("surface moduli must be positive")
-    if coupling not in ("exact", "simplified"):
+    exact = coupling == "exact"
+    if not np.all(exact | (coupling == "simplified")):
         raise InvalidParameterError(f"unknown coupling convention {coupling!r}")
     p = exponent
+    h2 = height * height
+    h3 = h2 * height
     a_e = height * (e_upper + p * e_lower) / (p + 1.0)
-    factor = p if coupling == "exact" else 1.0
-    b_e = height**2 * factor * (e_upper - e_lower) / (2.0 * (p + 1.0) * (p + 2.0))
-    d_us = height**3 * (p * p + p + 2.0) / (4.0 * (p + 1.0) * (p + 2.0) * (p + 3.0))
-    d_e = d_us * e_upper + (height**3 / 12.0 - d_us) * e_lower
+    factor = np.where(exact, p, 1.0)
+    b_e = h2 * factor * (e_upper - e_lower) / (2.0 * (p + 1.0) * (p + 2.0))
+    d_us = h3 * (p * p + p + 2.0) / (4.0 * (p + 1.0) * (p + 2.0) * (p + 3.0))
+    d_e = d_us * e_upper + (h3 / 12.0 - d_us) * e_lower
     return FgSectionConstants(a_e, b_e, d_e)
 
 
-def fg_beam_parameter_matrix(width: float, constants: FgSectionConstants,
-                             length: float) -> np.ndarray:
-    """Stiffness parameters of a depth-graded beam element.
+def fg_beam_parameter_matrix(width, constants: FgSectionConstants, length) -> np.ndarray:
+    """Stiffness parameters of a depth-graded beam element, for scalars (a
+    3 x 3 matrix) or arrays elementwise (a (..., 3, 3) stack).
 
     [[ 2 a b/L, -2 b_e b/L,        0],
      [-2 b_e b/L,  2 d b/L,        0],
      [        0,        0, 6 (L^2+4) d b / L^3]]
     The off-diagonal entry couples axial stretch and symmetric bending.
     """
-    if width <= 0.0 or length <= 0.0:
+    if np.any((width <= 0.0) | (length <= 0.0)):
         raise DegenerateElementError("width and length must be positive")
     a_e, b_e, d_e = constants.a_e, constants.b_e, constants.d_e
-    if a_e <= 0.0 or d_e <= 0.0 or a_e * d_e <= b_e * b_e:
+    if np.any((a_e <= 0.0) | (d_e <= 0.0) | (a_e * d_e <= b_e * b_e)):
         raise InvalidMaterialError(
             f"section moments not positive definite: a={a_e}, b={b_e}, d={d_e}")
     l2 = length * length
-    return np.array([
-        [2.0 * a_e * width / length, -2.0 * b_e * width / length, 0.0],
-        [-2.0 * b_e * width / length, 2.0 * d_e * width / length, 0.0],
-        [0.0, 0.0, 6.0 * (l2 + 4.0) * d_e * width / length**3],
-    ])
+    out = _diagonal_blocks(2.0 * a_e * width / length, 2.0 * d_e * width / length,
+                           6.0 * (l2 + 4.0) * d_e * width / (l2 * length))
+    out[..., 0, 1] = out[..., 1, 0] = -2.0 * b_e * width / length
+    return out
 
 
 def fg_beam_local_stiffness(width: float, constants: FgSectionConstants,

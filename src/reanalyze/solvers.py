@@ -8,13 +8,16 @@ with the factorized original stiffness.  All paths return a uniform
 SolveReport and, per the operation-count model, evaluate strictly as
 matrix-vector chains with the operator applied once per iteration.
 
-SRI is matrix-free: its operator applies C_s through the sparse basis
-factorization, and its preconditioner inverts the original reduced operator
-through the Woodbury identity with the sparse LU of the original stiffness.
-An SRI iteration makes two solves with the basis factorization and one with
-the original stiffness's factor; the first preconditioner apply of a solve
-adds one refinement step (two more basis solves and one more stiffness
-solve).
+SRI never forms the reduced operator: it applies C_s by the route its
+partition takes (SystemPartition.c_s_stored), and its preconditioner
+inverts the original reduced operator through the Woodbury identity with
+the sparse LU of the original stiffness.  An SRI iteration makes one solve
+with the original stiffness's factor plus one operator apply: where C_s
+is sparse (frames, small ladders), a product with the stored C_s and one
+with its transpose; otherwise (larger ladders, whose C_s fills in), two
+solves with the basis factorization.  The first
+preconditioner apply of a solve adds one refinement step (one more
+operator apply and one more stiffness solve).
 FDP forms the dense q x q operator from the sparse influence matrix
 (reduced_gram) and factors it in place; the nonlinear "reduction" backend
 is solve_fdp on the tangent partition.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from reanalyze.assembly import (
 )
 from reanalyze.errors import (
     BasisUnstableError,
+    DegenerateElementError,
     InvalidParameterError,
     NotDeterminateError,
     UnstableStructureError,
@@ -57,6 +59,13 @@ def small_models():
     ]
 
 
+def with_sections(model, section):
+    """The model with every element's section replaced."""
+    elems = [dataclasses.replace(e, section=section) for e in model.elements]
+    return StructuralModel(list(model.nodes), elems, model.supports, list(model.loads),
+                           model.meta)
+
+
 class TestAssembleGlobal:
     def test_single_bar_reduces_to_scalar(self):
         nodes = [Node(0, 0.0, 0.0), Node(1, 1.0, 0.0)]
@@ -82,15 +91,25 @@ class TestAssembleGlobal:
     def test_incomplete_material_is_reported(self):
         # documents can carry a graded element whose material lacks the
         # exponent; the error must be a package error, not a TypeError
-        import dataclasses
-        from reanalyze.assembly import element_decomposition
-        from reanalyze.errors import InvalidParameterError
         fg = MaterialSpec(e_us=2e4, e_ls=2e4, p=1.0)
         model = build_frame_grid(1, 1, material=fg)
+        part = make_partition(model, default_additional_set(model))
         broken = model.replace_materials(
             {e.id: dataclasses.replace(e.material, p=None) for e in model.elements})
-        with pytest.raises(InvalidParameterError):
-            element_decomposition(broken, broken.elements[0])
+        with pytest.raises(InvalidParameterError,
+                           match="element 0: graded material needs e_us, e_ls and p"):
+            update_partition(part, broken)
+
+    @pytest.mark.parametrize("material, section, message", [
+        (MaterialSpec(e=2e4), SectionSpec(area=300.0), "beam section needs area and inertia"),
+        (MaterialSpec(e_us=2e4, e_ls=2e4, p=1.0), SectionSpec(height=30.0),
+         "graded section needs width and height"),
+    ], ids=["beam-inertia", "graded-width"])
+    def test_incomplete_section_is_reported(self, material, section, message):
+        model = build_frame_grid(1, 1, material=material)
+        part = make_partition(model, default_additional_set(model))
+        with pytest.raises(InvalidParameterError, match=f"element 0: {message}"):
+            update_partition(part, with_sections(model, section))
 
     def test_singular_detection(self):
         # two collinear bars in series loaded transversally: mechanism
@@ -121,6 +140,100 @@ class TestAssembleParameters:
         model = build_truss_grid(2, 2)
         dec = assemble_parameters(model)
         assert dec.c.shape == (len(model.elements), model.n)
+
+
+def graded_frame():
+    """The graded 50 x 20 frame of the frame-lowrank benchmark workload."""
+    return apply_floor_grading(build_frame_grid(50, 20), 4000.0, 36000.0, "E")
+
+
+def scalar_blocks(model):
+    """Parameter blocks from the one-element decompositions, element by element."""
+    out = []
+    for elem in model.elements:
+        length, angle = model.geometry(elem)
+        sec, mat = elem.section, elem.material
+        if elem.kind is ElementKind.TRUSS_BAR:
+            dec = elements.truss_decomposition(length, angle, mat.elastic_modulus, sec.area)
+        elif elem.kind is ElementKind.HOMOGENEOUS_BEAM:
+            dec = elements.beam_decomposition(length, angle, mat.elastic_modulus, sec.area,
+                                              sec.inertia)
+        else:
+            constants = elements.fg_section_constants(
+                sec.height, mat.p, mat.e_us, mat.e_ls, coupling=mat.fg_coupling or "exact")
+            dec = elements.fg_beam_decomposition(length, angle, sec.width, constants)
+        out.append(dec.k_params)
+    return np.stack(out)
+
+
+def mixed_beams():
+    """A graded frame whose first-floor columns are homogeneous beams."""
+    fg = MaterialSpec(e_us=26000.0, e_ls=14000.0, p=2.0)
+    model = build_frame_grid(3, 2, n_sb=2, material=fg)
+    elems = [dataclasses.replace(e, kind=ElementKind.HOMOGENEOUS_BEAM,
+                                 material=MaterialSpec(e=21000.0 + e.id))
+             if e.tag.kind == "column" and e.tag.floor == 1 else e
+             for e in model.elements]
+    return StructuralModel(list(model.nodes), elems, model.supports, list(model.loads),
+                           model.meta)
+
+
+def fg_frame(coupling):
+    return build_frame_grid(4, 3, n_sb=2, material=MaterialSpec(
+        e_us=26000.0, e_ls=14000.0, p=0.0, fg_coupling=coupling))
+
+
+class TestElementBlocks:
+    @pytest.mark.parametrize("build", [
+        lambda: build_truss_grid(7, 16),
+        graded_frame,
+        lambda: fg_frame("exact"),
+        lambda: fg_frame("simplified"),
+        mixed_beams,
+    ], ids=["ladder-7x16", "graded-frame-50x20", "fg-exact-p0", "fg-simplified-p0",
+            "mixed-beams"])
+    def test_equal_to_scalar_decompositions(self, build):
+        model = build()
+        kinds = {e.kind for e in model.elements}
+        assert len(kinds) == (2 if build is mixed_beams else 1)
+        assert np.array_equal(assembly.element_blocks(model), scalar_blocks(model))
+
+    @pytest.mark.parametrize("build", [
+        lambda: apply_floor_grading(build_frame_grid(6, 4), 4000.0, 36000.0, "E"),
+        mixed_beams,
+    ], ids=["graded-frame", "mixed-beams"])
+    def test_update_equals_fresh_partition_bitwise(self, build):
+        # a campaign's self-reanalysis takes exactly one SRI iteration only
+        # if updating a partition to its own model changes nothing
+        orig = build()
+        part0 = make_partition(orig, default_additional_set(orig))
+        updated = update_partition(part0, orig)
+        for name in ("k_lb", "k_lb_inv", "k_la", "k_la_inv"):
+            a, b = getattr(updated, name), getattr(part0, name)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr)), (name, attr)
+
+    @pytest.mark.parametrize("build, moved, onto", [
+        (lambda: build_truss_grid(2, 2), 4, 1),
+        (lambda: build_frame_grid(2, 1, n_sb=2), 6, 3),
+    ], ids=["truss", "frame"])
+    def test_coincident_nodes_are_degenerate(self, build, moved, onto):
+        # two distinct nodes at one point: the element between them has no
+        # length, and no division by it may warn before the error
+        model = build()
+        part = make_partition(model, default_additional_set(model))
+        nodes = list(model.nodes)
+        nodes[moved] = Node(moved, nodes[onto].x, nodes[onto].y)
+        broken = StructuralModel(nodes, list(model.elements), model.supports,
+                                 list(model.loads), model.meta)
+        assert any({e.node_i, e.node_j} == {moved, onto} for e in broken.elements)
+        recorded = dataclasses.replace(part, node_xy=broken.xy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateElementError, match="length must be positive"):
+                make_partition(broken, default_additional_set(broken))
+            with pytest.raises(DegenerateElementError, match="length must be positive"):
+                update_partition(recorded, broken)
 
 
 class TestMakePartition:
@@ -448,6 +561,36 @@ class TestInfluenceMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 55 * 2**20
+
+
+class TestCsRoute:
+    @pytest.mark.parametrize("build", [lambda: build_truss_grid(7, 16), graded_frame],
+                             ids=["ladder-7x16", "graded-frame-50x20"])
+    def test_routes_agree(self, build, monkeypatch):
+        model = build()
+        part = make_partition(model, default_additional_set(model))
+        rng = np.random.default_rng(3)
+        v, x = rng.standard_normal(part.n), rng.standard_normal(part.q)
+        out = {}
+        for row_cost in (-float("inf"), float("inf")):
+            monkeypatch.setattr(assembly, "ROW_COST", row_cost)
+            out[part.c_s_stored] = part.apply_c_s(v), part.apply_c_s_t(x)
+        assert set(out) == {False, True}
+        for via_c_b, stored in zip(out[False], out[True]):
+            assert rel_err(stored, via_c_b) < 1e-12
+
+    @pytest.mark.parametrize("build, stored", [
+        (graded_frame, True),
+        (lambda: build_truss_grid(31, 64), False),
+        (lambda: build_truss_grid(30, 30), False),
+    ], ids=["graded-frame-50x20", "ladder-31x64", "ladder-30x30"])
+    def test_route_by_topology(self, build, stored):
+        model = build()
+        part = make_partition(model, default_additional_set(model))
+        assert part.c_s_stored is stored
+        graded = update_partition(part, model.replace_materials(
+            {0: dataclasses.replace(model.elements[0].material, e=1234.0)}))
+        assert graded.c_s_stored is stored
 
 
 class TestReducedGram:

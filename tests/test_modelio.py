@@ -6,6 +6,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+from reanalyze.assembly import assemble_global
+from reanalyze.errors import InvalidParameterError
 from reanalyze.model import MaterialSpec, build_frame_grid, build_truss_grid, default_additional_set
 from reanalyze.modelio import from_document, load_model, save_model, schema, to_document
 from reanalyze.solvers import solve_conventional
@@ -59,9 +61,19 @@ class TestSchemaEnforcement:
         model = build_truss_grid(1, 1)
         doc = to_document(model)
         doc["partition"] = {"additional_ids": [99]}
-        from reanalyze.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError):
             from_document(doc)
+
+    def test_bar_without_area_is_a_package_error(self, tmp_path):
+        # the schema and the model accept a bar section without an area;
+        # assembly must then name the element, not fail on 2 E None / L
+        doc = to_document(build_truss_grid(2, 2))
+        del doc["elements"][3]["section"]["area"]
+        path = tmp_path / "no_area.json"
+        path.write_text(json.dumps(doc))
+        model, _ = load_model(path)
+        with pytest.raises(InvalidParameterError, match="element 3: bar section needs area"):
+            assemble_global(model)
 
     def test_load_reports_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
