@@ -12,7 +12,8 @@ additional components (q stiffness parameters) turns K d = R into a q x q
 system on the additional-component deformation forces.  Everything topological
 (C_b factorization, C_a, the sparse influence matrix C_s = C_a C_b^-1) is
 invariant under material modification and is shared between the original and
-any modified partition; only the block-diagonal parameter matrices are rebuilt.
+any modified partition; only the parameter blocks and their blockwise
+inverses are rebuilt.
 
 element_blocks builds the parameter blocks of all elements array-wise, one
 elementwise kernel call per element kind; make_partition, update_partition
@@ -25,14 +26,11 @@ level-scheduled triangular solves with the L and U factors of the basis LU:
 each factor is reordered once so that its dependency levels are contiguous,
 and each level is one sparse-times-dense product on a block of C_a^T
 columns.  The build forms no dense array larger than a _SLAB_BYTES block,
-and no dense n x q array is kept anywhere.  The reduced right-hand side,
-operator and displacement recovery apply C_s v and C_s^T x through
-SystemPartition.apply_c_s / apply_c_s_t, which take one of two routes by
-topology alone: a product with the stored C_s where it is sparse enough
-(frames), else C_a (C_b^-1 v) and C_b^-T (C_a^T x) through the basis
-factorization (ladders, whose C_s fills in).  reduced_gram forms the dense
-q x q matrix that the direct low-rank path and the tangent reduction
-backend need by definition from the stored C_s.
+and no dense n x q array is kept anywhere.  Every product with C_s (the
+reduced right-hand side, operator, displacement recovery and the dense
+q x q Gram matrix that the direct low-rank path and the tangent reduction
+backend need by definition) takes the route SystemPartition.c_s_stored
+picks.
 """
 
 from __future__ import annotations
@@ -69,27 +67,24 @@ from .model import ElementKind, PartitionSpec, StructuralModel
 # Relative pivot threshold below which the basis mode matrix counts as singular.
 PIVOT_TOL = 1e-10
 
-# reduced_gram forms G as a sparse product when that takes fewer than this
-# share of the dense product's n q^2 multiply-adds.  Measured crossover ~1e-2:
-# the sparse product wins at 3.5e-4 and 4.4e-3 (frames), BLAS syrk at 4.1e-2
-# and above (ladders).
-SPARSE_GRAM_SHARE = 1e-2
-
 # Bytes of one dense slab: a row slab of L^T C_s^T in the syrk Gram builder,
 # a column block of C_a^T in the influence-matrix build.
 _SLAB_BYTES = 1 << 24
 
 
-# apply_c_s and apply_c_s_t multiply by the stored C_s when it has at most
-# as many nonzeros as the basis LU factors plus ROW_COST per basis row, and
-# solve with C_b otherwise: a SuperLU solve costs about as much as a sparse
-# product over its factors' nonzeros plus ROW_COST entries per row.  Timed
-# as one C_s v plus one C_s^T x on one BLAS thread, the stored product wins
-# 1.5-2.7x on the 50x20 frames (n_sb = 1, 2, 4), c08's 10x20 frame and the
-# 7x16 ladder, where (nnz(C_s) - nnz(LU)) / n is 7-44; it ties on the 15x30
-# and 30x30 ladders (71-77) and loses 1.7-3.6x on the 31x64 and 31x128
-# ladders (188-367).  The nonzero ratio alone does not separate them: the
-# 30x30 ladder ties at 3.84, the graded 50x20 frame wins at 5.55.
+# SystemPartition.c_s_stored counts C_s as sparse when it has at most as
+# many nonzeros as the basis LU factors plus ROW_COST per basis row: a
+# SuperLU solve costs about as much as a sparse product over its factors'
+# nonzeros plus ROW_COST entries per row.  Timed as one C_s v plus one
+# C_s^T x on one BLAS thread, the stored product wins 1.5-2.7x on the 50x20
+# frames (n_sb = 1, 2, 4), c08's 10x20 frame and the 7x16 ladder, where
+# (nnz(C_s) - nnz(LU)) / n is 7-44; it ties on the 15x30 and 30x30 ladders
+# (71-77) and loses 1.7-3.6x on the 31x64 and 31x128 ladders (188-367).  The
+# nonzero ratio alone does not separate them: the 30x30 ladder ties at 3.84,
+# the graded 50x20 frame wins at 5.55.  The Gram matrix of reduced_gram
+# crosses over in the same place: as a share of the dense product's n q^2
+# multiply-adds, its sparse product won at 3.5e-4 and 4.4e-3 (frames), BLAS
+# syrk at 4.1e-2 and above (ladders).
 ROW_COST = 50
 
 
@@ -158,28 +153,6 @@ def element_blocks(model: StructuralModel) -> np.ndarray:
     return blocks
 
 
-@dataclass(frozen=True)
-class GlobalDecomposition:
-    """Parameter blocks and stacked global mode rows of a whole structure.
-
-    Every element of a model has the same block size m (1 for bars, 3 for
-    beams): blocks is the (elements, m, m) array of parameter matrices and c
-    the (elements m) x n sparse matrix of extended mode rows, element i's rows
-    being m i ... m i + m - 1.
-    """
-
-    blocks: np.ndarray
-    c: sp.csr_matrix
-
-    @property
-    def total_params(self) -> int:
-        return self.c.shape[0]
-
-    def k_l(self) -> sp.csr_matrix:
-        """Block-diagonal parameter matrix of the whole structure."""
-        return _block_diag(self.blocks)
-
-
 def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
     """Block-diagonal matrix of a (k, m, m) block array, built directly in
     CSR form: each row is m consecutive entries of blocks.ravel()."""
@@ -194,9 +167,11 @@ def _rows(ids: np.ndarray, m: int) -> np.ndarray:
     return (m * ids[:, None] + np.arange(m)).ravel()
 
 
-def assemble_parameters(model: StructuralModel) -> GlobalDecomposition:
-    """Element blocks (element_blocks) and extended mode rows restricted to
-    free DOFs, the rows formed element by element."""
+def assemble_parameters(model: StructuralModel) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The (elements, m, m) parameter blocks (element_blocks) and the
+    (elements m) x n sparse matrix c of extended mode rows restricted to free
+    DOFs, element i's rows being m i ... m i + m - 1; the rows are formed
+    element by element."""
     blocks = element_blocks(model)
     m = blocks.shape[1]
     rows, cols, data = [], [], []
@@ -209,7 +184,7 @@ def assemble_parameters(model: StructuralModel) -> GlobalDecomposition:
     c = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m * len(blocks), model.n))
-    return GlobalDecomposition(blocks, c)
+    return blocks, c
 
 
 def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
@@ -223,8 +198,8 @@ def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
 
 def assemble_global(model: StructuralModel) -> sp.csr_matrix:
     """Assembled free-DOF stiffness matrix K = C^T K_L C."""
-    dec = assemble_parameters(model)
-    return stiffness(dec.c, dec.k_l())
+    blocks, c = assemble_parameters(model)
+    return stiffness(c, _block_diag(blocks))
 
 
 def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *, symmetric: bool):
@@ -259,18 +234,15 @@ class SystemPartition:
 
     Topological members (c_b, its factorization and pivot ratio, c_a, the
     sparse influence matrix c_s = C_a C_b^-1 and the model fingerprint
-    element_nodes/node_xy/dof_map) are shared across material updates;
-    k_lb/k_la and their blockwise inverses belong to one material state, and
-    with_blocks gives the same topology under another state.
-    All blocks have the model's one block size m: basis element i owns rows
-    m i ... m i + m - 1 of c_b and k_lb, additional element i those of c_a
-    and k_la.
+    element_nodes/node_xy/dof_map) are shared across material updates.  A
+    material state is the (elements, m, m) parameter blocks, element i's at
+    i, plus the blockwise inverses the reduced operators read: k_lb_inv of
+    the basis blocks, k_la_inv of the additional ones.  with_blocks gives
+    the same topology under another state.  Basis element i owns rows
+    m i ... m i + m - 1 of c_b and k_lb_inv, additional element i those of
+    c_a and k_la_inv.
     Instances are immutable; solves through the factorization do not mutate
-    visible state.
-
-    Every C_s product outside reduced_gram goes through apply_c_s /
-    apply_c_s_t, which multiply by the stored c_s when c_s_stored holds and
-    solve with the basis factorization otherwise.
+    visible state.  Every product with C_s takes the route c_s_stored picks.
     """
 
     basis_ids: np.ndarray
@@ -282,9 +254,8 @@ class SystemPartition:
     basis_pivot_ratio: float  # min|U_ii| / max|U_ii| of the C_b factorization
     c_a: sp.csr_matrix
     c_s: sp.csr_matrix  # (q, n), exact zeros dropped
-    k_lb: sp.csr_matrix
+    blocks: np.ndarray  # (elements, m, m) parameter blocks
     k_lb_inv: sp.csr_matrix
-    k_la: sp.csr_matrix
     k_la_inv: sp.csr_matrix
     element_nodes: np.ndarray  # (elements, 2) end nodes of the partitioned model
     node_xy: np.ndarray  # (nodes, 2) its node coordinates
@@ -300,10 +271,15 @@ class SystemPartition:
 
     @property
     def c_s_stored(self) -> bool:
-        """Whether apply_c_s and apply_c_s_t multiply by the stored c_s rather
-        than solve with C_b: when c_s has at most as many nonzeros as the C_b
-        factors plus ROW_COST per row.  Only topology decides, so a partition,
-        its updates and its preconditioner take the same route."""
+        """The one C_s policy: whether c_s is sparse enough to multiply by,
+        that is, has at most as many nonzeros as the C_b factors plus
+        ROW_COST per row (whose comment gives the measurements).  Where it
+        holds, apply_c_s and apply_c_s_t multiply by the stored c_s and
+        reduced_gram forms the sparse product C_s (K_Lb^-1 C_s^T); otherwise
+        they solve with the basis factorization, and reduced_gram accumulates
+        Y^T Y by BLAS syrk over row slabs of Y = L^T C_s^T, K_Lb^-1 = L L^T
+        blockwise.  Only topology decides, so a partition, its updates and
+        its preconditioner take the same route."""
         return self.c_s.nnz <= self.c_b_lu.nnz + ROW_COST * self.n
 
     def apply_c_s(self, v: np.ndarray) -> np.ndarray:
@@ -321,19 +297,16 @@ class SystemPartition:
     def with_blocks(self, blocks: np.ndarray) -> "SystemPartition":
         """The same topology under the (elements, m, m) parameter blocks."""
         return dataclasses.replace(
-            self, **_parameter_matrices(blocks, self.basis_ids, self.additional_ids))
+            self, **_material_state(blocks, self.basis_ids, self.additional_ids))
 
 
-def _parameter_matrices(blocks: np.ndarray, basis_ids: np.ndarray,
-                        additional_ids: np.ndarray) -> dict[str, sp.csr_matrix]:
-    """K_Lb, K_La and their blockwise inverses, keyed by their SystemPartition
-    field names, from an (elements, m, m) block array."""
-    out = {}
-    for name, ids in (("k_lb", basis_ids), ("k_la", additional_ids)):
-        part = blocks[ids]
-        out[name] = _block_diag(part)
-        out[name + "_inv"] = _block_diag(np.linalg.inv(part))
-    return out
+def _material_state(blocks: np.ndarray, basis_ids: np.ndarray,
+                    additional_ids: np.ndarray) -> dict:
+    """The SystemPartition fields of one material state: the (elements, m, m)
+    parameter blocks and the blockwise inverses K_Lb^-1 and K_La^-1."""
+    return {"blocks": blocks,
+            "k_lb_inv": _block_diag(np.linalg.inv(blocks[basis_ids])),
+            "k_la_inv": _block_diag(np.linalg.inv(blocks[additional_ids]))}
 
 
 def _sparse_rows(a: np.ndarray) -> sp.csr_matrix:
@@ -448,10 +421,10 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     basis_ids = all_ids[~add_mask]
     additional_ids = all_ids[add_mask]
 
-    decomp = assemble_parameters(model)
-    m = decomp.blocks.shape[1]
-    c_b = decomp.c[_rows(basis_ids, m)].tocsc()
-    c_a = decomp.c[_rows(additional_ids, m)]
+    blocks, c = assemble_parameters(model)
+    m = blocks.shape[1]
+    c_b = c[_rows(basis_ids, m)].tocsc()
+    c_a = c[_rows(additional_ids, m)]
     if c_b.shape[0] != model.n:
         raise NotDeterminateError(
             f"basis parameter count {c_b.shape[0]} != free DOFs {model.n}")
@@ -463,7 +436,7 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
         c_b=c_b, c_b_lu=lu, basis_pivot_ratio=pivot_ratio,
         c_a=c_a, c_s=_influence_matrix(lu, c_a),
-        **_parameter_matrices(decomp.blocks, basis_ids, additional_ids),
+        **_material_state(blocks, basis_ids, additional_ids),
         element_nodes=model.element_nodes, node_xy=model.xy, dof_map=model.dof_map)
 
 
@@ -491,7 +464,7 @@ def update_partition(partition: SystemPartition, model: StructuralModel) -> Syst
 
     The model must share the original's free DOFs, elements, end nodes, node
     coordinates and supports (InvalidParameterError otherwise); only the
-    parameter blocks (and their blockwise inverses) are rebuilt.
+    parameter blocks and their blockwise inverses are rebuilt.
     """
     _check_topology(partition, model)
     return partition.with_blocks(element_blocks(model))
@@ -519,43 +492,22 @@ def reduced_apply(partition: SystemPartition, x: np.ndarray) -> np.ndarray:
     return partition.k_la_inv @ x + partition.apply_c_s(h)
 
 
-def gram_multiply_adds(partition: SystemPartition) -> int:
-    """Multiply-adds of the sparse product C_s (K_Lb^-1 C_s^T): the sum over
-    the n columns of C_s of their nonzero count squared, in int64 (on a
-    31 x 128 ladder it passes 2^31)."""
-    counts = np.bincount(partition.c_s.indices, minlength=partition.n).astype(np.int64)
-    return int(counts @ counts)
-
-
-def _block_cholesky(matrix: sp.csr_matrix, m: int) -> sp.csr_matrix:
-    """Block-diagonal lower L with L L^T = matrix, a block-diagonal matrix of
-    m x m blocks; raises UnstableStructureError when a block is not positive
-    definite."""
-    idx = np.arange(matrix.shape[0]).reshape(-1, m)
-    rows = np.repeat(idx, m, axis=1).ravel()
-    cols = np.tile(idx, (1, m)).ravel()
-    blocks = np.asarray(matrix[rows, cols]).reshape(-1, m, m)
-    try:
-        return _block_diag(np.linalg.cholesky(blocks))
-    except np.linalg.LinAlgError as exc:
-        raise UnstableStructureError(
-            f"basis parameter block not positive definite: {exc}") from exc
-
-
 def reduced_gram(partition: SystemPartition) -> np.ndarray:
-    """Dense q x q matrix G = C_s K_Lb^-1 C_s^T, in Fortran order.
-
-    G is the sparse product C_s (K_Lb^-1 C_s^T) when that takes fewer than
-    SPARSE_GRAM_SHARE of the dense product's n q^2 multiply-adds; otherwise
-    it is Y^T Y, accumulated by BLAS syrk over row slabs of Y = L^T C_s^T
-    with K_Lb^-1 = L L^T blockwise.  Neither way forms a dense n x q array.
+    """Dense q x q matrix G = C_s K_Lb^-1 C_s^T, in Fortran order, by the
+    route SystemPartition.c_s_stored picks; neither route forms a dense
+    n x q array.  The syrk route raises UnstableStructureError when a basis
+    parameter block is not positive definite.
     """
     n, q = partition.n, partition.q
     c_s = partition.c_s
-    if gram_multiply_adds(partition) <= SPARSE_GRAM_SHARE * n * q * q:
+    if partition.c_s_stored:
         return (c_s @ (partition.k_lb_inv @ c_s.T)).toarray(order="F")
-    m = n // len(partition.basis_ids)
-    y = (_block_cholesky(partition.k_lb_inv, m).T @ c_s.T).tocsr()
+    try:
+        lower = np.linalg.cholesky(np.linalg.inv(partition.blocks[partition.basis_ids]))
+    except np.linalg.LinAlgError as exc:
+        raise UnstableStructureError(
+            f"basis parameter block not positive definite: {exc}") from exc
+    y = (_block_diag(lower).T @ c_s.T).tocsr()
     gram = np.zeros((q, q), order="F")
     rows = max(_SLAB_BYTES // (8 * q), 1)
     for lo in range(0, n, rows):

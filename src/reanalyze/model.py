@@ -56,8 +56,9 @@ class SectionSpec:
     def __post_init__(self):
         for name in ("area", "inertia", "width", "height"):
             v = getattr(self, name)
-            if v is not None and v <= 0.0:
-                raise InvalidParameterError(f"section {name} must be positive, got {v}")
+            if v is not None and not (math.isfinite(v) and v > 0.0):
+                raise InvalidParameterError(
+                    f"section {name} must be positive and finite, got {v}")
         if self.width is not None and self.height is not None:
             a = self.width * self.height
             i = self.width * self.height**3 / 12.0
@@ -90,6 +91,10 @@ class MaterialSpec:
     fg_coupling: str | None = None  # None/"exact" or "simplified"
 
     def __post_init__(self):
+        for name in ("e", "e_us", "e_ls", "p", "e0", "et", "sigma_y"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise InvalidParameterError(f"material {name} must be finite, got {v}")
         for name in ("e", "e_us", "e_ls", "e0", "sigma_y"):
             v = getattr(self, name)
             if v is not None and v <= 0.0:

@@ -69,8 +69,8 @@ class Bars:
     """Unit mode rows and bilinear material data of a truss model's bars.
 
     c is the (bars, n) matrix of the axial mode rows of elements.bar_rows on
-    the free DOFs: assemble_parameters(model).c, built here from the model's
-    node coordinates and DOF map alone.
+    the free DOFs, the rows assemble_parameters(model) returns, built here
+    from the model's node coordinates and DOF map alone.
     """
 
     c: sp.csr_matrix

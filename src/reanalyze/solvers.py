@@ -8,15 +8,12 @@ with the factorized original stiffness.  All paths return a uniform
 SolveReport and, per the operation-count model, evaluate strictly as
 matrix-vector chains with the operator applied once per iteration.
 
-SRI never forms the reduced operator: it applies C_s by the route its
-partition takes (SystemPartition.c_s_stored), and its preconditioner
-inverts the original reduced operator through the Woodbury identity with
-the sparse LU of the original stiffness.  An SRI iteration makes one solve
-with the original stiffness's factor plus one operator apply: where C_s
-is sparse (frames, small ladders), a product with the stored C_s and one
-with its transpose; otherwise (larger ladders, whose C_s fills in), two
-solves with the basis factorization.  The first
-preconditioner apply of a solve adds one refinement step (one more
+SRI never forms the reduced operator, and its preconditioner inverts the
+original reduced operator through the Woodbury identity with the sparse LU
+of the original stiffness.  An SRI iteration makes one solve with the
+original stiffness's factor plus one operator apply (reduced_apply), whose
+products with C_s take the route SystemPartition.c_s_stored picks.  The
+first preconditioner apply of a solve adds one refinement step (one more
 operator apply and one more stiffness solve).
 FDP forms the dense q x q operator from the sparse influence matrix
 (reduced_gram) and factors it in place; the nonlinear "reduction" backend
@@ -35,6 +32,7 @@ import scipy.sparse as sp
 from . import costmodel
 from .assembly import (
     SystemPartition,
+    _block_diag,
     assemble_global,
     factorize_stiffness,
     reduced_apply,
@@ -170,13 +168,14 @@ class SriPreconditioner:
     def __init__(self, original: SystemPartition, k0_lu, pivot_ratio: float):
         self.q = original.q
         self._original = original
+        self._k_la0 = _block_diag(original.blocks[original.additional_ids])
         self._k0_lu = k0_lu
         self.pivot_ratio = pivot_ratio
 
     def _woodbury(self, v: np.ndarray) -> np.ndarray:
         part = self._original
-        u = part.k_la @ v
-        return u - part.k_la @ (part.c_a @ self._k0_lu.solve(part.c_a.T @ u))
+        u = self._k_la0 @ v
+        return u - self._k_la0 @ (part.c_a @ self._k0_lu.solve(part.c_a.T @ u))
 
     def apply(self, v: np.ndarray, refine: bool = True) -> np.ndarray:
         # W subtracts two nearly equal terms when the additional components
@@ -200,7 +199,8 @@ def build_sri_preconditioner(partition_original: SystemPartition) -> SriPrecondi
     below the threshold factorize_stiffness applies.
     """
     part = partition_original
-    k0 = stiffness(sp.vstack([part.c_b, part.c_a]), sp.block_diag([part.k_lb, part.k_la]))
+    k_l0 = _block_diag(part.blocks[np.concatenate([part.basis_ids, part.additional_ids])])
+    k0 = stiffness(sp.vstack([part.c_b, part.c_a]), k_l0)
     k0_lu, ratio = sparse_lu(k0, UnstableStructureError, "original stiffness", symmetric=True)
     return SriPreconditioner(part, k0_lu, ratio)
 

@@ -90,6 +90,19 @@ def dense_truss_solution(model):
     return np.linalg.solve(dense_stiffness(model), model.load_vector())
 
 
+def parameter_matrices(part):
+    """Dense K_Lb and K_La of a partition, placed block by block from its
+    (elements, m, m) parameter blocks (small models only)."""
+    m = part.blocks.shape[1]
+    out = []
+    for ids in (part.basis_ids, part.additional_ids):
+        k = np.zeros((m * len(ids), m * len(ids)))
+        for j, block in enumerate(part.blocks[ids]):
+            k[m * j:m * j + m, m * j:m * j + m] = block
+        out.append(k)
+    return out
+
+
 def rel_err(actual, expected):
     expected = np.asarray(expected, dtype=float)
     scale = np.max(np.abs(expected))

@@ -12,11 +12,9 @@ import scipy.sparse.linalg as spla
 from reanalyze import assembly, elements
 from reanalyze.assembly import (
     PIVOT_TOL,
-    SPARSE_GRAM_SHARE,
     assemble_global,
     assemble_parameters,
     factorize_stiffness,
-    gram_multiply_adds,
     make_partition,
     reduced_apply,
     reduced_gram,
@@ -44,7 +42,7 @@ from reanalyze.model import (
 )
 from reanalyze.model import ElementKind, ElementRecord, MemberTag
 
-from helpers import dense_stiffness, dense_truss_solution, rel_err
+from helpers import dense_stiffness, dense_truss_solution, parameter_matrices, rel_err
 
 
 def small_models():
@@ -132,14 +130,16 @@ class TestAssembleParameters:
 
     def test_parameter_counts(self):
         truss = build_truss_grid(4, 3)
-        assert assemble_parameters(truss).total_params == len(truss.elements)
+        _, c = assemble_parameters(truss)
+        assert c.shape[0] == len(truss.elements)
         frame = build_frame_grid(3, 2, n_sb=2)
-        assert assemble_parameters(frame).total_params == 3 * len(frame.elements)
+        _, c = assemble_parameters(frame)
+        assert c.shape[0] == 3 * len(frame.elements)
 
     def test_rows_restricted_to_free_dofs(self):
         model = build_truss_grid(2, 2)
-        dec = assemble_parameters(model)
-        assert dec.c.shape == (len(model.elements), model.n)
+        _, c = assemble_parameters(model)
+        assert c.shape == (len(model.elements), model.n)
 
 
 def graded_frame():
@@ -208,7 +208,8 @@ class TestElementBlocks:
         orig = build()
         part0 = make_partition(orig, default_additional_set(orig))
         updated = update_partition(part0, orig)
-        for name in ("k_lb", "k_lb_inv", "k_la", "k_la_inv"):
+        assert np.array_equal(updated.blocks, part0.blocks)
+        for name in ("k_lb_inv", "k_la_inv"):
             a, b = getattr(updated, name), getattr(part0, name)
             for attr in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(a, attr), getattr(b, attr)), (name, attr)
@@ -249,8 +250,8 @@ class TestMakePartition:
         assert part.q == 0
         assert part.c_s.shape == (0, part.n)
         k = assemble_global(model).toarray()
-        k_b = (part.c_b.T @ part.k_lb @ part.c_b).toarray()
-        assert rel_err(k_b, k) < 1e-12
+        k_lb, _ = parameter_matrices(part)
+        assert rel_err(part.c_b.T @ k_lb @ part.c_b, k) < 1e-12
 
     def test_count_mismatch_raises(self):
         model = build_truss_grid(3, 2)
@@ -289,9 +290,9 @@ class TestMakePartition:
         part = make_partition(model, default_additional_set(model))
         assert np.all(np.diff(part.additional_ids) > 0)
         d = np.arange(model.n, dtype=float)
-        dec = assemble_parameters(model)
-        m = dec.blocks.shape[1]
-        stacked = np.concatenate([dec.c[m * i:m * i + m] @ d for i in part.additional_ids])
+        blocks, c = assemble_parameters(model)
+        m = blocks.shape[1]
+        stacked = np.concatenate([c[m * i:m * i + m] @ d for i in part.additional_ids])
         assert np.allclose(part.c_a @ d, stacked)
 
 
@@ -301,12 +302,9 @@ class TestPartitionConsistency:
             spec = default_additional_set(model)
             part = make_partition(model, spec)
             k = assemble_global(model).toarray()
-            k_b = (part.c_b.T @ part.k_lb @ part.c_b).toarray()
-            if part.q:
-                k_a = (part.c_a.T @ part.k_la @ part.c_a).toarray()
-            else:
-                k_a = np.zeros_like(k)
-            assert rel_err(k_b + k_a, k) < 1e-12
+            k_lb, k_la = parameter_matrices(part)
+            k_split = part.c_b.T @ k_lb @ part.c_b + part.c_a.T @ k_la @ part.c_a
+            assert rel_err(k_split, k) < 1e-12
 
     def test_influence_matrix_definition(self):
         model = build_truss_grid(3, 2)
@@ -325,12 +323,14 @@ class TestPartitionConsistency:
         graded = apply_floor_grading(model, 4000.0, 36000.0, "E_US")
         updated = update_partition(make_partition(model, spec), graded)
         fresh = make_partition(graded, spec)
-        for name in ("k_lb", "k_lb_inv", "k_la", "k_la_inv"):
+        assert rel_err(updated.blocks, fresh.blocks) < 1e-14
+        for name in ("k_lb_inv", "k_la_inv"):
             assert rel_err(getattr(updated, name).toarray(),
                            getattr(fresh, name).toarray()) < 1e-14, name
-        identity = (updated.k_lb_inv @ updated.k_lb).toarray()
-        assert rel_err(identity, np.eye(updated.n)) < 1e-12
-        assert np.count_nonzero(updated.k_lb.toarray()[0, 1:3]) == 1  # coupled block
+        k_lb, k_la = parameter_matrices(updated)
+        assert rel_err(updated.k_lb_inv @ k_lb, np.eye(updated.n)) < 1e-12
+        assert rel_err(updated.k_la_inv @ k_la, np.eye(updated.q)) < 1e-12
+        assert np.count_nonzero(k_lb[0, 1:3]) == 1  # coupled block
 
     def test_update_shares_topology(self):
         model = build_truss_grid(3, 2)
@@ -340,8 +340,8 @@ class TestPartitionConsistency:
         assert updated.c_b_lu is part.c_b_lu
         assert updated.c_s is part.c_s
         k = assemble_global(graded).toarray()
-        k_split = (updated.c_b.T @ updated.k_lb @ updated.c_b
-                   + updated.c_a.T @ updated.k_la @ updated.c_a).toarray()
+        k_lb, k_la = parameter_matrices(updated)
+        k_split = updated.c_b.T @ k_lb @ updated.c_b + updated.c_a.T @ k_la @ updated.c_a
         assert rel_err(k_split, k) < 1e-12
 
     def test_update_forms_no_mode_rows(self, monkeypatch):
@@ -454,7 +454,7 @@ class TestReducedOperators:
         r = model.load_vector()
         c_b_inv = np.linalg.inv(part.c_b.toarray())
         c_s = part.c_a.toarray() @ c_b_inv
-        k_lb_inv = np.linalg.inv(part.k_lb.toarray())
+        k_lb_inv = np.linalg.inv(parameter_matrices(part)[0])
         b_oracle = c_s @ k_lb_inv @ c_b_inv.T @ r
         b, _ = reduced_rhs(part, r)
         assert rel_err(b, b_oracle) < 1e-12
@@ -497,7 +497,7 @@ class TestReducedOperators:
             r = model.load_vector()
             d = factorize_stiffness(model).solve(r)
             u_a = part.c_a @ d
-            f_a_expected = part.k_la @ u_a
+            f_a_expected = parameter_matrices(part)[1] @ u_a
             a_mat = reduced_gram(part) + part.k_la_inv.toarray()
             b, _ = reduced_rhs(part, r)
             f_a = np.linalg.solve(a_mat, b)
@@ -563,6 +563,27 @@ class TestInfluenceMatrix:
         assert peak < 55 * 2**20
 
 
+def graded_fg_frame():
+    """A depth-graded frame: its beams' 3x3 parameter blocks couple the
+    axial and bending modes."""
+    return build_frame_grid(3, 2, n_sb=2, n_sc=2,
+                            material=MaterialSpec(e_us=26000.0, e_ls=14000.0, p=2.0))
+
+
+class TestMaterialState:
+    @pytest.mark.parametrize("build", [lambda: build_truss_grid(7, 16), graded_fg_frame],
+                             ids=["ladder-7x16", "graded-fg-frame"])
+    def test_partition_keeps_element_blocks(self, build):
+        orig = build()
+        part = make_partition(orig, default_additional_set(orig))
+        assert np.array_equal(part.blocks, assembly.element_blocks(orig))
+        target = "E" if orig.dofs_per_node == 2 else "E_US"
+        graded = apply_floor_grading(orig, 4000.0, 36000.0, target)
+        updated = update_partition(part, graded)
+        assert np.array_equal(updated.blocks, assembly.element_blocks(graded))
+        assert not np.array_equal(updated.blocks, part.blocks)
+
+
 class TestCsRoute:
     @pytest.mark.parametrize("build", [lambda: build_truss_grid(7, 16), graded_frame],
                              ids=["ladder-7x16", "graded-frame-50x20"])
@@ -574,7 +595,7 @@ class TestCsRoute:
         out = {}
         for row_cost in (-float("inf"), float("inf")):
             monkeypatch.setattr(assembly, "ROW_COST", row_cost)
-            out[part.c_s_stored] = part.apply_c_s(v), part.apply_c_s_t(x)
+            out[part.c_s_stored] = part.apply_c_s(v), part.apply_c_s_t(x), reduced_gram(part)
         assert set(out) == {False, True}
         for via_c_b, stored in zip(out[False], out[True]):
             assert rel_err(stored, via_c_b) < 1e-12
@@ -593,33 +614,38 @@ class TestCsRoute:
         assert graded.c_s_stored is stored
 
 
+def c_b_ladder():
+    """A ladder whose C_s fills in past ROW_COST, so it takes the C_b route."""
+    return build_truss_grid(15, 30)
+
+
 class TestReducedGram:
-    @pytest.mark.parametrize("model,sparse_path", [
-        (build_frame_grid(20, 8), True),
-        (apply_floor_grading(build_frame_grid(10, 6, n_sb=2), 4000.0, 36000.0, "E"), False),
-        (build_truss_grid(7, 16), False),
-    ], ids=["frame-sparse", "frame-syrk", "ladder-syrk"])
-    def test_matches_definition(self, model, sparse_path):
+    @pytest.mark.parametrize("build, row_cost, stored", [
+        (lambda: build_frame_grid(20, 8), None, True),
+        (lambda: build_truss_grid(7, 16), None, True),
+        (c_b_ladder, None, False),
+        (graded_fg_frame, -float("inf"), False),
+    ], ids=["frame-sparse", "ladder-sparse", "ladder-syrk", "frame-syrk"])
+    def test_matches_definition(self, build, row_cost, stored, monkeypatch):
+        # "sparse" is the stored route's sparse product, "syrk" the C_b
+        # route's; frame-syrk forces the C_b route, so that coupled 3x3
+        # blocks go through the blockwise Cholesky
+        if row_cost is not None:
+            monkeypatch.setattr(assembly, "ROW_COST", row_cost)
+        model = build()
         part = make_partition(model, default_additional_set(model))
-        share = gram_multiply_adds(part) / (part.n * part.q**2)
-        assert (share <= SPARSE_GRAM_SHARE) is sparse_path
+        assert part.c_s_stored is stored
+        if build is graded_fg_frame:
+            assert np.count_nonzero(part.blocks[:, 0, 1:])  # coupled blocks
         c_s = part.c_a.toarray() @ np.linalg.inv(part.c_b.toarray())
-        expected = c_s @ np.linalg.inv(part.k_lb.toarray()) @ c_s.T
+        expected = c_s @ np.linalg.inv(parameter_matrices(part)[0]) @ c_s.T
         g = reduced_gram(part)
         assert g.flags.f_contiguous
         assert rel_err(g, expected) < 1e-12
 
-    def test_multiply_adds_exceed_int32(self):
-        # the 31 x 128 ladder's count passes 2^31 and would wrap in int32
-        model = build_truss_grid(31, 128)
-        part = make_partition(model, default_additional_set(model))
-        per_column = np.diff(part.c_s.tocsc().indptr)
-        expected = sum(int(k) ** 2 for k in per_column)
-        assert gram_multiply_adds(part) == expected > 2**31
-
     def test_syrk_path_rejects_indefinite_basis_block(self):
-        model = build_truss_grid(7, 16)
+        model = c_b_ladder()
         part = make_partition(model, default_additional_set(model))
-        negated = dataclasses.replace(part, k_lb_inv=-part.k_lb_inv)
-        with pytest.raises(UnstableStructureError):
-            reduced_gram(negated)
+        assert not part.c_s_stored
+        with pytest.raises(UnstableStructureError, match="basis parameter block"):
+            reduced_gram(part.with_blocks(-part.blocks))

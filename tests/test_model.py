@@ -282,3 +282,22 @@ class TestReferences:
         elements[1] = dataclasses.replace(elements[1], id=0)
         with pytest.raises(InvalidParameterError):
             rebuilt(model, elements)
+
+
+class TestSpecValues:
+    FIELDS = [(SectionSpec, name) for name in ("area", "inertia", "width", "height")] + [
+        (MaterialSpec, name) for name in ("e", "e_us", "e_ls", "p", "e0", "et", "sigma_y")]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("spec, name", FIELDS,
+                             ids=[f"{spec.__name__}.{name}" for spec, name in FIELDS])
+    def test_non_finite_value_is_rejected(self, spec, name, value):
+        # NaN passes a check that reads v <= 0.0; it must fail here, naming
+        # the field, rather than later as a missing field or a singular matrix
+        with pytest.raises(InvalidParameterError, match=f"{name} must be .*finite"):
+            spec(**{name: value})
+
+    def test_zero_tangent_modulus_and_exponent_stay_valid(self):
+        assert MaterialSpec(e0=2e5, et=0.0, sigma_y=25.0).et == 0.0
+        assert MaterialSpec(e_us=2e4, e_ls=1e4, p=0.0).p == 0.0

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reanalyze import assembly, nonlinear
+from reanalyze import assembly, elements, nonlinear
 from reanalyze.assembly import assemble_global, assemble_parameters, make_partition
 from reanalyze.errors import (
     DegenerateElementError,
@@ -36,7 +36,7 @@ from reanalyze.nonlinear import (
     tangent_partition,
 )
 
-from helpers import rel_err
+from helpers import parameter_matrices, rel_err
 
 BILINEAR = MaterialSpec(e0=2e5, et=0.3e5, sigma_y=25.0)
 
@@ -93,7 +93,7 @@ class TestBars:
     def test_mode_rows_match_assembled_rows(self):
         for model in (bilinear_truss(), bilinear_truss(4, 3), single_bar()):
             c = Bars.of(model).c.toarray()
-            expected = assemble_parameters(model).c.toarray()
+            expected = assemble_parameters(model)[1].toarray()
             assert c.shape == expected.shape
             assert np.max(np.abs(c - expected)) <= 1e-15
 
@@ -104,8 +104,8 @@ class TestTangentPartition:
         part = make_partition(model, default_additional_set(model))
         bars = Bars.of(model)
         part_t = tangent_partition(bars, evaluate_state(bars, np.zeros(model.n)), part)
-        assert rel_err(part_t.k_lb.toarray(), part.k_lb.toarray()) < 1e-14
-        assert rel_err(part_t.k_la.toarray(), part.k_la.toarray()) < 1e-14
+        for k_t, k in zip(parameter_matrices(part_t), parameter_matrices(part)):
+            assert rel_err(k_t, k) < 1e-14
         assert part_t.c_b_lu is part.c_b_lu
 
     def test_degenerate_hardening_equals_elastic(self):
@@ -116,7 +116,7 @@ class TestTangentPartition:
         state = evaluate_state(bars, np.full(model.n, 0.5))
         assert state.yielded.any()
         part_t = tangent_partition(bars, state, part)
-        assert rel_err(part_t.k_lb.toarray(), part.k_lb.toarray()) < 1e-14
+        assert rel_err(parameter_matrices(part_t)[0], parameter_matrices(part)[0]) < 1e-14
 
     def test_tangent_split_matches_assembled_tangent(self):
         model = bilinear_truss(3, 2, sigma_y=5.0)
@@ -127,9 +127,12 @@ class TestTangentPartition:
         state = evaluate_state(bars, d)
         assert state.yielded.any() and not state.yielded.all()
         part_t = tangent_partition(bars, state, part)
+        assert part_t.blocks.shape == (len(model.elements), 1, 1)
+        assert np.array_equal(part_t.blocks[:, 0, 0],
+                              elements.bar_parameters(state.tangent, bars.area, bars.length))
         k_t = assemble_tangent(bars, state).toarray()
-        k_split = (part_t.c_b.T @ part_t.k_lb @ part_t.c_b
-                   + part_t.c_a.T @ part_t.k_la @ part_t.c_a).toarray()
+        k_lb, k_la = parameter_matrices(part_t)
+        k_split = part_t.c_b.T @ k_lb @ part_t.c_b + part_t.c_a.T @ k_la @ part_t.c_a
         assert rel_err(k_split, k_t) < 1e-12
 
     def test_rejects_nonpositive_tangent(self):
