@@ -15,6 +15,8 @@ invariant under material modification and is shared between the original and
 any modified partition; only the parameter blocks and their blockwise
 inverses are rebuilt.
 
+element_geometry is the one reader of element geometry: the end-to-end
+vectors, lengths and end DOFs of all elements, from the model's arrays.
 element_blocks builds the parameter blocks of all elements array-wise, one
 elementwise kernel call per element kind; make_partition, update_partition
 and assemble_parameters all take their blocks from it, so a partition
@@ -101,14 +103,11 @@ def _fields(flat: list, ids: list, groups) -> np.ndarray:
     return fields.T
 
 
-def element_blocks(model: StructuralModel) -> np.ndarray:
-    """(elements, m, m) parameter blocks of a model, element i's block at i.
-
-    Lengths come from the node coordinates and the fields each kind needs
-    from one pass over the records; each element kind then takes one
-    elementwise kernel call.  A non-positive length raises
-    DegenerateElementError and a record lacking a field its kind needs
-    InvalidParameterError, both naming the element.
+def element_geometry(model: StructuralModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """End-to-end vectors (elements, 2), lengths (elements,) and end DOFs
+    (elements, 2 dofs_per_node) of a model's elements, element i's at i: the
+    free-DOF indices of node_i then node_j, -1 where constrained.  Raises
+    DegenerateElementError naming the first element of non-positive length.
     """
     ends = model.xy[model.element_nodes]
     delta = ends[:, 1] - ends[:, 0]
@@ -116,6 +115,18 @@ def element_blocks(model: StructuralModel) -> np.ndarray:
     if not np.all(length > 0.0):
         bad = int(np.argmin(length > 0.0))
         raise DegenerateElementError(f"element {bad}: length must be positive, got {length[bad]}")
+    return delta, length, model.dof_map[model.element_nodes].reshape(len(length), -1)
+
+
+def element_blocks(model: StructuralModel) -> np.ndarray:
+    """(elements, m, m) parameter blocks of a model, element i's block at i.
+
+    Lengths come from element_geometry and the fields each kind needs from
+    one pass over the records; each element kind then takes one elementwise
+    kernel call.  A record lacking a field its kind needs raises
+    InvalidParameterError naming the element.
+    """
+    length = element_geometry(model)[1]
     bar, beam, fg = ElementKind.TRUSS_BAR, ElementKind.HOMOGENEOUS_BEAM, ElementKind.FG_BEAM
     ids = {bar: [], beam: [], fg: []}
     flat = {bar: [], beam: [], fg: []}
@@ -172,15 +183,16 @@ def assemble_parameters(model: StructuralModel) -> tuple[np.ndarray, sp.csr_matr
     (elements m) x n sparse matrix c of extended mode rows restricted to free
     DOFs, element i's rows being m i ... m i + m - 1; the rows are formed
     element by element."""
+    delta, length, dofs = element_geometry(model)
+    angle = np.arctan2(delta[:, 1], delta[:, 0])
     blocks = element_blocks(model)
     m = blocks.shape[1]
     rows, cols, data = [], [], []
-    for i, elem in enumerate(model.elements):
-        dofs = model.element_dofs(elem)
-        free = dofs >= 0
+    for i, (length_i, angle_i) in enumerate(zip(length.tolist(), angle.tolist())):
+        free = dofs[i] >= 0
         rows.append(np.repeat(np.arange(m) + m * i, np.count_nonzero(free)))
-        cols.append(np.tile(dofs[free], m))
-        data.append(mode_rows(m, *model.geometry(elem))[:, free].ravel())
+        cols.append(np.tile(dofs[i, free], m))
+        data.append(mode_rows(m, length_i, angle_i)[:, free].ravel())
     c = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m * len(blocks), model.n))

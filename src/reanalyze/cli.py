@@ -69,12 +69,11 @@ COMMAND_FLAGS = {
     "generate": (),
     "solve": ("repeat", "tol", "precision"),
     "reanalyze": ("repeat", "tol", "precision"),
-    "bench": ("repeat", "tol", "precision"),
     "flops": ("precision",),
     "nonlinear": ("tol", "precision"),
 }
-# result-table commands: (operators from the original structure, default repeat)
-TABLE_COMMANDS = {"solve": (False, 1), "reanalyze": (True, 1), "bench": (True, 5)}
+# result-table commands: whether the operators come from the original structure
+TABLE_COMMANDS = {"solve": False, "reanalyze": True}
 GENERATORS = {"truss": build_truss_grid, "frame": build_frame_grid}
 
 
@@ -250,10 +249,10 @@ def cmd_generate(config: dict, out_dir: Path) -> int:
 
 def cmd_table(command: str, config: dict, out_dir: Path, repeat: int | None = None,
               tol: float | None = None, precision: str = "table") -> int:
-    """One result table per scenario for solve, reanalyze or bench."""
-    from_original, default_repeat = TABLE_COMMANDS[command]
+    """One result table per scenario for solve or reanalyze."""
+    from_original = TABLE_COMMANDS[command]
     for scn in config["scenarios"]:
-        reps = repeat if repeat is not None else scn.get("repeat", default_repeat)
+        reps = repeat if repeat is not None else scn.get("repeat", 1)
         rows = run_linear_scenario(scn, from_original=from_original, repeat=reps, tol=tol)
         path = out_dir / f"{scn['id']}.{command}.csv"
         write_csv(path, RESULT_COLUMNS, rows, precision)

@@ -8,8 +8,9 @@ rotation drop out).  The mode-row convention is fixed package-wide so that the
 parameter matrices of homogeneous and depth-graded beams take their closed
 forms; do not renormalize the rows.
 
-The bar and beam formulas live only here: the Newton driver takes its bar
-lengths, axial rows and 2EA/L from bar_rows and bar_parameters.  The
+The bar and beam formulas live only here: the Newton driver takes its
+axial rows and 2EA/L from bar_rows and bar_parameters, and its bar lengths
+from assembly.element_geometry, as element_blocks does.  The
 parameter kernels (bar_parameters, beam_parameter_matrix,
 fg_section_constants, fg_beam_parameter_matrix) take scalars or arrays
 elementwise, so assembly.element_blocks makes one call per element kind;
@@ -86,16 +87,12 @@ def bar_parameters(young, area, length):
     return 2.0 * young * area / length
 
 
-def bar_rows(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and axial mode rows (-a, a) / sqrt(2), a the unit axis, of bars
-    with end-node coordinate differences delta (bars, 2); raises
-    DegenerateElementError on a non-positive length."""
-    length = np.hypot(delta[:, 0], delta[:, 1])
-    if not np.all(length > 0.0):
-        bad = int(np.argmin(length > 0.0))
-        raise DegenerateElementError(f"bar {bad} length must be positive, got {length[bad]}")
+def bar_rows(delta: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Axial mode rows (-a, a) / sqrt(2), a = delta / length the unit axis,
+    of bars with end-to-end vectors delta (bars, 2) and positive lengths
+    length (bars,), as assembly.element_geometry gives them."""
     axis = delta / length[:, None]
-    return length, np.hstack([-axis, axis]) / SQRT2
+    return np.hstack([-axis, axis]) / SQRT2
 
 
 def truss_decomposition(length: float, angle: float, young: float, area: float) -> ElementDecomposition:

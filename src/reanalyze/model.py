@@ -107,15 +107,6 @@ class MaterialSpec:
             raise InvalidParameterError(
                 f"unknown coupling convention {self.fg_coupling!r}")
 
-    @property
-    def elastic_modulus(self) -> float:
-        """Modulus used for linear stiffness: e, falling back to e0."""
-        if self.e is not None:
-            return self.e
-        if self.e0 is not None:
-            return self.e0
-        raise InvalidParameterError("material defines neither e nor e0")
-
 
 @dataclass(frozen=True)
 class MemberTag:
@@ -149,6 +140,11 @@ class PointLoad:
     dof: int  # local dof index: 0=x, 1=y, 2=rotation
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise InvalidParameterError(
+                f"load on node {self.node}, DOF {self.dof} must be finite, got {self.value}")
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -170,7 +166,8 @@ class StructuralModel:
     dof_map[node, local_dof] is the global free-DOF index or -1 when the DOF
     is constrained.  Free DOFs are numbered node-major in node-id order.
     xy[node] holds the node coordinates and element_nodes[element] the
-    (node_i, node_j) pair of each element.
+    (node_i, node_j) pair of each element; assembly.element_geometry reads
+    the element geometry from these arrays.
     """
 
     def __init__(self, nodes: list[Node], elements: list[ElementRecord],
@@ -229,26 +226,11 @@ class StructuralModel:
             np.fromiter((e.node_i for e in self.elements), np.int64, ne),
             np.fromiter((e.node_j for e in self.elements), np.int64, ne)])
 
-    # -- geometry -----------------------------------------------------------
-
-    def coords(self, node: int) -> tuple[float, float]:
-        return self.nodes[node].x, self.nodes[node].y
-
-    def geometry(self, element: ElementRecord) -> tuple[float, float]:
-        """Length and axis angle of an element."""
-        xi, yi = self.coords(element.node_i)
-        xj, yj = self.coords(element.node_j)
-        return math.hypot(xj - xi, yj - yi), math.atan2(yj - yi, xj - xi)
-
     def load_vector(self) -> np.ndarray:
         r = np.zeros(self.n)
         for ld in self.loads:
             r[self.dof_map[ld.node, ld.dof]] += ld.value
         return r
-
-    def element_dofs(self, element: ElementRecord) -> np.ndarray:
-        """Global free-DOF indices of an element's 2*dofs_per_node slots (-1 where constrained)."""
-        return np.concatenate([self.dof_map[element.node_i], self.dof_map[element.node_j]])
 
     def replace_materials(self, materials: dict[int, MaterialSpec]) -> "StructuralModel":
         """New model with the given element materials swapped in."""

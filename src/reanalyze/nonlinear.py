@@ -8,8 +8,9 @@ the elastic-state preconditioner held fixed for the whole run.  The material
 law is total-strain bilinear (monotonic loading, no unloading hysteresis), so
 the state is a pure function of the current displacement field.
 
-Bars share the linear path's factorization K = C^T K_L C and its element
-kernels: elements.bar_rows gives the bar lengths and unit axial mode rows C,
+Bars share the linear path's factorization K = C^T K_L C, its element
+geometry and its element kernels: assembly.element_geometry gives the bar
+lengths and end DOFs and elements.bar_rows the unit axial mode rows C,
 whence the strains sqrt(2) C d / L and the internal force C^T (sqrt(2) A
 sigma), and a tangent state only changes the 1x1 parameter blocks
 elements.bar_parameters(E_t, A, L), which the assembled tangent and the
@@ -31,6 +32,7 @@ import scipy.sparse as sp
 # bound: benchmark/tracing.py patches them on this module by name
 from .assembly import (
     SystemPartition,
+    element_geometry,
     make_partition,
     reduced_gram,
     reduced_rhs,
@@ -70,7 +72,7 @@ class Bars:
 
     c is the (bars, n) matrix of the axial mode rows of elements.bar_rows on
     the free DOFs, the rows assemble_parameters(model) returns, built here
-    from the model's node coordinates and DOF map alone.
+    from element_geometry alone.
     """
 
     c: sp.csr_matrix
@@ -89,12 +91,10 @@ class Bars:
             if m.e0 is None or m.et is None or m.sigma_y is None:
                 raise UnsupportedModelError(
                     f"element {elem.id} lacks bilinear material data")
-        ends = model.element_nodes
-        length, rows = bar_rows(model.xy[ends[:, 1]] - model.xy[ends[:, 0]])
-        dofs = model.dof_map[ends].reshape(len(ends), 4)
+        delta, length, dofs = element_geometry(model)
         free = dofs >= 0
-        c = sp.csr_matrix((rows[free], (np.nonzero(free)[0], dofs[free])),
-                          shape=(len(ends), model.n))
+        c = sp.csr_matrix((bar_rows(delta, length)[free], (np.nonzero(free)[0], dofs[free])),
+                          shape=(len(length), model.n))
         return Bars(
             c=c, length=length,
             area=np.array([e.section.area for e in model.elements]),

@@ -63,10 +63,12 @@ class SolveReport:
 
 
 def solve_conventional(model: StructuralModel) -> SolveReport:
-    """Complete analysis: assemble the stiffness and solve K d = R directly."""
+    """Complete analysis: assemble the stiffness and solve K d = R directly.
+    A non-finite load raises InvalidParameterError."""
     t0 = time.perf_counter()
-    lu = factorize_stiffness(model)
-    d = lu.solve(model.load_vector())
+    r = model.load_vector()
+    _check_finite(r)
+    d = factorize_stiffness(model).solve(r)
     return SolveReport(method="conventional", d=d, wall_time=time.perf_counter() - t0)
 
 

@@ -5,6 +5,7 @@ direct quadrature, dense linear algebra) so the production code is always
 checked against an implementation that does not share its code paths.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -67,8 +68,11 @@ def dense_stiffness(model):
     n = model.n
     k = np.zeros((n, n))
     for elem in model.elements:
-        length, angle = model.geometry(elem)
-        young = elem.material.elastic_modulus
+        ni, nj = model.nodes[elem.node_i], model.nodes[elem.node_j]
+        length = math.hypot(nj.x - ni.x, nj.y - ni.y)
+        angle = math.atan2(nj.y - ni.y, nj.x - ni.x)
+        mat = elem.material
+        young = mat.e if mat.e is not None else mat.e0
         if model.dofs_per_node == 2:
             k_e = truss_global_stiffness(young, elem.section.area, length, angle)
         else:

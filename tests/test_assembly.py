@@ -1,6 +1,7 @@
 """Assembly and partition tests: reconstruction, determinacy, reduced operators."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -151,13 +152,15 @@ def scalar_blocks(model):
     """Parameter blocks from the one-element decompositions, element by element."""
     out = []
     for elem in model.elements:
-        length, angle = model.geometry(elem)
+        ni, nj = model.nodes[elem.node_i], model.nodes[elem.node_j]
+        length = math.hypot(nj.x - ni.x, nj.y - ni.y)
+        angle = math.atan2(nj.y - ni.y, nj.x - ni.x)
         sec, mat = elem.section, elem.material
+        young = mat.e if mat.e is not None else mat.e0
         if elem.kind is ElementKind.TRUSS_BAR:
-            dec = elements.truss_decomposition(length, angle, mat.elastic_modulus, sec.area)
+            dec = elements.truss_decomposition(length, angle, young, sec.area)
         elif elem.kind is ElementKind.HOMOGENEOUS_BEAM:
-            dec = elements.beam_decomposition(length, angle, mat.elastic_modulus, sec.area,
-                                              sec.inertia)
+            dec = elements.beam_decomposition(length, angle, young, sec.area, sec.inertia)
         else:
             constants = elements.fg_section_constants(
                 sec.height, mat.p, mat.e_us, mat.e_ls, coupling=mat.fg_coupling or "exact")
@@ -227,14 +230,20 @@ class TestElementBlocks:
         nodes[moved] = Node(moved, nodes[onto].x, nodes[onto].y)
         broken = StructuralModel(nodes, list(model.elements), model.supports,
                                  list(model.loads), model.meta)
-        assert any({e.node_i, e.node_j} == {moved, onto} for e in broken.elements)
+        bad = next(e.id for e in broken.elements if {e.node_i, e.node_j} == {moved, onto})
         recorded = dataclasses.replace(part, node_xy=broken.xy)
+        # every reader of element geometry raises the one error of element_geometry
+        calls = [lambda: assembly.element_geometry(broken),
+                 lambda: assembly.element_blocks(broken),
+                 lambda: assemble_parameters(broken),
+                 lambda: make_partition(broken, default_additional_set(broken)),
+                 lambda: update_partition(recorded, broken)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateElementError, match="length must be positive"):
-                make_partition(broken, default_additional_set(broken))
-            with pytest.raises(DegenerateElementError, match="length must be positive"):
-                update_partition(recorded, broken)
+            for call in calls:
+                with pytest.raises(DegenerateElementError,
+                                   match=f"^element {bad}: length must be positive, got 0.0$"):
+                    call()
 
 
 class TestMakePartition:

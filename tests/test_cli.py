@@ -213,12 +213,12 @@ class TestSolveAndReanalyze:
 
 
 class TestBenchAndThreads:
-    def test_bench_reports_rct_with_repeats(self, tmp_path):
+    def test_reanalyze_reports_rct_with_repeats(self, tmp_path):
         scn = dict(TRUSS_SCENARIO)
         cfg = write_config(tmp_path, {"scenarios": [scn]})
-        assert main(["bench", "--config", cfg, "--out", str(tmp_path),
-                     "--repeat", "2"]) == EXIT_OK
-        rows = read_rows(tmp_path / "t1.bench.csv")
+        assert main(["reanalyze", "--config", cfg, "--out", str(tmp_path),
+                     "--repeat", "5"]) == EXIT_OK
+        rows = read_rows(tmp_path / "t1.reanalyze.csv")
         for r in rows:
             if r["method"] != "conventional":
                 assert float(r["rct"]) > 0.0

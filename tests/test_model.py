@@ -1,6 +1,7 @@
 """Generator and data-model tests: counts, grading, default partitions."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from reanalyze.model import (
     replace_fg_exponent,
     spans_from_level,
 )
+from reanalyze.modelio import from_document, to_document
 
 
 class TestSpansFromLevel:
@@ -72,9 +74,8 @@ class TestTrussGrid:
         m = build_truss_grid(4, 2)
         for e in m.elements:
             if e.tag.kind == "diagonal":
-                xi, yi = m.coords(e.node_i)
-                xj, yj = m.coords(e.node_j)
-                assert xj > xi and yj > yi
+                ni, nj = m.nodes[e.node_i], m.nodes[e.node_j]
+                assert nj.x > ni.x and nj.y > ni.y
 
     def test_dof_map_is_bijective_on_free_dofs(self):
         m = build_truss_grid(4, 3)
@@ -297,6 +298,22 @@ class TestSpecValues:
         # the field, rather than later as a missing field or a singular matrix
         with pytest.raises(InvalidParameterError, match=f"{name} must be .*finite"):
             spec(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_load_is_rejected(self, value):
+        # NaN passes the generators' load <= 0 check and a solve would
+        # return NaN displacements; the load itself must fail, naming its
+        # node and DOF, however the model is built
+        with pytest.raises(InvalidParameterError, match="load on node 3, DOF 1 must be finite"):
+            PointLoad(3, 1, value)
+        with pytest.raises(InvalidParameterError, match="load"):
+            build_truss_grid(2, 2, load=value)
+        doc = to_document(build_truss_grid(2, 2))
+        doc["loads"][0]["value"] = value
+        node = doc["loads"][0]["node"]
+        with pytest.raises(InvalidParameterError, match=f"load on node {node}, DOF 0"):
+            from_document(json.loads(json.dumps(doc)))
 
     def test_zero_tangent_modulus_and_exponent_stay_valid(self):
         assert MaterialSpec(e0=2e5, et=0.0, sigma_y=25.0).et == 0.0

@@ -258,7 +258,11 @@ class TestRunNewtonRaphson:
         nodes[4] = Node(4, nodes[3].x, nodes[3].y)
         model = StructuralModel(nodes, list(model.elements), model.supports,
                                 list(model.loads), model.meta)
-        with pytest.raises(DegenerateElementError):
+        bad = next(e.id for e in model.elements if {e.node_i, e.node_j} == {3, 4})
+        message = f"^element {bad}: length must be positive, got 0.0$"
+        with pytest.raises(DegenerateElementError, match=message):
+            Bars.of(model)
+        with pytest.raises(DegenerateElementError, match=message):
             run_newton_raphson(model, model.load_vector(), n_steps=2, backend=backend)
 
     def test_unknown_backend(self):

@@ -73,6 +73,16 @@ class TestConventional:
         assert rel_err(rep.d, dense_truss_solution(model)) < 1e-12
         assert rep.iterations == 0 and rep.converged
 
+    def test_non_finite_load_raises(self):
+        # every load is finite, but the two on one DOF sum to inf: a direct
+        # solve would return NaN displacements flagged converged
+        model = build_truss_grid(2, 2)
+        bad = StructuralModel(list(model.nodes), list(model.elements), model.supports,
+                              list(model.loads) + [PointLoad(model.meta["node_b"], 0, 1e308)] * 2,
+                              model.meta)
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError, match="non-finite"):
+            solve_conventional(bad)
+
 
 class TestPcgFull:
     def test_exact_preconditioner_one_iteration(self):
@@ -108,10 +118,11 @@ class TestPcgFull:
         model = build_truss_grid(7, 16)
         k0 = factorize_stiffness(model)
         node = model.meta["node_b"]
+        # every load is finite, but the two on one DOF sum to inf
         bad = StructuralModel(list(model.nodes), list(model.elements), model.supports,
-                              list(model.loads) + [PointLoad(node, 1, float("nan"))],
+                              list(model.loads) + [PointLoad(node, 1, 1e308)] * 2,
                               model.meta)
-        with pytest.raises(InvalidParameterError):
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError, match="non-finite"):
             solve_pcg_full(bad, k0, tol=1e-12)
 
     def test_indefinite_operator_stops_unconverged(self):
