@@ -62,15 +62,19 @@ def graded_profile_moments(height, exponent, e_upper, e_lower):
     return tuple(out)
 
 
+def length_and_angle(model, elem):
+    """Length and axis angle of an element, read from its node records."""
+    ni, nj = model.nodes[elem.node_i], model.nodes[elem.node_j]
+    return math.hypot(nj.x - ni.x, nj.y - ni.y), math.atan2(nj.y - ni.y, nj.x - ni.x)
+
+
 def dense_stiffness(model):
     """Independent dense assembly of a bar or homogeneous-beam model from the
     textbook element matrices (small n only)."""
     n = model.n
     k = np.zeros((n, n))
     for elem in model.elements:
-        ni, nj = model.nodes[elem.node_i], model.nodes[elem.node_j]
-        length = math.hypot(nj.x - ni.x, nj.y - ni.y)
-        angle = math.atan2(nj.y - ni.y, nj.x - ni.x)
+        length, angle = length_and_angle(model, elem)
         mat = elem.material
         young = mat.e if mat.e is not None else mat.e0
         if model.dofs_per_node == 2:

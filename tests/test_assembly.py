@@ -1,7 +1,6 @@
 """Assembly and partition tests: reconstruction, determinacy, reduced operators."""
 
 import dataclasses
-import math
 import tracemalloc
 import warnings
 
@@ -43,7 +42,13 @@ from reanalyze.model import (
 )
 from reanalyze.model import ElementKind, ElementRecord, MemberTag
 
-from helpers import dense_stiffness, dense_truss_solution, parameter_matrices, rel_err
+from helpers import (
+    dense_stiffness,
+    dense_truss_solution,
+    length_and_angle,
+    parameter_matrices,
+    rel_err,
+)
 
 
 def small_models():
@@ -152,9 +157,7 @@ def scalar_blocks(model):
     """Parameter blocks from the one-element decompositions, element by element."""
     out = []
     for elem in model.elements:
-        ni, nj = model.nodes[elem.node_i], model.nodes[elem.node_j]
-        length = math.hypot(nj.x - ni.x, nj.y - ni.y)
-        angle = math.atan2(nj.y - ni.y, nj.x - ni.x)
+        length, angle = length_and_angle(model, elem)
         sec, mat = elem.section, elem.material
         young = mat.e if mat.e is not None else mat.e0
         if elem.kind is ElementKind.TRUSS_BAR:
