@@ -20,8 +20,10 @@ vectors, lengths and end DOFs of all elements, from the model's arrays.
 element_blocks builds the parameter blocks of all elements array-wise, one
 elementwise kernel call per element kind; make_partition, update_partition
 and assemble_parameters all take their blocks from it, so a partition
-updated to its own model equals a fresh one bitwise.  Only the mode rows are
-still formed element by element, in assemble_parameters.
+updated to its own model equals a fresh one bitwise.  mode_matrix builds
+the mode rows C of all elements with one call to elements.mode_rows (the one
+mode-row formula, in axis form) and one CSR build; assemble_parameters and
+the Newton driver's bars take C from it, and update_partition forms no rows.
 
 make_partition builds the sparse influence matrix C_s once per topology, by
 level-scheduled triangular solves with the L and U factors of the basis LU:
@@ -32,7 +34,7 @@ and no dense n x q array is kept anywhere.  Every product with C_s (the
 reduced right-hand side, operator, displacement recovery and the dense
 q x q Gram matrix that the direct low-rank path and the tangent reduction
 backend need by definition) takes the route SystemPartition.c_s_stored
-picks.
+holds, which make_partition decides once per topology by SPARSE_SHARE.
 """
 
 from __future__ import annotations
@@ -74,20 +76,20 @@ PIVOT_TOL = 1e-10
 _SLAB_BYTES = 1 << 24
 
 
-# SystemPartition.c_s_stored counts C_s as sparse when it has at most as
-# many nonzeros as the basis LU factors plus ROW_COST per basis row: a
-# SuperLU solve costs about as much as a sparse product over its factors'
-# nonzeros plus ROW_COST entries per row.  Timed as one C_s v plus one
-# C_s^T x on one BLAS thread, the stored product wins 1.5-2.7x on the 50x20
-# frames (n_sb = 1, 2, 4), c08's 10x20 frame and the 7x16 ladder, where
-# (nnz(C_s) - nnz(LU)) / n is 7-44; it ties on the 15x30 and 30x30 ladders
-# (71-77) and loses 1.7-3.6x on the 31x64 and 31x128 ladders (188-367).  The
-# nonzero ratio alone does not separate them: the 30x30 ladder ties at 3.84,
-# the graded 50x20 frame wins at 5.55.  The Gram matrix of reduced_gram
-# crosses over in the same place: as a share of the dense product's n q^2
-# multiply-adds, its sparse product won at 3.5e-4 and 4.4e-3 (frames), BLAS
-# syrk at 4.1e-2 and above (ladders).
-ROW_COST = 50
+# make_partition sets SystemPartition.c_s_stored, the one C_s policy, when
+# the sparse Gram product C_s (K_Lb^-1 C_s^T) costs at most SPARSE_SHARE of
+# the dense product's n q^2 multiply-adds, the sparse product's count being
+# sum_j nnz(C_s[:, j])^2.  Measured on one BLAS thread (one run each, medians
+# of 3 Grams and of 30 C_s v plus C_s^T x pairs), sparse product against
+# syrk: the 20x8 frame (share 1.5e-3) 2.0 against 5.4 ms, the graded 50x20
+# frame (2.3e-4) 31 against 424 ms, the 50x20 frame at n_sb = 2 and 4
+# (4.1e-4, 2.1e-4) 62 against 773 and 65 against 1421 ms, c08's 10x20 frame
+# (2.8e-3) 26 against 75 ms; the 30x30 ladder (1.2e-2) 37 against 26 ms, the
+# 15x30 ladder (0.13) 36 against 8.3 ms, the 31x64 ladder (4.0e-2) 901
+# against 232 ms.  The stored products win 1.7-2.9x on those frames and lose
+# 1.7x on the 31x64 ladder; on the 30x30 ladder they win 2x, but there the
+# Gram decides fdp_s and the nonlinear reduction backend, so it stays on C_b.
+SPARSE_SHARE = 6e-3
 
 
 def _fields(flat: list, ids: list, groups) -> np.ndarray:
@@ -178,25 +180,25 @@ def _rows(ids: np.ndarray, m: int) -> np.ndarray:
     return (m * ids[:, None] + np.arange(m)).ravel()
 
 
-def assemble_parameters(model: StructuralModel) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The (elements, m, m) parameter blocks (element_blocks) and the
-    (elements m) x n sparse matrix c of extended mode rows restricted to free
-    DOFs, element i's rows being m i ... m i + m - 1; the rows are formed
-    element by element."""
+def mode_matrix(model: StructuralModel) -> sp.csr_matrix:
+    """The (elements m) x n sparse matrix C of the mode rows restricted to
+    free DOFs, element i's rows being m i ... m i + m - 1: one mode_rows call
+    over element_geometry and one CSR build.  Every free entry is stored,
+    exact zeros too, so the structure of C, and with it the ordering of the
+    basis LU, depends on the topology alone."""
     delta, length, dofs = element_geometry(model)
-    angle = np.arctan2(delta[:, 1], delta[:, 0])
-    blocks = element_blocks(model)
-    m = blocks.shape[1]
-    rows, cols, data = [], [], []
-    for i, (length_i, angle_i) in enumerate(zip(length.tolist(), angle.tolist())):
-        free = dofs[i] >= 0
-        rows.append(np.repeat(np.arange(m) + m * i, np.count_nonzero(free)))
-        cols.append(np.tile(dofs[i, free], m))
-        data.append(mode_rows(m, length_i, angle_i)[:, free].ravel())
-    c = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m * len(blocks), model.n))
-    return blocks, c
+    m = 2 * model.dofs_per_node - 3
+    rows = mode_rows(delta, length, m)
+    free = np.broadcast_to(dofs[:, None, :] >= 0, rows.shape)
+    element, mode, end = np.nonzero(free)
+    return sp.csr_matrix((rows[free], (m * element + mode, dofs[element, end])),
+                         shape=(m * len(length), model.n))
+
+
+def assemble_parameters(model: StructuralModel) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The (elements, m, m) parameter blocks (element_blocks) and the mode
+    rows c (mode_matrix)."""
+    return element_blocks(model), mode_matrix(model)
 
 
 def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
@@ -254,7 +256,16 @@ class SystemPartition:
     m i ... m i + m - 1 of c_b and k_lb_inv, additional element i those of
     c_a and k_la_inv.
     Instances are immutable; solves through the factorization do not mutate
-    visible state.  Every product with C_s takes the route c_s_stored picks.
+    visible state.
+
+    c_s_stored is the one C_s policy, fixed by make_partition from the
+    topology alone (SPARSE_SHARE, whose comment gives the measurements), so
+    a partition, its updates and its preconditioner take the same route.
+    Where it holds, apply_c_s and apply_c_s_t multiply by the stored c_s and
+    reduced_gram forms the sparse product C_s (K_Lb^-1 C_s^T); otherwise
+    they solve with the basis factorization, and reduced_gram accumulates
+    Y^T Y by BLAS syrk over row slabs of Y = L^T C_s^T, K_Lb^-1 = L L^T
+    blockwise.
     """
 
     basis_ids: np.ndarray
@@ -266,6 +277,7 @@ class SystemPartition:
     basis_pivot_ratio: float  # min|U_ii| / max|U_ii| of the C_b factorization
     c_a: sp.csr_matrix
     c_s: sp.csr_matrix  # (q, n), exact zeros dropped
+    c_s_stored: bool  # whether products with C_s multiply by c_s
     blocks: np.ndarray  # (elements, m, m) parameter blocks
     k_lb_inv: sp.csr_matrix
     k_la_inv: sp.csr_matrix
@@ -280,19 +292,6 @@ class SystemPartition:
     def solve_c_b_t(self, v: np.ndarray) -> np.ndarray:
         """Apply C_b^-T."""
         return self.c_b_lu.solve(v, trans="T")
-
-    @property
-    def c_s_stored(self) -> bool:
-        """The one C_s policy: whether c_s is sparse enough to multiply by,
-        that is, has at most as many nonzeros as the C_b factors plus
-        ROW_COST per row (whose comment gives the measurements).  Where it
-        holds, apply_c_s and apply_c_s_t multiply by the stored c_s and
-        reduced_gram forms the sparse product C_s (K_Lb^-1 C_s^T); otherwise
-        they solve with the basis factorization, and reduced_gram accumulates
-        Y^T Y by BLAS syrk over row slabs of Y = L^T C_s^T, K_Lb^-1 = L L^T
-        blockwise.  Only topology decides, so a partition, its updates and
-        its preconditioner take the same route."""
-        return self.c_s.nnz <= self.c_b_lu.nnz + ROW_COST * self.n
 
     def apply_c_s(self, v: np.ndarray) -> np.ndarray:
         """Apply C_s = C_a C_b^-1 to an n-vector."""
@@ -444,10 +443,12 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
 
     lu, pivot_ratio = sparse_lu(c_b, BasisUnstableError, "basis mode matrix",
                                symmetric=False)
+    c_s = _influence_matrix(lu, c_a)
+    column_nnz = np.bincount(c_s.indices, minlength=model.n)
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
-        c_b=c_b, c_b_lu=lu, basis_pivot_ratio=pivot_ratio,
-        c_a=c_a, c_s=_influence_matrix(lu, c_a),
+        c_b=c_b, c_b_lu=lu, basis_pivot_ratio=pivot_ratio, c_a=c_a, c_s=c_s,
+        c_s_stored=bool(column_nnz @ column_nnz <= SPARSE_SHARE * model.n * q * q),
         **_material_state(blocks, basis_ids, additional_ids),
         element_nodes=model.element_nodes, node_xy=model.xy, dof_map=model.dof_map)
 
@@ -506,7 +507,7 @@ def reduced_apply(partition: SystemPartition, x: np.ndarray) -> np.ndarray:
 
 def reduced_gram(partition: SystemPartition) -> np.ndarray:
     """Dense q x q matrix G = C_s K_Lb^-1 C_s^T, in Fortran order, by the
-    route SystemPartition.c_s_stored picks; neither route forms a dense
+    route SystemPartition.c_s_stored holds; neither route forms a dense
     n x q array.  The syrk route raises UnstableStructureError when a basis
     parameter block is not positive definite.
     """

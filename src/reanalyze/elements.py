@@ -8,14 +8,18 @@ rotation drop out).  The mode-row convention is fixed package-wide so that the
 parameter matrices of homogeneous and depth-graded beams take their closed
 forms; do not renormalize the rows.
 
-The bar and beam formulas live only here: the Newton driver takes its
-axial rows and 2EA/L from bar_rows and bar_parameters, and its bar lengths
-from assembly.element_geometry, as element_blocks does.  The
-parameter kernels (bar_parameters, beam_parameter_matrix,
-fg_section_constants, fg_beam_parameter_matrix) take scalars or arrays
-elementwise, so assembly.element_blocks makes one call per element kind;
-the *_decomposition functions are their one-element forms.  Both give the
-same blocks bitwise: the kernels use only +, -, * and /, never a power.
+The bar and beam formulas live only here.  mode_rows is the one mode-row
+formula: it takes every element's end-to-end vector and length, as
+assembly.element_geometry gives them, and returns the rows in axis form,
+the unit axis delta / L rather than the cosine and sine of an angle, so a
+member along a global axis stores exact zeros.  assembly.mode_matrix makes
+one call to it for the whole model, and the Newton driver's bars take their
+axial rows from that same matrix.  The parameter kernels (bar_parameters,
+beam_parameter_matrix, fg_section_constants, fg_beam_parameter_matrix)
+take scalars or arrays elementwise, so assembly.element_blocks makes one
+call per element kind; the *_decomposition functions are their one-element
+forms and the tests' scalar references.  Both give the same blocks bitwise:
+the kernels use only +, -, * and /, never a power.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ class ElementDecomposition:
     """Stiffness parameters and geometry of a single element.
 
     k_params is the m x m (symmetric positive definite) parameter matrix;
-    the m x nd global mode rows c_global are formed from length and angle
-    when read, so code that needs only the parameters forms no rows.
+    the m x nd global mode rows c_global are formed by mode_rows from the
+    end-to-end vector (L cos a, L sin a) when read, so code that needs only
+    the parameters forms no rows.
     """
 
     k_params: np.ndarray
@@ -49,22 +54,14 @@ class ElementDecomposition:
     @property
     def c_global(self) -> np.ndarray:
         """Unit-norm mode rows in global axes (mode_rows)."""
-        return mode_rows(self.m, self.length, self.angle)
+        delta = self.length * np.array([[np.cos(self.angle), np.sin(self.angle)]])
+        return mode_rows(delta, np.array([self.length]), self.m)[0]
 
     def stiffness(self) -> np.ndarray:
         """Reconstruct the global element stiffness C^T K_L C, symmetrized."""
         c_global = self.c_global
         s = c_global.T @ self.k_params @ c_global
         return 0.5 * (s + s.T)
-
-
-def mode_rows(m: int, length: float, angle: float) -> np.ndarray:
-    """Unit-norm m x nd mode rows in global axes of an element with m modes:
-    the bar's axial row (m = 1), or beam_mode_rows (m = 3)."""
-    if m == 1:
-        c, s = np.cos(angle), np.sin(angle)
-        return np.array([[-c, -s, c, s]]) / SQRT2
-    return beam_mode_rows(length, angle)
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,31 @@ def bar_rows(delta: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.hstack([-axis, axis]) / SQRT2
 
 
+def mode_rows(delta: np.ndarray, length: np.ndarray, m: int) -> np.ndarray:
+    """Unit-norm mode rows in global axes, (elements, m, m + 3), of elements
+    with m modes, end-to-end vectors delta (elements, 2) and positive
+    lengths length (elements,), as assembly.element_geometry gives them.
+
+    Bars (m = 1) take bar_rows.  A beam's rows over (u1, v1, t1, u2, v2, t2),
+    with (c, s) = delta / L its unit axis, are
+        axial         (  -c,  -s, 0,   c,   s, 0) / sqrt(2)
+        symmetric     (   0,   0,-1,   0,   0, 1) / sqrt(2)
+        antisymmetric (-2 s, 2 c, L, 2 s,-2 c, L) / sqrt(2 (L^2 + 4))
+    In this axis form a member along a global axis has exact zeros.
+    """
+    axial = bar_rows(delta, length)
+    if m == 1:
+        return axial[:, None, :]
+    rows = np.zeros((len(length), 3, 6))
+    rows[:, 0, [0, 1, 3, 4]] = axial
+    rows[:, 1, [2, 5]] = (-1.0 / SQRT2, 1.0 / SQRT2)
+    c, s = (delta / length[:, None]).T
+    norm = np.sqrt(2.0 * (length * length + 4.0))
+    b, l = 2.0 / norm, length / norm
+    rows[:, 2] = np.column_stack([-b * s, b * c, l, b * s, -b * c, l])
+    return rows
+
+
 def truss_decomposition(length: float, angle: float, young: float, area: float) -> ElementDecomposition:
     """Single-mode decomposition of a pin-jointed bar.
 
@@ -111,7 +133,7 @@ def beam_parameter_matrix(young, area, inertia, length) -> np.ndarray:
     for scalars (a 3 x 3 matrix) or arrays elementwise (a (..., 3, 3) stack).
 
     Returns diag(2EAL^2, 2EIL^2, 6EI(L^2 + 4)) / L^3.  The L^2 + 4 term mixes
-    units; it is exact for the unit-norm mode rows below with L expressed in cm
+    units; it is exact for the unit-norm mode rows of mode_rows with L in cm
     (results are length-unit dependent by construction).
     """
     if np.any(length <= 0.0):
@@ -131,28 +153,6 @@ def _diagonal_blocks(*diagonal) -> np.ndarray:
     for i, entry in enumerate(diagonal):
         out[..., i, i] = entry
     return out
-
-
-def beam_mode_rows(length: float, angle: float = 0.0) -> np.ndarray:
-    """Unit-norm deformation-mode rows of a two-node plane beam, in global axes.
-
-    Global rows over (u1, v1, t1, u2, v2, t2), with c, s = cos, sin(angle):
-        axial         (  -c,  -s, 0,   c,   s, 0) / sqrt(2)
-        symmetric     (   0,   0,-1,   0,   0, 1) / sqrt(2)
-        antisymmetric (-2 s, 2 c, L, 2 s,-2 c, L) / sqrt(2 (L^2 + 4))
-    At angle 0 these are the local rows.
-    """
-    if length <= 0.0:
-        raise DegenerateElementError(f"beam length must be positive, got {length}")
-    c, s = np.cos(angle), np.sin(angle)
-    a = 1.0 / SQRT2
-    norm = np.sqrt(2.0 * (length * length + 4.0))
-    b, l = 2.0 / norm, length / norm
-    return np.array([
-        [-a * c, -a * s, 0.0, a * c, a * s, 0.0],
-        [0.0, 0.0, -a, 0.0, 0.0, a],
-        [-b * s, b * c, l, b * s, -b * c, l],
-    ])
 
 
 def beam_decomposition(length: float, angle: float, young: float, area: float,
@@ -214,25 +214,6 @@ def fg_beam_parameter_matrix(width, constants: FgSectionConstants, length) -> np
                            6.0 * (l2 + 4.0) * d_e * width / (l2 * length))
     out[..., 0, 1] = out[..., 1, 0] = -2.0 * b_e * width / length
     return out
-
-
-def fg_beam_local_stiffness(width: float, constants: FgSectionConstants,
-                            length: float) -> np.ndarray:
-    """Full 6x6 local stiffness of the graded beam (reconstruction oracle)."""
-    if width <= 0.0 or length <= 0.0:
-        raise DegenerateElementError("width and length must be positive")
-    a, bc, d = constants.a_e, constants.b_e, constants.d_e
-    b = width
-    l = length
-    l2 = l * l
-    return np.array([
-        [a * b * l2, 0.0, -bc * b * l2, -a * b * l2, 0.0, bc * b * l2],
-        [0.0, 12.0 * d * b, 6.0 * d * b * l, 0.0, -12.0 * d * b, 6.0 * d * b * l],
-        [-bc * b * l2, 6.0 * d * b * l, 4.0 * d * b * l2, bc * b * l2, -6.0 * d * b * l, 2.0 * d * b * l2],
-        [-a * b * l2, 0.0, bc * b * l2, a * b * l2, 0.0, -bc * b * l2],
-        [0.0, -12.0 * d * b, -6.0 * d * b * l, 0.0, 12.0 * d * b, -6.0 * d * b * l],
-        [bc * b * l2, 6.0 * d * b * l, 2.0 * d * b * l2, -bc * b * l2, -6.0 * d * b * l, 4.0 * d * b * l2],
-    ]) / l**3
 
 
 def fg_beam_decomposition(length: float, angle: float, width: float,

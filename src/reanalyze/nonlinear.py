@@ -9,10 +9,11 @@ law is total-strain bilinear (monotonic loading, no unloading hysteresis), so
 the state is a pure function of the current displacement field.
 
 Bars share the linear path's factorization K = C^T K_L C, its element
-geometry and its element kernels: assembly.element_geometry gives the bar
-lengths and end DOFs and elements.bar_rows the unit axial mode rows C,
-whence the strains sqrt(2) C d / L and the internal force C^T (sqrt(2) A
-sigma), and a tangent state only changes the 1x1 parameter blocks
+geometry and its element kernels: assembly.mode_matrix gives the unit axial
+mode rows C, built by the one mode-row kernel exactly as the linear
+assembly builds them, and assembly.element_geometry the bar lengths, whence
+the strains sqrt(2) C d / L and the internal force C^T (sqrt(2) A sigma).
+A tangent state only changes the 1x1 parameter blocks
 elements.bar_parameters(E_t, A, L), which the assembled tangent and the
 tangent partition build through the same assembly helpers as the linear
 stiffness.  The "reduction" backend is solvers.solve_fdp on the tangent
@@ -34,12 +35,13 @@ from .assembly import (
     SystemPartition,
     element_geometry,
     make_partition,
+    mode_matrix,
     reduced_gram,
     reduced_rhs,
     sparse_lu,
     stiffness,
 )
-from .elements import SQRT2, bar_parameters, bar_rows, bilinear_stress
+from .elements import SQRT2, bar_parameters, bilinear_stress
 from .errors import InvalidStateError, UnstableStructureError, UnsupportedModelError
 from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
@@ -70,9 +72,8 @@ class MaterialState:
 class Bars:
     """Unit mode rows and bilinear material data of a truss model's bars.
 
-    c is the (bars, n) matrix of the axial mode rows of elements.bar_rows on
-    the free DOFs, the rows assemble_parameters(model) returns, built here
-    from element_geometry alone.
+    c is the (bars, n) matrix of the axial mode rows on the free DOFs,
+    assembly.mode_matrix(model), the rows assemble_parameters(model) returns.
     """
 
     c: sp.csr_matrix
@@ -91,12 +92,8 @@ class Bars:
             if m.e0 is None or m.et is None or m.sigma_y is None:
                 raise UnsupportedModelError(
                     f"element {elem.id} lacks bilinear material data")
-        delta, length, dofs = element_geometry(model)
-        free = dofs >= 0
-        c = sp.csr_matrix((bar_rows(delta, length)[free], (np.nonzero(free)[0], dofs[free])),
-                          shape=(len(length), model.n))
         return Bars(
-            c=c, length=length,
+            c=mode_matrix(model), length=element_geometry(model)[1],
             area=np.array([e.section.area for e in model.elements]),
             e0=np.array([e.material.e0 for e in model.elements]),
             et=np.array([e.material.et for e in model.elements]),

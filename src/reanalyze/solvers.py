@@ -12,7 +12,7 @@ SRI never forms the reduced operator, and its preconditioner inverts the
 original reduced operator through the Woodbury identity with the sparse LU
 of the original stiffness.  An SRI iteration makes one solve with the
 original stiffness's factor plus one operator apply (reduced_apply), whose
-products with C_s take the route SystemPartition.c_s_stored picks.  The
+products with C_s take the route SystemPartition.c_s_stored holds.  The
 first preconditioner apply of a solve adds one refinement step (one more
 operator apply and one more stiffness solve).
 FDP forms the dense q x q operator from the sparse influence matrix

@@ -36,6 +36,23 @@ def eb_local_stiffness(young, area, inertia, length):
     ])
 
 
+def fg_beam_local_stiffness(width, constants, length):
+    """Full 6x6 local stiffness of a depth-graded beam from its section
+    constants (a_e, b_e, d_e): the graded beam's reconstruction oracle."""
+    a, bc, d = constants.a_e, constants.b_e, constants.d_e
+    b = width
+    l = length
+    l2 = l * l
+    return np.array([
+        [a * b * l2, 0.0, -bc * b * l2, -a * b * l2, 0.0, bc * b * l2],
+        [0.0, 12.0 * d * b, 6.0 * d * b * l, 0.0, -12.0 * d * b, 6.0 * d * b * l],
+        [-bc * b * l2, 6.0 * d * b * l, 4.0 * d * b * l2, bc * b * l2, -6.0 * d * b * l, 2.0 * d * b * l2],
+        [-a * b * l2, 0.0, bc * b * l2, a * b * l2, 0.0, -bc * b * l2],
+        [0.0, -12.0 * d * b, -6.0 * d * b * l, 0.0, 12.0 * d * b, -6.0 * d * b * l],
+        [bc * b * l2, 6.0 * d * b * l, 2.0 * d * b * l2, -bc * b * l2, -6.0 * d * b * l, 4.0 * d * b * l2],
+    ]) / l**3
+
+
 def beam_rotation(angle):
     """Global -> local transform of a two-node plane beam."""
     c, s = np.cos(angle), np.sin(angle)

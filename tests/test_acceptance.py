@@ -211,11 +211,10 @@ def test_c05_reconstruction_property_suite():
         beam_decomposition,
         beam_parameter_matrix,
         fg_beam_decomposition,
-        fg_beam_local_stiffness,
         fg_beam_parameter_matrix,
         truss_decomposition,
     )
-    from helpers import truss_global_stiffness
+    from helpers import fg_beam_local_stiffness, truss_global_stiffness
 
     rng = np.random.default_rng(42)
     checked = 0

@@ -364,7 +364,7 @@ class TestPartitionConsistency:
         def no_rows(*args, **kwargs):
             raise AssertionError("mode rows formed")
 
-        monkeypatch.setattr(elements, "beam_mode_rows", no_rows)
+        monkeypatch.setattr(assembly, "mode_rows", no_rows)
         updated = update_partition(part, apply_floor_grading(model, 4000.0, 36000.0, "E"))
         assert updated.c_b_lu is part.c_b_lu
 
@@ -601,12 +601,13 @@ class TestCsRoute:
                              ids=["ladder-7x16", "graded-frame-50x20"])
     def test_routes_agree(self, build, monkeypatch):
         model = build()
-        part = make_partition(model, default_additional_set(model))
-        rng = np.random.default_rng(3)
-        v, x = rng.standard_normal(part.n), rng.standard_normal(part.q)
         out = {}
-        for row_cost in (-float("inf"), float("inf")):
-            monkeypatch.setattr(assembly, "ROW_COST", row_cost)
+        for share in (-float("inf"), float("inf")):
+            # the policy is fixed when the partition is made
+            monkeypatch.setattr(assembly, "SPARSE_SHARE", share)
+            part = make_partition(model, default_additional_set(model))
+            rng = np.random.default_rng(3)
+            v, x = rng.standard_normal(part.n), rng.standard_normal(part.q)
             out[part.c_s_stored] = part.apply_c_s(v), part.apply_c_s_t(x), reduced_gram(part)
         assert set(out) == {False, True}
         for via_c_b, stored in zip(out[False], out[True]):
@@ -627,23 +628,24 @@ class TestCsRoute:
 
 
 def c_b_ladder():
-    """A ladder whose C_s fills in past ROW_COST, so it takes the C_b route."""
+    """A ladder whose C_s fills in past SPARSE_SHARE, so it takes the C_b route."""
     return build_truss_grid(15, 30)
 
 
 class TestReducedGram:
-    @pytest.mark.parametrize("build, row_cost, stored", [
+    @pytest.mark.parametrize("build, share, stored", [
         (lambda: build_frame_grid(20, 8), None, True),
-        (lambda: build_truss_grid(7, 16), None, True),
+        (lambda: build_truss_grid(7, 16), float("inf"), True),
         (c_b_ladder, None, False),
         (graded_fg_frame, -float("inf"), False),
     ], ids=["frame-sparse", "ladder-sparse", "ladder-syrk", "frame-syrk"])
-    def test_matches_definition(self, build, row_cost, stored, monkeypatch):
+    def test_matches_definition(self, build, share, stored, monkeypatch):
         # "sparse" is the stored route's sparse product, "syrk" the C_b
-        # route's; frame-syrk forces the C_b route, so that coupled 3x3
-        # blocks go through the blockwise Cholesky
-        if row_cost is not None:
-            monkeypatch.setattr(assembly, "ROW_COST", row_cost)
+        # route's; ladder-sparse forces the stored route, so that 1x1 blocks
+        # go through the sparse product, and frame-syrk the C_b route, so
+        # that coupled 3x3 blocks go through the blockwise Cholesky
+        if share is not None:
+            monkeypatch.setattr(assembly, "SPARSE_SHARE", share)
         model = build()
         part = make_partition(model, default_additional_set(model))
         assert part.c_s_stored is stored

@@ -10,24 +10,35 @@ from reanalyze.elements import (
     bar_parameters,
     bar_rows,
     beam_decomposition,
-    beam_mode_rows,
     beam_parameter_matrix,
     bilinear_stress,
     fg_beam_decomposition,
-    fg_beam_local_stiffness,
     fg_beam_parameter_matrix,
     fg_section_constants,
+    mode_rows,
     truss_decomposition,
 )
 from reanalyze.errors import DegenerateElementError, InvalidMaterialError, InvalidParameterError
 
-from helpers import beam_rotation, eb_local_stiffness, graded_profile_moments, truss_global_stiffness
+from helpers import (
+    beam_rotation,
+    eb_local_stiffness,
+    fg_beam_local_stiffness,
+    graded_profile_moments,
+    truss_global_stiffness,
+)
 
 lengths = st.floats(0.1, 2000.0)
 angles = st.floats(-np.pi, np.pi)
 moduli = st.floats(100.0, 1e6)
 areas = st.floats(0.5, 2000.0)
 inertias = st.floats(0.5, 1e6)
+
+
+def beam_mode_rows(length, angle=0.0):
+    """The 3 x 6 mode rows of one beam along (cos angle, sin angle)."""
+    delta = length * np.array([[np.cos(angle), np.sin(angle)]])
+    return mode_rows(delta, np.array([length]), 3)[0]
 
 
 class TestTrussDecomposition:
@@ -138,6 +149,18 @@ class TestBeamModeRows:
         expected = t.T @ eb_local_stiffness(young, area, inertia, length) @ t
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(dec.stiffness() - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_axis_members_have_exact_zeros(self, m):
+        # the axis form divides the end-to-end vector by the length, so a
+        # member along a global axis carries no cos(pi/2) residue
+        delta = np.array([[0.0, 300.0], [-250.0, 0.0]])
+        rows = mode_rows(delta, np.array([300.0, 250.0]), m)
+        assert rows.shape == (2, m, m + 3)
+        dofs = m + 3
+        v_end, u_end = [1, dofs // 2 + 1], [0, dofs // 2]
+        assert np.all(rows[0, 0, u_end] == 0.0) and np.all(rows[1, 0, v_end] == 0.0)
+        assert np.array_equal(rows[0, 0, v_end], np.array([-1.0, 1.0]) / np.sqrt(2.0))
 
     def test_mode_count(self):
         assert beam_mode_rows(3.0).shape == (3, 6)

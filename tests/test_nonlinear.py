@@ -94,8 +94,7 @@ class TestBars:
         for model in (bilinear_truss(), bilinear_truss(4, 3), single_bar()):
             c = Bars.of(model).c.toarray()
             expected = assemble_parameters(model)[1].toarray()
-            assert c.shape == expected.shape
-            assert np.max(np.abs(c - expected)) <= 1e-15
+            assert np.array_equal(c, expected)
 
 
 class TestTangentPartition:
