@@ -18,12 +18,15 @@ inverses are rebuilt.
 element_geometry is the one reader of element geometry: the end-to-end
 vectors, lengths and end DOFs of all elements, from the model's arrays.
 element_blocks builds the parameter blocks of all elements array-wise, one
-elementwise kernel call per element kind; make_partition, update_partition
-and assemble_parameters all take their blocks from it, so a partition
-updated to its own model equals a fresh one bitwise.  mode_matrix builds
-the mode rows C of all elements with one call to elements.mode_rows (the one
-mode-row formula, in axis form) and one CSR build; assemble_parameters and
-the Newton driver's bars take C from it, and update_partition forms no rows.
+call per element kind present to the elementwise kernels
+truss_decomposition, beam_decomposition and fg_beam_decomposition, by the
+names this module binds (benchmark/tracing.py counts the calls there).
+make_partition, update_partition and assemble_parameters all take their
+blocks from it, so a partition updated to its own model equals a fresh one
+bitwise.  mode_matrix builds the mode rows C of all elements with one call
+to elements.mode_rows (the one mode-row formula, in axis form) and one CSR
+build; assemble_parameters and the Newton driver's bars take C from it, and
+update_partition forms no rows.
 
 make_partition builds the sparse influence matrix C_s once per topology, by
 level-scheduled triangular solves with the L and U factors of the basis LU:
@@ -47,14 +50,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dsyrk
 
-# truss_, beam_ and fg_beam_decomposition are unused here but stay bound:
-# benchmark/tracing.py patches them on this module by name
 from .elements import (
-    bar_parameters,
     beam_decomposition,
-    beam_parameter_matrix,
     fg_beam_decomposition,
-    fg_beam_parameter_matrix,
     fg_section_constants,
     mode_rows,
     truss_decomposition,
@@ -150,19 +148,19 @@ def element_blocks(model: StructuralModel) -> np.ndarray:
     if ids[bar]:
         young, area = _fields(flat[bar], ids[bar], ((no_young, [0]),
                                                     ("bar section needs area", [1])))
-        blocks[ids[bar], 0, 0] = bar_parameters(young, area, length[ids[bar]])
+        blocks[ids[bar], 0, 0] = truss_decomposition(young, area, length[ids[bar]])
     if ids[beam]:
         young, area, inertia = _fields(
             flat[beam], ids[beam],
             ((no_young, [0]), ("beam section needs area and inertia", [1, 2])))
-        blocks[ids[beam]] = beam_parameter_matrix(young, area, inertia, length[ids[beam]])
+        blocks[ids[beam]] = beam_decomposition(young, area, inertia, length[ids[beam]])
     if ids[fg]:
         e_us, e_ls, p, width, height = _fields(
             flat[fg], ids[fg],
             (("graded material needs e_us, e_ls and p", [0, 1, 2]),
              ("graded section needs width and height", [3, 4])))
         constants = fg_section_constants(height, p, e_us, e_ls, coupling=np.array(coupling))
-        blocks[ids[fg]] = fg_beam_parameter_matrix(width, constants, length[ids[fg]])
+        blocks[ids[fg]] = fg_beam_decomposition(width, constants, length[ids[fg]])
     return blocks
 
 

@@ -47,12 +47,17 @@ def _check(n: int, q: int = 0, k: int = 0) -> None:
         raise InvalidParameterError(f"need n >= 1, q >= 0, k >= 0; got n={n}, q={q}, k={k}")
 
 
+def sri_iteration_cost(n: int, q: int) -> int:
+    """Flops added by one more iteration of the reduced scheme."""
+    _check(n, q)
+    return 6 * q * q + 8 * n * q + 2 * n + 16 * q + 2
+
+
 def flops_sri(n: int, q: int, k: int) -> int:
     """Total flops of the reduced preconditioned iteration after k iterations."""
     _check(n, q, k)
     n, q, k = int(n), int(q), int(k)
-    return (k * (6 * q * q + 8 * n * q + 2 * n + 16 * q + 2)
-            + 2 * n * n + 4 * q * q + 10 * n * q + 4 * n + 2 * q)
+    return k * sri_iteration_cost(n, q) + 2 * n * n + 4 * q * q + 10 * n * q + 4 * n + 2 * q
 
 
 def flops_pcg(n: int, k: int) -> int:
@@ -68,12 +73,6 @@ def flops_fdp(n: int, q: int) -> int:
     n, q = int(n), int(q)
     return (2 * n * q * q + q**3 + 2 * n * n + 2 * q * q
             + 6 * n * q + 3 * n + 2 * q)
-
-
-def sri_iteration_cost(n: int, q: int) -> int:
-    """Flops added by one more iteration of the reduced scheme."""
-    _check(n, q)
-    return 6 * q * q + 8 * n * q + 2 * n + 16 * q + 2
 
 
 def relative_time(t_reanalysis: float, t_conventional: float) -> float:

@@ -14,12 +14,12 @@ assembly.element_geometry gives them, and returns the rows in axis form,
 the unit axis delta / L rather than the cosine and sine of an angle, so a
 member along a global axis stores exact zeros.  assembly.mode_matrix makes
 one call to it for the whole model, and the Newton driver's bars take their
-axial rows from that same matrix.  The parameter kernels (bar_parameters,
-beam_parameter_matrix, fg_section_constants, fg_beam_parameter_matrix)
-take scalars or arrays elementwise, so assembly.element_blocks makes one
-call per element kind; the *_decomposition functions are their one-element
-forms and the tests' scalar references.  Both give the same blocks bitwise:
-the kernels use only +, -, * and /, never a power.
+axial rows from that same matrix.  The parameter kernels
+(truss_decomposition, beam_decomposition, fg_section_constants,
+fg_beam_decomposition) give K_L and take scalars or arrays elementwise, so
+assembly.element_blocks makes one call per element kind.  A call with
+scalars gives the same block bitwise as its element's entry of an array
+call: the kernels use only +, -, * and /, never a power.
 """
 
 from __future__ import annotations
@@ -31,37 +31,6 @@ import numpy as np
 from .errors import DegenerateElementError, InvalidMaterialError, InvalidParameterError
 
 SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ElementDecomposition:
-    """Stiffness parameters and geometry of a single element.
-
-    k_params is the m x m (symmetric positive definite) parameter matrix;
-    the m x nd global mode rows c_global are formed by mode_rows from the
-    end-to-end vector (L cos a, L sin a) when read, so code that needs only
-    the parameters forms no rows.
-    """
-
-    k_params: np.ndarray
-    length: float
-    angle: float
-
-    @property
-    def m(self) -> int:
-        return self.k_params.shape[0]
-
-    @property
-    def c_global(self) -> np.ndarray:
-        """Unit-norm mode rows in global axes (mode_rows)."""
-        delta = self.length * np.array([[np.cos(self.angle), np.sin(self.angle)]])
-        return mode_rows(delta, np.array([self.length]), self.m)[0]
-
-    def stiffness(self) -> np.ndarray:
-        """Reconstruct the global element stiffness C^T K_L C, symmetrized."""
-        c_global = self.c_global
-        s = c_global.T @ self.k_params @ c_global
-        return 0.5 * (s + s.T)
 
 
 @dataclass(frozen=True)
@@ -79,8 +48,12 @@ class FgSectionConstants:
     d_e: float
 
 
-def bar_parameters(young, area, length):
-    """Bar stiffness parameter 2EA/L, for scalars or arrays elementwise."""
+def truss_decomposition(young, area, length):
+    """Bar stiffness parameter 2EA/L, for scalars or arrays elementwise.
+
+    It pairs with the axial row (-1, 0, 1, 0) / sqrt(2) of bar_rows so that
+    C^T K_L C reproduces (EA/L) v v^T.
+    """
     return 2.0 * young * area / length
 
 
@@ -117,18 +90,7 @@ def mode_rows(delta: np.ndarray, length: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
-def truss_decomposition(length: float, angle: float, young: float, area: float) -> ElementDecomposition:
-    """Single-mode decomposition of a pin-jointed bar.
-
-    The axial stretch row (-1, 0, 1, 0)/sqrt(2) pairs with the stiffness
-    parameter 2EA/L so that C^T K_L C reproduces (EA/L) v v^T.
-    """
-    if length <= 0.0:
-        raise DegenerateElementError(f"bar length must be positive, got {length}")
-    return ElementDecomposition(np.array([[bar_parameters(young, area, length)]]), length, angle)
-
-
-def beam_parameter_matrix(young, area, inertia, length) -> np.ndarray:
+def beam_decomposition(young, area, inertia, length) -> np.ndarray:
     """Stiffness parameters of a homogeneous Euler-Bernoulli beam element,
     for scalars (a 3 x 3 matrix) or arrays elementwise (a (..., 3, 3) stack).
 
@@ -153,13 +115,6 @@ def _diagonal_blocks(*diagonal) -> np.ndarray:
     for i, entry in enumerate(diagonal):
         out[..., i, i] = entry
     return out
-
-
-def beam_decomposition(length: float, angle: float, young: float, area: float,
-                       inertia: float) -> ElementDecomposition:
-    """Three-mode decomposition of a homogeneous Euler-Bernoulli beam."""
-    return ElementDecomposition(beam_parameter_matrix(young, area, inertia, length),
-                                length, angle)
 
 
 def fg_section_constants(height, exponent, e_upper, e_lower,
@@ -194,7 +149,7 @@ def fg_section_constants(height, exponent, e_upper, e_lower,
     return FgSectionConstants(a_e, b_e, d_e)
 
 
-def fg_beam_parameter_matrix(width, constants: FgSectionConstants, length) -> np.ndarray:
+def fg_beam_decomposition(width, constants: FgSectionConstants, length) -> np.ndarray:
     """Stiffness parameters of a depth-graded beam element, for scalars (a
     3 x 3 matrix) or arrays elementwise (a (..., 3, 3) stack).
 
@@ -214,13 +169,6 @@ def fg_beam_parameter_matrix(width, constants: FgSectionConstants, length) -> np
                            6.0 * (l2 + 4.0) * d_e * width / (l2 * length))
     out[..., 0, 1] = out[..., 1, 0] = -2.0 * b_e * width / length
     return out
-
-
-def fg_beam_decomposition(length: float, angle: float, width: float,
-                          constants: FgSectionConstants) -> ElementDecomposition:
-    """Three-mode decomposition of a depth-graded beam."""
-    return ElementDecomposition(fg_beam_parameter_matrix(width, constants, length),
-                                length, angle)
 
 
 def bilinear_stress(strain, e0, et, sigma_y):

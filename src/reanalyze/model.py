@@ -233,7 +233,12 @@ class StructuralModel:
         return r
 
     def replace_materials(self, materials: dict[int, MaterialSpec]) -> "StructuralModel":
-        """New model with the given element materials swapped in."""
+        """New model with the given element materials swapped in; raises
+        InvalidParameterError naming the first id that is no element's."""
+        outside = next((i for i in materials if not 0 <= i < len(self.elements)), None)
+        if outside is not None:
+            raise InvalidParameterError(
+                f"material id {outside} outside element range 0..{len(self.elements) - 1}")
         elems = [dataclasses.replace(e, material=materials[e.id]) if e.id in materials else e
                  for e in self.elements]
         return StructuralModel(list(self.nodes), elems, self.supports, list(self.loads), self.meta)

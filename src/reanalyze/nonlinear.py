@@ -13,12 +13,12 @@ geometry and its element kernels: assembly.mode_matrix gives the unit axial
 mode rows C, built by the one mode-row kernel exactly as the linear
 assembly builds them, and assembly.element_geometry the bar lengths, whence
 the strains sqrt(2) C d / L and the internal force C^T (sqrt(2) A sigma).
-A tangent state only changes the 1x1 parameter blocks
-elements.bar_parameters(E_t, A, L), which the assembled tangent and the
-tangent partition build through the same assembly helpers as the linear
-stiffness.  The "reduction" backend is solvers.solve_fdp on the tangent
-partition.  The helpers below take the Bars a run builds once from its model,
-not the model.
+A tangent state only changes the 1x1 parameter blocks 2 E_t A / L, which
+come from the linear assembly's bar kernel elements.truss_decomposition and
+which the assembled tangent and the tangent partition build through the
+same assembly helpers as the linear stiffness.  The "reduction" backend is
+solvers.solve_fdp on the tangent partition.  The helpers below take the Bars
+a run builds once from its model, not the model.
 """
 
 from __future__ import annotations
@@ -41,8 +41,13 @@ from .assembly import (
     sparse_lu,
     stiffness,
 )
-from .elements import SQRT2, bar_parameters, bilinear_stress
-from .errors import InvalidStateError, UnstableStructureError, UnsupportedModelError
+from .elements import SQRT2, bilinear_stress, truss_decomposition
+from .errors import (
+    InvalidParameterError,
+    InvalidStateError,
+    UnstableStructureError,
+    UnsupportedModelError,
+)
 from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
     build_sri_preconditioner,
@@ -118,7 +123,7 @@ def _tangent_parameters(bars: Bars, state: MaterialState) -> np.ndarray:
     non-positive tangent modulus."""
     if np.any(state.tangent <= 0.0):
         raise InvalidStateError("non-positive tangent modulus")
-    return bar_parameters(state.tangent, bars.area, bars.length)
+    return truss_decomposition(state.tangent, bars.area, bars.length)
 
 
 def assemble_tangent(bars: Bars, state: MaterialState) -> sp.csr_matrix:
@@ -172,10 +177,15 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
     the step load norm); both reduced backends partition the model with its
     default_additional_set.  A step that fails to converge within max_outer
     iterations, or whose inner SRI solve ends unconverged, terminates the run
-    with the history accumulated so far.
+    with the history accumulated so far.  A non-finite load p0 or fewer than
+    one load step raises InvalidParameterError before anything is built.
     """
     if backend not in ("regular", "reduction", "sri"):
         raise UnsupportedModelError(f"unknown backend {backend!r}")
+    if n_steps < 1:
+        raise InvalidParameterError(f"need at least one load step, got n_steps={n_steps}")
+    if not np.all(np.isfinite(p0)):
+        raise InvalidParameterError("load vector p0 has non-finite entries")
     bars = Bars.of(model)
     t0 = time.perf_counter()
 

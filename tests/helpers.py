@@ -2,7 +2,9 @@
 
 Everything here is written from first principles (textbook element matrices,
 direct quadrature, dense linear algebra) so the production code is always
-checked against an implementation that does not share its code paths.
+checked against an implementation that does not share its code paths.  The
+exceptions are element_rows and element_stiffness, which form one element's
+mode rows and C^T K_L C through the package: they are what the oracles check.
 """
 
 import math
@@ -10,6 +12,8 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+
+from reanalyze.elements import mode_rows
 
 
 def truss_global_stiffness(young, area, length, angle):
@@ -51,6 +55,22 @@ def fg_beam_local_stiffness(width, constants, length):
         [0.0, -12.0 * d * b, -6.0 * d * b * l, 0.0, 12.0 * d * b, -6.0 * d * b * l],
         [bc * b * l2, 6.0 * d * b * l, 2.0 * d * b * l2, -bc * b * l2, -6.0 * d * b * l, 4.0 * d * b * l2],
     ]) / l**3
+
+
+def element_rows(length, angle, m):
+    """The m x (m + 3) mode rows of one element along (cos angle, sin angle),
+    from the package's one mode-row kernel."""
+    delta = length * np.array([[np.cos(angle), np.sin(angle)]])
+    return mode_rows(delta, np.array([length]), m)[0]
+
+
+def element_stiffness(k_l, length, angle):
+    """Symmetrized C^T K_L C of one element along (cos angle, sin angle), from
+    its parameters k_l (m x m, or a bar's scalar) and element_rows."""
+    k_l = np.atleast_2d(k_l)
+    rows = element_rows(length, angle, k_l.shape[0])
+    s = rows.T @ k_l @ rows
+    return 0.5 * (s + s.T)
 
 
 def beam_rotation(angle):

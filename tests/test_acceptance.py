@@ -207,49 +207,42 @@ def test_c04_closed_form_force_identity_on_random_models():
 def test_c05_reconstruction_property_suite():
     """C^T K_L C rebuilds the textbook element stiffness to 1e-12 relative on
     1000+ random parameter draws over all element kinds."""
-    from reanalyze.elements import (
-        beam_decomposition,
-        beam_parameter_matrix,
-        fg_beam_decomposition,
-        fg_beam_parameter_matrix,
-        truss_decomposition,
-    )
-    from helpers import fg_beam_local_stiffness, truss_global_stiffness
+    from reanalyze.elements import beam_decomposition, fg_beam_decomposition, truss_decomposition
+    from helpers import element_stiffness, fg_beam_local_stiffness, truss_global_stiffness
 
     rng = np.random.default_rng(42)
     checked = 0
     for _ in range(400):
         length, angle = rng.uniform(1, 2000), rng.uniform(-np.pi, np.pi)
         young, area = rng.uniform(1e2, 1e6), rng.uniform(0.5, 500)
-        dec = truss_decomposition(length, angle, young, area)
+        k = element_stiffness(truss_decomposition(young, area, length), length, angle)
         ref = truss_global_stiffness(young, area, length, angle)
-        assert np.max(np.abs(dec.stiffness() - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += 1
     for _ in range(300):
         length, angle = rng.uniform(1, 2000), rng.uniform(-np.pi, np.pi)
         young, area, inertia = rng.uniform(1e2, 1e6), rng.uniform(0.5, 500), rng.uniform(1, 1e5)
-        dec = beam_decomposition(length, angle, young, area, inertia)
+        k = element_stiffness(beam_decomposition(young, area, inertia, length), length, angle)
         t = beam_rotation(angle)
         ref = t.T @ eb_local_stiffness(young, area, inertia, length) @ t
-        assert np.max(np.abs(dec.stiffness() - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += 1
     for _ in range(300):
         length, angle = rng.uniform(1, 2000), rng.uniform(-np.pi, np.pi)
         width, height = rng.uniform(0.5, 30), rng.uniform(0.5, 60)
         p, e_ls = rng.uniform(0, 10), rng.uniform(1e3, 1e5)
         c = fg_section_constants(height, p, rng.uniform(0.1, 10) * e_ls, e_ls)
-        dec = fg_beam_decomposition(length, angle, width, c)
+        k = element_stiffness(fg_beam_decomposition(width, c, length), length, angle)
         t = beam_rotation(angle)
         ref = t.T @ fg_beam_local_stiffness(width, c, length) @ t
-        assert np.max(np.abs(dec.stiffness() - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(k - ref)) <= 1e-12 * np.max(np.abs(ref))
         checked += 1
     for _ in range(100):
         width, height = rng.uniform(0.5, 30), rng.uniform(0.5, 60)
         young, length = rng.uniform(1e3, 1e5), rng.uniform(1, 2000)
         c = fg_section_constants(height, rng.uniform(0, 10), young, young)
-        graded = fg_beam_parameter_matrix(width, c, length)
-        homog = beam_parameter_matrix(young, width * height,
-                                      width * height**3 / 12.0, length)
+        graded = fg_beam_decomposition(width, c, length)
+        homog = beam_decomposition(young, width * height, width * height**3 / 12.0, length)
         assert np.max(np.abs(graded - homog)) <= 1e-12 * np.max(np.abs(homog))
         checked += 1
     assert checked >= 1000

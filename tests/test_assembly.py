@@ -154,21 +154,22 @@ def graded_frame():
 
 
 def scalar_blocks(model):
-    """Parameter blocks from the one-element decompositions, element by element."""
+    """Parameter blocks from scalar calls to the element kernels, element by
+    element."""
     out = []
     for elem in model.elements:
-        length, angle = length_and_angle(model, elem)
+        length, _ = length_and_angle(model, elem)
         sec, mat = elem.section, elem.material
         young = mat.e if mat.e is not None else mat.e0
         if elem.kind is ElementKind.TRUSS_BAR:
-            dec = elements.truss_decomposition(length, angle, young, sec.area)
+            block = np.atleast_2d(elements.truss_decomposition(young, sec.area, length))
         elif elem.kind is ElementKind.HOMOGENEOUS_BEAM:
-            dec = elements.beam_decomposition(length, angle, young, sec.area, sec.inertia)
+            block = elements.beam_decomposition(young, sec.area, sec.inertia, length)
         else:
             constants = elements.fg_section_constants(
                 sec.height, mat.p, mat.e_us, mat.e_ls, coupling=mat.fg_coupling or "exact")
-            dec = elements.fg_beam_decomposition(length, angle, sec.width, constants)
-        out.append(dec.k_params)
+            block = elements.fg_beam_decomposition(sec.width, constants, length)
+        out.append(block)
     return np.stack(out)
 
 
@@ -203,6 +204,26 @@ class TestElementBlocks:
         kinds = {e.kind for e in model.elements}
         assert len(kinds) == (2 if build is mixed_beams else 1)
         assert np.array_equal(assembly.element_blocks(model), scalar_blocks(model))
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: build_truss_grid(7, 16), {"truss_decomposition": 1}),
+        (mixed_beams, {"beam_decomposition": 1, "fg_beam_decomposition": 1}),
+    ], ids=["ladder-7x16", "mixed-beams"])
+    def test_kernels_called_by_their_bound_names(self, build, expected, monkeypatch):
+        # benchmark/tracing.py counts the element layer by patching these
+        # names on assembly: a block build calls each kernel present once
+        model = build()
+        part = make_partition(model, default_additional_set(model))
+        calls = dict.fromkeys(
+            ("truss_decomposition", "beam_decomposition", "fg_beam_decomposition"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(assembly, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(assembly, name, counted)
+        update_partition(part, model)
+        assert calls == {**dict.fromkeys(calls, 0), **expected}
 
     @pytest.mark.parametrize("build", [
         lambda: apply_floor_grading(build_frame_grid(6, 4), 4000.0, 36000.0, "E"),

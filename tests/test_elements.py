@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from reanalyze.elements import (
     FgSectionConstants,
-    bar_parameters,
     bar_rows,
     beam_decomposition,
-    beam_parameter_matrix,
     bilinear_stress,
     fg_beam_decomposition,
-    fg_beam_parameter_matrix,
     fg_section_constants,
     mode_rows,
     truss_decomposition,
@@ -23,6 +20,8 @@ from reanalyze.errors import DegenerateElementError, InvalidMaterialError, Inval
 from helpers import (
     beam_rotation,
     eb_local_stiffness,
+    element_rows,
+    element_stiffness,
     fg_beam_local_stiffness,
     graded_profile_moments,
     truss_global_stiffness,
@@ -35,47 +34,35 @@ areas = st.floats(0.5, 2000.0)
 inertias = st.floats(0.5, 1e6)
 
 
-def beam_mode_rows(length, angle=0.0):
-    """The 3 x 6 mode rows of one beam along (cos angle, sin angle)."""
-    delta = length * np.array([[np.cos(angle), np.sin(angle)]])
-    return mode_rows(delta, np.array([length]), 3)[0]
-
-
 class TestTrussDecomposition:
     def test_parameter_value(self):
-        dec = truss_decomposition(500.0, 0.0, 20000.0, 20.0)
-        assert dec.k_params.shape == (1, 1)
-        assert dec.k_params[0, 0] == pytest.approx(2 * 20000 * 20 / 500)  # 1600
+        assert truss_decomposition(20000.0, 20.0, 500.0) == pytest.approx(
+            2 * 20000 * 20 / 500)  # 1600
 
     def test_reconstruction_along_x(self):
-        dec = truss_decomposition(500.0, 0.0, 20000.0, 20.0)
+        k = element_stiffness(truss_decomposition(20000.0, 20.0, 500.0), 500.0, 0.0)
         expected = truss_global_stiffness(20000.0, 20.0, 500.0, 0.0)
-        assert np.allclose(dec.stiffness(), expected, rtol=1e-13, atol=0)
+        assert np.allclose(k, expected, rtol=1e-13, atol=0)
 
     def test_vertical_bar_row(self):
-        dec = truss_decomposition(100.0, np.pi / 2, 1000.0, 5.0)
         expected = np.array([0.0, -1.0, 0.0, 1.0]) / np.sqrt(2.0)
-        assert np.allclose(dec.c_global[0], expected, atol=1e-15)
+        assert np.allclose(element_rows(100.0, np.pi / 2, 1)[0], expected, atol=1e-15)
 
     def test_linear_in_modulus(self):
-        d1 = truss_decomposition(100.0, 0.3, 1000.0, 5.0)
-        d2 = truss_decomposition(100.0, 0.3, 2000.0, 5.0)
-        assert np.allclose(d2.k_params, 2 * d1.k_params)
-        assert np.array_equal(d1.c_global, d2.c_global)
-
-    def test_degenerate_length(self):
-        with pytest.raises(DegenerateElementError):
-            truss_decomposition(0.0, 0.0, 1.0, 1.0)
+        k1 = truss_decomposition(1000.0, 5.0, 100.0)
+        k2 = truss_decomposition(2000.0, 5.0, 100.0)
+        assert k2 == pytest.approx(2 * k1)
 
     @given(lengths, angles, moduli, areas)
     @settings(max_examples=200, deadline=None)
     def test_reconstruction_property(self, length, angle, young, area):
-        dec = truss_decomposition(length, angle, young, area)
+        k = element_stiffness(truss_decomposition(young, area, length), length, angle)
         expected = truss_global_stiffness(young, area, length, angle)
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(dec.stiffness() - expected)) <= 1e-12 * scale
-        assert dec.c_global.shape == (1, 4)
-        assert np.linalg.norm(dec.c_global[0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(k - expected)) <= 1e-12 * scale
+        rows = element_rows(length, angle, 1)
+        assert rows.shape == (1, 4)
+        assert np.linalg.norm(rows[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBarKernel:
@@ -85,70 +72,69 @@ class TestBarKernel:
         length, angle, young, area = (np.array(v) for v in zip(*bars))
         rows = bar_rows(np.column_stack([length * np.cos(angle), length * np.sin(angle)]),
                         length)
-        params = bar_parameters(young, area, length)
-        for i, bar in enumerate(bars):
-            dec = truss_decomposition(*bar)
-            assert np.allclose(rows[i], dec.c_global[0], rtol=0.0, atol=1e-15)
-            assert params[i] == dec.k_params[0, 0]
+        params = truss_decomposition(young, area, length)
+        for i, (l_i, a_i, e_i, area_i) in enumerate(bars):
+            assert np.allclose(rows[i], element_rows(l_i, a_i, 1)[0], rtol=0.0, atol=1e-15)
+            assert params[i] == truss_decomposition(e_i, area_i, l_i)
 
 
 class TestBeamParameterMatrix:
     def test_values_match_mode_projection(self):
         # oracle: project the textbook stiffness onto the mode rows
         e_mod, area, inertia, length = 20000.0, 300.0, 22500.0, 500.0
-        rows = beam_mode_rows(length)
+        rows = element_rows(length, 0.0, 3)
         k_std = eb_local_stiffness(e_mod, area, inertia, length)
         projected = rows @ k_std @ rows.T
-        built = beam_parameter_matrix(e_mod, area, inertia, length)
+        built = beam_decomposition(e_mod, area, inertia, length)
         assert np.allclose(built, projected, rtol=1e-12)
         assert built[0, 0] == pytest.approx(24000.0)          # 2EA/L
         assert built[1, 1] == pytest.approx(1.8e6)            # 2EI/L
         assert built[2, 2] == pytest.approx(5.4000864e6)      # 6EI(L^2+4)/L^3
 
     def test_length_scaling(self):
-        k1 = beam_parameter_matrix(1000.0, 10.0, 100.0, 2.0)
-        k2 = beam_parameter_matrix(1000.0, 10.0, 100.0, 4.0)
+        k1 = beam_decomposition(1000.0, 10.0, 100.0, 2.0)
+        k2 = beam_decomposition(1000.0, 10.0, 100.0, 4.0)
         assert k2[0, 0] == pytest.approx(k1[0, 0] / 2)
         assert k2[1, 1] == pytest.approx(k1[1, 1] / 2)
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(InvalidParameterError):
-            beam_parameter_matrix(0.0, 1.0, 1.0, 1.0)
+            beam_decomposition(0.0, 1.0, 1.0, 1.0)
         with pytest.raises(DegenerateElementError):
-            beam_parameter_matrix(1.0, 1.0, 1.0, -2.0)
+            beam_decomposition(1.0, 1.0, 1.0, -2.0)
 
 
 class TestBeamModeRows:
     def test_explicit_antisymmetric_row(self):
-        rows = beam_mode_rows(2.0)
+        rows = element_rows(2.0, 0.0, 3)
         assert np.allclose(rows[2], np.array([0, 2, 2, 0, -2, 2]) / 4.0)
 
     @given(lengths)
     @settings(max_examples=100, deadline=None)
     def test_unit_norms(self, length):
-        rows = beam_mode_rows(length)
+        rows = element_rows(length, 0.0, 3)
         assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
 
     @given(lengths, angles)
     @settings(max_examples=200, deadline=None)
     def test_global_rows_are_rotated_local_rows(self, length, angle):
-        expected = beam_mode_rows(length, 0.0) @ beam_rotation(angle)
-        assert np.max(np.abs(beam_mode_rows(length, angle) - expected)) <= 1e-15
+        expected = element_rows(length, 0.0, 3) @ beam_rotation(angle)
+        assert np.max(np.abs(element_rows(length, angle, 3) - expected)) <= 1e-15
 
     def test_unit_reconstruction(self):
-        k_l = beam_parameter_matrix(1.0, 1.0, 1.0, 1.0)
-        rows = beam_mode_rows(1.0)
+        k_l = beam_decomposition(1.0, 1.0, 1.0, 1.0)
+        rows = element_rows(1.0, 0.0, 3)
         assert np.allclose(rows.T @ k_l @ rows, eb_local_stiffness(1.0, 1.0, 1.0, 1.0),
                            rtol=1e-13, atol=1e-13)
 
     @given(lengths, angles, moduli, areas, inertias)
     @settings(max_examples=200, deadline=None)
     def test_reconstruction_property(self, length, angle, young, area, inertia):
-        dec = beam_decomposition(length, angle, young, area, inertia)
+        k = element_stiffness(beam_decomposition(young, area, inertia, length), length, angle)
         t = beam_rotation(angle)
         expected = t.T @ eb_local_stiffness(young, area, inertia, length) @ t
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(dec.stiffness() - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(k - expected)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_axis_members_have_exact_zeros(self, m):
@@ -163,8 +149,8 @@ class TestBeamModeRows:
         assert np.array_equal(rows[0, 0, v_end], np.array([-1.0, 1.0]) / np.sqrt(2.0))
 
     def test_mode_count(self):
-        assert beam_mode_rows(3.0).shape == (3, 6)
-        assert truss_decomposition(3.0, 0.0, 1.0, 1.0).c_global.shape == (1, 4)
+        assert element_rows(3.0, 0.0, 3).shape == (3, 6)
+        assert element_rows(3.0, 0.0, 1).shape == (1, 4)
 
 
 class TestGradedSectionConstants:
@@ -225,14 +211,14 @@ class TestGradedBeamMatrices:
     def test_homogeneous_reduction(self):
         b, h, e_mod, length = 10.0, 30.0, 20000.0, 500.0
         c = fg_section_constants(h, 1.7, e_mod, e_mod)
-        graded = fg_beam_parameter_matrix(b, c, length)
-        homog = beam_parameter_matrix(e_mod, b * h, b * h**3 / 12.0, length)
+        graded = fg_beam_decomposition(b, c, length)
+        homog = beam_decomposition(e_mod, b * h, b * h**3 / 12.0, length)
         assert np.allclose(graded, homog, rtol=1e-12)
         assert graded[0, 1] == 0.0
 
     def test_explicit_substitution(self):
         c = FgSectionConstants(1.5, 1.0 / 12.0, 5.0 / 24.0)
-        k = fg_beam_parameter_matrix(1.0, c, 1.0)
+        k = fg_beam_decomposition(1.0, c, 1.0)
         expected = np.array([
             [3.0, -1.0 / 6.0, 0.0],
             [-1.0 / 6.0, 5.0 / 12.0, 0.0],
@@ -242,7 +228,7 @@ class TestGradedBeamMatrices:
 
     def test_rejects_indefinite_constants(self):
         with pytest.raises(InvalidMaterialError):
-            fg_beam_parameter_matrix(1.0, FgSectionConstants(1.0, 2.0, 1.0), 1.0)
+            fg_beam_decomposition(1.0, FgSectionConstants(1.0, 2.0, 1.0), 1.0)
 
     def test_local_stiffness_symmetric_rank3(self):
         rng = np.random.default_rng(7)
@@ -267,11 +253,11 @@ class TestGradedBeamMatrices:
     def test_reconstruction_property(self, width, height, exponent, ratio, length, angle):
         e_lower = 5000.0
         c = fg_section_constants(height, exponent, ratio * e_lower, e_lower)
-        dec = fg_beam_decomposition(length, angle, width, c)
+        k = element_stiffness(fg_beam_decomposition(width, c, length), length, angle)
         t = beam_rotation(angle)
         expected = t.T @ fg_beam_local_stiffness(width, c, length) @ t
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(dec.stiffness() - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(k - expected)) <= 1e-12 * scale
 
 
 class TestBilinearStress:

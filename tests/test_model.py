@@ -285,6 +285,19 @@ class TestReferences:
             rebuilt(model, elements)
 
 
+    @pytest.mark.parametrize("ids, bad", [((999, -1), 999), ((-1, 3), -1), ((0, 14), 14)],
+                             ids=["past-last", "negative", "one-past-last"])
+    def test_unknown_material_id_rejected(self, ids, bad):
+        # an id that is no element's would otherwise be dropped, and the
+        # design come back unchanged
+        model = build_truss_grid(2, 2)
+        assert len(model.elements) == 14
+        steel = MaterialSpec(e=21000.0)
+        with pytest.raises(InvalidParameterError, match=f"^material id {bad} outside"):
+            model.replace_materials(dict.fromkeys(ids, steel))
+        assert model.replace_materials({13: steel}).elements[13].material == steel
+
+
 class TestSpecValues:
     FIELDS = [(SectionSpec, name) for name in ("area", "inertia", "width", "height")] + [
         (MaterialSpec, name) for name in ("e", "e_us", "e_ls", "p", "e0", "et", "sigma_y")]

@@ -9,6 +9,7 @@ from reanalyze import assembly, elements, nonlinear
 from reanalyze.assembly import assemble_global, assemble_parameters, make_partition
 from reanalyze.errors import (
     DegenerateElementError,
+    InvalidParameterError,
     InvalidStateError,
     UnstableStructureError,
     UnsupportedModelError,
@@ -128,7 +129,7 @@ class TestTangentPartition:
         part_t = tangent_partition(bars, state, part)
         assert part_t.blocks.shape == (len(model.elements), 1, 1)
         assert np.array_equal(part_t.blocks[:, 0, 0],
-                              elements.bar_parameters(state.tangent, bars.area, bars.length))
+                              elements.truss_decomposition(state.tangent, bars.area, bars.length))
         k_t = assemble_tangent(bars, state).toarray()
         k_lb, k_la = parameter_matrices(part_t)
         k_split = part_t.c_b.T @ k_lb @ part_t.c_b + part_t.c_a.T @ k_la @ part_t.c_a
@@ -263,6 +264,26 @@ class TestRunNewtonRaphson:
             Bars.of(model)
         with pytest.raises(DegenerateElementError, match=message):
             run_newton_raphson(model, model.load_vector(), n_steps=2, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["regular", "reduction", "sri"])
+    def test_bad_load_or_step_count_raises_before_any_build(self, backend, monkeypatch):
+        # every backend rejects the same bad input the same way, and a run
+        # of no load steps must not report converged=True
+        def built(*args, **kwargs):
+            raise AssertionError("partitioned or factorized before the input checks")
+
+        monkeypatch.setattr(nonlinear, "make_partition", built)
+        monkeypatch.setattr(nonlinear, "sparse_lu", built)
+        model = bilinear_truss(3, 3)
+        p0 = model.load_vector()
+        for value in (np.nan, np.inf, -np.inf):
+            bad = p0.copy()
+            bad[0] = value
+            with pytest.raises(InvalidParameterError, match="non-finite"):
+                run_newton_raphson(model, bad, backend=backend)
+        for n_steps in (0, -2):
+            with pytest.raises(InvalidParameterError, match=f"n_steps={n_steps}$"):
+                run_newton_raphson(model, p0, n_steps=n_steps, backend=backend)
 
     def test_unknown_backend(self):
         model = bilinear_truss()
