@@ -8,11 +8,13 @@ and quartiles, over --repeats interleaved rounds, of make_partition (of the
 original), update_partition (original partition to the design),
 solve_sri, solve_pcg_full (assembly of the design included),
 solve_conventional and solve_fdp (the design's partition given), with SRI's
-iterations and C_s route, PCG's iterations and each method's relative error
-against the direct solve.  The file also records the machine: core count,
-the BLAS numpy was built against, the thread environment variables and the
-process's peak resident set.  Run with BLAS pinned to one thread
-(OPENBLAS_NUM_THREADS=1) to compare with the benchmark's figures.
+iterations and C_s route, PCG's iterations, each method's relative error
+against the direct solve, and the basis factor's fill (its nonzeros beyond
+those of C_b plus a unit diagonal) and pivot ratio.  The file also records
+the machine: core count, the BLAS numpy was built against, the thread
+environment variables and the process's peak resident set.  Run with BLAS
+pinned to one thread (OPENBLAS_NUM_THREADS=1) to compare with the
+benchmark's figures.
 """
 
 from __future__ import annotations
@@ -111,9 +113,12 @@ def run_scenario(build, repeats: int) -> dict:
         times["solve_conventional"].append(t)
         fdp, t = timed(solvers.solve_fdp, part, r)
         times["solve_fdp"].append(t)
+    lu = part0.c_b_lu
     return {
         "n": part0.n, "q": part0.q, "elements": len(orig.elements),
         "c_s_route": "stored" if part0.c_s_stored else "c_b",
+        "c_b_fill": int(lu.L.nnz + lu.U.nnz - np.count_nonzero(part0.c_b.data) - part0.n),
+        "basis_pivot_ratio": part0.basis_pivot_ratio,
         "sri_iterations": sri.iterations, "pcg_iterations": pcg.iterations,
         "rel_err": {"sri": rel_err(sri.d, direct.d), "pcg": rel_err(pcg.d, direct.d),
                     "fdp": rel_err(fdp.d, direct.d)},

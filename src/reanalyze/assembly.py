@@ -28,10 +28,25 @@ to elements.mode_rows (the one mode-row formula, in axis form) and one CSR
 build; assemble_parameters and the Newton driver's bars take C from it, and
 update_partition forms no rows.
 
-make_partition builds the sparse influence matrix C_s once per topology, by
-level-scheduled triangular solves with the L and U factors of the basis LU:
-each factor is reordered once so that its dependency levels are contiguous,
-and each level is one sparse-times-dense product on a block of C_a^T
+A statically determinate basis can be solved joint by joint, so C_b is a
+permuted triangle, and make_partition factors it as one (Duff, ACM TOMS 7,
+1981; Pothen and Fan, ACM TOMS 16, 1990).  It drops the exact zeros of C_b,
+matches every column to a row it has an entry in (a maximum bipartite
+matching; a column left unmatched makes C_b structurally singular), and
+level-sorts the transpose of the matched C_b: the digraph in which a row
+depends on the rows its entries reference.  Reversed, that level order
+makes C_b lower triangular, and SuperLU factors the triangle in its given
+order with diagonal pivots: L is the triangle with its columns scaled to a
+unit diagonal, U is its diagonal, and there is no fill.  Where rows depend
+on one another in a cycle (a complex truss; no generator builds one) the
+levels are those of the strongly connected blocks and the triangle is
+block triangular.  Each block of more than one row takes its rows in the
+order of its own dense LU with partial pivoting, so the pivots stay on the
+diagonal and inside the block.  A singular block, or a pivot ratio
+min/max |U_ii| below PIVOT_TOL, raises BasisUnstableError.
+
+The same level schedule builds the sparse influence matrix C_s once per
+topology: each level is one sparse-times-dense product on a block of C_a^T
 columns.  The build forms no dense array larger than a _SLAB_BYTES block,
 and no dense n x q array is kept anywhere.  Every product with C_s (the
 reduced right-hand side, operator, displacement recovery and the dense
@@ -48,6 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+from scipy.linalg import lu_factor
 from scipy.linalg.blas import dsyrk
 
 from .elements import (
@@ -77,16 +94,20 @@ _SLAB_BYTES = 1 << 24
 # make_partition sets SystemPartition.c_s_stored, the one C_s policy, when
 # the sparse Gram product C_s (K_Lb^-1 C_s^T) costs at most SPARSE_SHARE of
 # the dense product's n q^2 multiply-adds, the sparse product's count being
-# sum_j nnz(C_s[:, j])^2.  Measured on one BLAS thread (one run each, medians
-# of 3 Grams and of 30 C_s v plus C_s^T x pairs), sparse product against
-# syrk: the 20x8 frame (share 1.5e-3) 2.0 against 5.4 ms, the graded 50x20
-# frame (2.3e-4) 31 against 424 ms, the 50x20 frame at n_sb = 2 and 4
-# (4.1e-4, 2.1e-4) 62 against 773 and 65 against 1421 ms, c08's 10x20 frame
-# (2.8e-3) 26 against 75 ms; the 30x30 ladder (1.2e-2) 37 against 26 ms, the
-# 15x30 ladder (0.13) 36 against 8.3 ms, the 31x64 ladder (4.0e-2) 901
-# against 232 ms.  The stored products win 1.7-2.9x on those frames and lose
-# 1.7x on the 31x64 ladder; on the 30x30 ladder they win 2x, but there the
-# Gram decides fdp_s and the nonlinear reduction backend, so it stays on C_b.
+# sum_j nnz(C_s[:, j])^2.  Measured on one BLAS thread of a 2-core Xeon (two
+# runs; medians of 3 Grams and of 30 reduced_apply calls), sparse product
+# against syrk, then the apply stored against by C_b: the 20x8 frame (share
+# 1.5e-3) 1.6 against 4.4 ms, 0.018 against 0.049 ms; the graded 50x20
+# frame (2.3e-4) 23 against 347 ms, 0.12 against 0.14 ms; the 50x20 frame
+# at n_sb = 2 (1.2e-4) 24 against 602 ms, 0.13 against 0.21 ms, and at
+# n_sb = 4 (5.8e-5) 24 against 1103 ms, 0.16 against 0.40 ms; c08's 10x20
+# frame (2.8e-3) 17 against 51 ms, 0.21 against 0.27 ms; the 30x30 ladder
+# (1.2e-2) 30 against 20 ms, 0.085 against 0.080 ms; the 15x30 ladder
+# (2.4e-2) 7.8 against 5.2 ms, 0.038 against 0.061 ms; the 31x64 ladder
+# (1.1e-2) 248 against 172 ms, 0.39 against 0.14 ms.  So the frames store
+# C_s, where both products win, and the ladders take the C_b route, where
+# syrk wins 1.4-1.5x and the apply wins 2.9x on the 31x64 ladder, is on par
+# on the 30x30 and loses 1.6x on the 15x30.
 SPARSE_SHARE = 6e-3
 
 
@@ -183,7 +204,7 @@ def mode_matrix(model: StructuralModel) -> sp.csr_matrix:
     free DOFs, element i's rows being m i ... m i + m - 1: one mode_rows call
     over element_geometry and one CSR build.  Every free entry is stored,
     exact zeros too, so the structure of C, and with it the ordering of the
-    basis LU, depends on the topology alone."""
+    stiffness factor, depends on the topology alone."""
     delta, length, dofs = element_geometry(model)
     m = 2 * model.dofs_per_node - 3
     rows = mode_rows(delta, length, m)
@@ -214,23 +235,23 @@ def assemble_global(model: StructuralModel) -> sp.csr_matrix:
     return stiffness(c, _block_diag(blocks))
 
 
-def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *, symmetric: bool):
+def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *,
+              ordering: str = "MMD_AT_PLUS_A"):
     """Sparse LU of a square matrix and its pivot ratio min|U_ii| / max|U_ii|
     (1.0 for an empty matrix); raises error when the matrix is singular or
     the ratio falls below PIVOT_TOL.
 
-    symmetric=True is for the stiffnesses (assembled, original and tangent),
-    which are symmetric and positive definite whenever they are nonsingular:
-    a minimum-degree ordering of A^T + A applied to rows and columns alike,
-    with diagonal pivots, keeps the factor symmetric in structure and a third
-    to a half smaller than COLAMD's.  The basis mode matrix C_b is not
-    symmetric and its diagonal need not be a good pivot, so it takes
-    symmetric=False: a COLAMD column ordering with partial pivoting.
+    Rows and columns take the one ordering (SuperLU's SymmetricMode) and the
+    pivots are the diagonal wherever it is nonzero.  The stiffnesses
+    (assembled, original and tangent) are symmetric and positive definite
+    whenever they are nonsingular, and take the default ordering, minimum
+    degree on A^T + A: its factor is symmetric in structure and a third to a
+    half smaller than COLAMD's.  The basis triangle of make_partition comes
+    ordered already and takes ordering="NATURAL", so it factors without fill.
     """
-    kwargs = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-              "options": {"SymmetricMode": True}} if symmetric else {}
     try:
-        lu = spla.splu(sp.csc_matrix(matrix), **kwargs)
+        lu = spla.splu(sp.csc_matrix(matrix), permc_spec=ordering, diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise error(f"{what} is singular: {exc}") from exc
     pivots = np.abs(lu.U.diagonal())
@@ -241,12 +262,52 @@ def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *, symmetr
 
 
 @dataclass(frozen=True)
+class BasisFactor:
+    """LU factors of the basis mode matrix C_b: the SuperLU factor of its
+    triangle T = C_b[rows][:, cols], which pivots on T's diagonal.
+
+    L, U, perm_r and perm_c read as SuperLU's for C_b itself: Pr C_b Pc = L U,
+    with row i of C_b at row perm_r[i] of Pr C_b and column j at column
+    perm_c[j] of C_b Pc.  solve takes SuperLU's arguments.
+    """
+
+    lu: object  # SuperLU factor of T
+    rows: np.ndarray  # the row of C_b at each row of T
+    cols: np.ndarray  # the column of C_b at each column of T
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        return self.lu.L
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return self.lu.U
+
+    @property
+    def perm_r(self) -> np.ndarray:
+        return np.argsort(self.rows)
+
+    @property
+    def perm_c(self) -> np.ndarray:
+        return np.argsort(self.cols)
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """C_b^-1 rhs, or C_b^-T rhs for trans="T"."""
+        into, out = (self.rows, self.cols) if trans == "N" else (self.cols, self.rows)
+        y = self.lu.solve(rhs[into], trans=trans)
+        x = np.empty_like(y)
+        x[out] = y
+        return x
+
+
+@dataclass(frozen=True)
 class SystemPartition:
     """Basis/additional split with factorized basis mode matrix.
 
-    Topological members (c_b, its factorization and pivot ratio, c_a, the
-    sparse influence matrix c_s = C_a C_b^-1 and the model fingerprint
-    element_nodes/node_xy/dof_map) are shared across material updates.  A
+    Topological members (c_b, its triangular factorization c_b_lu and pivot
+    ratio, c_a, the sparse influence matrix c_s = C_a C_b^-1, its transpose
+    where stored, and the model fingerprint element_nodes/node_xy/dof_map)
+    are shared across material updates.  A
     material state is the (elements, m, m) parameter blocks, element i's at
     i, plus the blockwise inverses the reduced operators read: k_lb_inv of
     the basis blocks, k_la_inv of the additional ones.  with_blocks gives
@@ -260,8 +321,9 @@ class SystemPartition:
     topology alone (SPARSE_SHARE, whose comment gives the measurements), so
     a partition, its updates and its preconditioner take the same route.
     Where it holds, apply_c_s and apply_c_s_t multiply by the stored c_s and
-    reduced_gram forms the sparse product C_s (K_Lb^-1 C_s^T); otherwise
-    they solve with the basis factorization, and reduced_gram accumulates
+    its CSR transpose c_s_t, and reduced_gram forms the sparse product
+    C_s (K_Lb^-1 C_s^T); otherwise they solve with the basis factorization
+    (two triangular solves and two gathers), and reduced_gram accumulates
     Y^T Y by BLAS syrk over row slabs of Y = L^T C_s^T, K_Lb^-1 = L L^T
     blockwise.
     """
@@ -272,10 +334,11 @@ class SystemPartition:
     q: int
     c_b: sp.csc_matrix
     c_b_lu: object
-    basis_pivot_ratio: float  # min|U_ii| / max|U_ii| of the C_b factorization
+    basis_pivot_ratio: float  # min|U_ii| / max|U_ii| of the basis triangle's factor
     c_a: sp.csr_matrix
     c_s: sp.csr_matrix  # (q, n), exact zeros dropped
-    c_s_stored: bool  # whether products with C_s multiply by c_s
+    c_s_stored: bool  # whether products with C_s multiply by c_s and c_s_t
+    c_s_t: sp.csr_matrix | None  # (n, q) C_s^T where c_s_stored holds, else None
     blocks: np.ndarray  # (elements, m, m) parameter blocks
     k_lb_inv: sp.csr_matrix
     k_la_inv: sp.csr_matrix
@@ -300,7 +363,7 @@ class SystemPartition:
     def apply_c_s_t(self, x: np.ndarray) -> np.ndarray:
         """Apply C_s^T = C_b^-T C_a^T to a q-vector."""
         if self.c_s_stored:
-            return self.c_s.T @ x
+            return self.c_s_t @ x
         return self.solve_c_b_t(self.c_a.T @ x)
 
     def with_blocks(self, blocks: np.ndarray) -> "SystemPartition":
@@ -328,96 +391,134 @@ def _sparse_rows(a: np.ndarray) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class _LevelSchedule:
-    """Solves with a sparse unit triangular matrix T (its stored diagonal is
-    not read), its rows and columns reordered so that each dependency level
-    is a contiguous range.
+    """Solves with a sparse block triangular matrix T, its rows and columns
+    reordered so that each dependency level is a contiguous range.
 
-    A row's level is 0 when it has no off-diagonal entry, else one more than
-    the highest level among the rows its entries reference.  Each level then
-    depends only on the levels before it and is solved as one sparse-times-
-    dense product (Anderson and Saad, Int. J. High Speed Computing 1, 1989).
-    Lower and upper triangular matrices alike: only the dependencies matter.
+    Row i depends on row j where T_ij is nonzero.  The blocks are the
+    strongly connected components of that digraph: single rows where T is a
+    permuted triangle, more where rows depend on one another in a cycle.  A
+    block's level is 0 when its rows reference no other block, else one more
+    than the highest level among the blocks they reference.  With B the
+    block diagonal of T, B^-1 T is the identity on its diagonal blocks, so
+    each level depends only on the levels before it and is solved as one
+    sparse-times-dense product (Anderson and Saad, Int. J. High Speed
+    Computing 1, 1989).  Lower and upper triangular matrices alike: only the
+    dependencies matter.  Raises numpy.linalg.LinAlgError when a block of
+    more than one row is singular.
     """
 
     order: np.ndarray  # the row of T at each position of the reordering
-    # (start, stop, rows) of every level past the first, rows holding its
-    # off-diagonal entries, reordered, as a (stop - start) x n CSR matrix
+    cycles: list  # (start, stop) of every block of more than one row
+    inv_blocks: sp.csr_matrix  # B^-1, reordered
+    # (start, stop, rows) of every level past the first, rows holding the
+    # entries of B^-1 T outside B, reordered, as a (stop - start) x n CSR matrix
     levels: list
 
     @classmethod
     def of(cls, t: sp.spmatrix) -> "_LevelSchedule":
         t = t.tocoo()
         n = t.shape[0]
-        keep = t.row != t.col
-        off = sp.csr_matrix((t.data[keep], (t.row[keep], t.col[keep])), shape=(n, n))
-        off.eliminate_zeros()
-        # Kahn's topological sort a level at a time: a row joins the next
-        # level once every row it references is placed
-        dependents = off.tocsc()  # column j lists the rows that reference row j
-        unplaced = np.diff(off.indptr)
-        level = np.zeros(n, dtype=np.intp)
+        nonzero = t.data != 0
+        row, col, data = t.row[nonzero], t.col[nonzero], t.data[nonzero]
+        n_blocks, block = connected_components(
+            sp.csr_matrix((data, (row, col)), shape=(n, n)), connection="strong")
+        inner = block[row] == block[col]
+        # Kahn's topological sort of the blocks a level at a time: a block
+        # joins the next level once every block its rows reference is placed
+        refs = sp.csr_matrix((np.ones(np.count_nonzero(~inner)),
+                              (block[row[~inner]], block[col[~inner]])),
+                             shape=(n_blocks, n_blocks))
+        dependents = refs.tocsc()  # column j lists the blocks that reference block j
+        unplaced = np.diff(refs.indptr)
+        level = np.zeros(n_blocks, dtype=np.intp)
         ready, depth = np.flatnonzero(unplaced == 0), 0
         while ready.size:
             level[ready] = depth
             hit = dependents[:, ready].indices
             np.subtract.at(unplaced, hit, 1)
             ready, depth = np.unique(hit[unplaced[hit] == 0]), depth + 1
-        order = np.argsort(level, kind="stable")
+        order = np.lexsort((block, level[block]))  # a block's rows are contiguous
         position = np.empty(n, dtype=np.intp)
         position[order] = np.arange(n)
-        off = off.tocoo()
-        off = sp.csr_matrix((off.data, (position[off.row], position[off.col])), shape=(n, n))
-        bounds = np.cumsum(np.bincount(level)).tolist()
-        return cls(order, [(a, b, off[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+        row, col = position[row], position[col]
+        start = np.flatnonzero(np.diff(block[order], prepend=-1))
+        stop = np.append(start[1:], n)
+        big = stop - start > 1
+        cycles = list(zip(start[big].tolist(), stop[big].tolist()))
+        diag = sp.csr_matrix((data[inner], (row[inner], col[inner])), shape=(n, n))
+        inv_blocks = _block_inverse(diag, start[~big], cycles)
+        off = inv_blocks @ sp.csr_matrix((data[~inner], (row[~inner], col[~inner])),
+                                         shape=(n, n))
+        bounds = np.cumsum(np.bincount(level[block])).tolist()
+        return cls(order, cycles, inv_blocks,
+                   [(a, b, off[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
 
     def solve(self, y: np.ndarray) -> None:
-        """Overwrite the reordered C-ordered n x k block y with T^-1 y."""
+        """Overwrite the reordered C-ordered n x k block y = B^-1 r, where
+        inv_blocks is B^-1, with T^-1 r."""
         for a, b, rows in self.levels:
             y[a:b] -= rows @ y  # rows reference only positions below a
 
 
-def _influence_matrix(lu, c_a: sp.csr_matrix) -> sp.csr_matrix:
-    """Sparse C_s = C_a C_b^-1 from level-scheduled triangular solves with
-    the factors of the basis LU, C_a^T a dense column block at a time.
+def _block_inverse(diag: sp.csr_matrix, single: np.ndarray, cycles: list) -> sp.csr_matrix:
+    """Inverse of a block diagonal matrix: the reciprocal of its entry at
+    each position of single, a dense inverse of each (start, stop) block of
+    cycles."""
+    rows, cols, data = [single], [single], [1.0 / diag.diagonal()[single]]
+    for a, b in cycles:
+        span = np.arange(a, b)
+        rows += [np.repeat(span, b - a)]
+        cols += [np.tile(span, b - a)]
+        data += [np.linalg.inv(diag[a:b, a:b].toarray()).ravel()]
+    n = diag.shape[0]
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
 
-    SuperLU factors Pr C_b Pc = L U, so C_s^T = C_b^-T C_a^T
-    = Pr^T L^-T U^-T Pc^T C_a^T.  With D the diagonal of U, U^-T = (D^-1 U^T)^-1
-    D^-1 and D^-1 U^T is unit lower triangular, so the rows of C_a^T enter at
-    positions perm_c, scaled by D^-1 once for all blocks; D^-1 U^T and L^T
-    (unit upper triangular) are solved in their own level orders; and row i
-    of the result is row perm_r[i] of the L^T solve.  A block is _SLAB_BYTES
-    of C_a^T columns and drops its exact zeros as it leaves; the blocks
-    become C_s's rows.
+
+def _pivot_rows(block: np.ndarray) -> np.ndarray:
+    """The row order of a dense square matrix that puts the pivots of its
+    LU with partial pivoting on the diagonal."""
+    rows = np.arange(len(block))
+    for i, p in enumerate(lu_factor(block, check_finite=False)[1]):
+        rows[[i, p]] = rows[[p, i]]
+    return rows
+
+
+def _influence_matrix(schedule: _LevelSchedule, matched: np.ndarray,
+                      c_a: sp.csr_matrix) -> sp.csr_matrix:
+    """Sparse C_s = C_a C_b^-1 by level-scheduled solves with A^T, C_a^T a
+    dense column block at a time, A = C_b[matched] being C_b with its
+    matching on the diagonal and schedule A^T's.
+
+    C_s^T = C_b^-T C_a^T, and C_b^T x = y is A^T z = y with x[matched] = z.
+    So the rows of C_a^T enter in the schedule's order, multiplied by the
+    inverse diagonal blocks once for all blocks, and row matched[order[p]]
+    of the result is row p of the solve.  A block is _SLAB_BYTES of C_a^T
+    columns and drops its exact zeros as it leaves; the blocks become C_s's
+    rows.
     """
     q, n = c_a.shape
     if q == 0:
         return sp.csr_matrix((0, n))
-    u = lu.U
-    inv_d = 1.0 / u.diagonal()
-    u_t = _LevelSchedule.of((u @ sp.diags(inv_d)).T)  # D^-1 U^T
-    l_t = _LevelSchedule.of(lu.L.T)
-    # each gather maps a position of its target order to one of its source
-    into_u = np.argsort(lu.perm_c)[u_t.order]
-    u_to_l = np.argsort(u_t.order)[l_t.order]
-    out_of_l = np.argsort(l_t.order)[lu.perm_r]
-    c_a_t = (sp.diags(inv_d[u_t.order]) @ c_a.T.tocsr()[into_u]).tocsc()
+    c_a_t = (schedule.inv_blocks @ c_a.T.tocsr()[schedule.order]).tocsc()
+    out = np.argsort(matched[schedule.order])
     width = max(_SLAB_BYTES // (8 * n), 1)
     blocks = []
     for lo in range(0, q, width):
         y = c_a_t[:, lo:lo + width].toarray(order="C")
-        u_t.solve(y)
-        y = y[u_to_l]
-        l_t.solve(y)
-        blocks.append(_sparse_rows(y)[out_of_l].T.tocsr())
+        schedule.solve(y)
+        blocks.append(_sparse_rows(y)[out].T.tocsr())
     return sp.vstack(blocks, format="csr")
 
 
 def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartition:
     """Build and factorize the basis/additional partition of a model.
 
-    The basis parameter count must equal the number of free DOFs.  The sparse
-    influence matrix C_s is built here, eagerly, by level-scheduled
-    triangular solves with the factors of the basis LU.
+    The basis parameter count must equal the number of free DOFs.  C_b is
+    matched, ordered into its triangle and factored, and the sparse
+    influence matrix C_s is built here, eagerly, by level-scheduled solves
+    with the matched C_b's transpose (the module docstring gives the steps).
+    Raises BasisUnstableError when C_b is singular or nearly so.
     """
     n_elements = len(model.elements)
     ids = np.fromiter(spec.additional_ids, dtype=np.int64, count=len(spec.additional_ids))
@@ -439,14 +540,35 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
             f"basis parameter count {c_b.shape[0]} != free DOFs {model.n}")
     q = c_a.shape[0]
 
-    lu, pivot_ratio = sparse_lu(c_b, BasisUnstableError, "basis mode matrix",
-                               symmetric=False)
-    c_s = _influence_matrix(lu, c_a)
+    nonzero = c_b.tocsr()
+    nonzero.eliminate_zeros()
+    matched = maximum_bipartite_matching(nonzero, perm_type="row")  # row of each column
+    if (matched < 0).any():
+        raise BasisUnstableError(f"basis mode matrix is structurally singular: no row "
+                                 f"matches column {np.argmax(matched < 0)}")
+    try:
+        schedule = _LevelSchedule.of(nonzero[matched].T)
+    except np.linalg.LinAlgError as exc:
+        raise BasisUnstableError(f"basis mode matrix is singular: {exc}") from exc
+    # A^T in level order is block lower triangular, so A reversed is too; a
+    # block of more than one row takes its rows in partial-pivoting order
+    order = schedule.order[::-1]
+    rows = matched[order]
+    for a, b in schedule.cycles:
+        a, b = model.n - b, model.n - a
+        rows[a:b] = rows[a:b][_pivot_rows(nonzero[rows[a:b]][:, order[a:b]].toarray())]
+    lu, pivot_ratio = sparse_lu(nonzero[rows][:, order], BasisUnstableError,
+                                "basis mode matrix", ordering="NATURAL")
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise BasisUnstableError("basis mode matrix: a pivot left the diagonal")
+    c_s = _influence_matrix(schedule, matched, c_a)
     column_nnz = np.bincount(c_s.indices, minlength=model.n)
+    stored = bool(column_nnz @ column_nnz <= SPARSE_SHARE * model.n * q * q)
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
-        c_b=c_b, c_b_lu=lu, basis_pivot_ratio=pivot_ratio, c_a=c_a, c_s=c_s,
-        c_s_stored=bool(column_nnz @ column_nnz <= SPARSE_SHARE * model.n * q * q),
+        c_b=c_b, c_b_lu=BasisFactor(lu, rows, order),
+        basis_pivot_ratio=pivot_ratio, c_a=c_a, c_s=c_s,
+        c_s_stored=stored, c_s_t=c_s.T.tocsr() if stored else None,
         **_material_state(blocks, basis_ids, additional_ids),
         element_nodes=model.element_nodes, node_xy=model.xy, dof_map=model.dof_map)
 
@@ -512,7 +634,7 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray:
     n, q = partition.n, partition.q
     c_s = partition.c_s
     if partition.c_s_stored:
-        return (c_s @ (partition.k_lb_inv @ c_s.T)).toarray(order="F")
+        return (c_s @ (partition.k_lb_inv @ partition.c_s_t)).toarray(order="F")
     try:
         lower = np.linalg.cholesky(np.linalg.inv(partition.blocks[partition.basis_ids]))
     except np.linalg.LinAlgError as exc:
@@ -530,5 +652,4 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray:
 
 def factorize_stiffness(model: StructuralModel):
     """Sparse LU of the assembled stiffness; raises on singular structures."""
-    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix",
-                     symmetric=True)[0]
+    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix")[0]

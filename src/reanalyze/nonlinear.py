@@ -213,8 +213,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
                 return _fail(run, step, state, t0)
             if backend == "regular":
                 k_t = assemble_tangent(bars, state)
-                lu = sparse_lu(k_t, UnstableStructureError, "tangent stiffness",
-                               symmetric=True)[0]
+                lu = sparse_lu(k_t, UnstableStructureError, "tangent stiffness")[0]
                 delta = lu.solve(-residual)
                 del lu  # a factor kept to the next iteration doubles the peak memory
             elif backend == "reduction":

@@ -203,7 +203,7 @@ def build_sri_preconditioner(partition_original: SystemPartition) -> SriPrecondi
     part = partition_original
     k_l0 = _block_diag(part.blocks[np.concatenate([part.basis_ids, part.additional_ids])])
     k0 = stiffness(sp.vstack([part.c_b, part.c_a]), k_l0)
-    k0_lu, ratio = sparse_lu(k0, UnstableStructureError, "original stiffness", symmetric=True)
+    k0_lu, ratio = sparse_lu(k0, UnstableStructureError, "original stiffness")
     return SriPreconditioner(part, k0_lu, ratio)
 
 

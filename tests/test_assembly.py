@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from reanalyze import assembly, elements
 from reanalyze.assembly import (
@@ -151,6 +150,31 @@ class TestAssembleParameters:
 def graded_frame():
     """The graded 50 x 20 frame of the frame-lowrank benchmark workload."""
     return apply_floor_grading(build_frame_grid(50, 20), 4000.0, 36000.0, "E")
+
+
+def graded_fg_frame():
+    """A depth-graded frame: its beams' 3x3 parameter blocks couple the
+    axial and bending modes."""
+    return build_frame_grid(3, 2, n_sb=2, n_sc=2,
+                            material=MaterialSpec(e_us=26000.0, e_ls=14000.0, p=2.0))
+
+
+def with_default_set(model):
+    return model, default_additional_set(model)
+
+
+def c08c_frame():
+    """The depth-graded 10 x 20 frame (n_sb = n_sc = 8) of acceptance check c08."""
+    return build_frame_grid(10, 20, n_sb=8, n_sc=8,
+                            material=MaterialSpec(e_us=20000.0, e_ls=20000.0, p=1.0))
+
+
+def span2_ladder():
+    """A 4 x 6 ladder and an additional set whose span 2 keeps its diagonals
+    in the basis instead of span 1; the basis stays determinate."""
+    model = build_truss_grid(4, 6)
+    return model, PartitionSpec.of(e.id for e in model.elements
+                                   if e.tag.kind == "diagonal" and e.tag.span != 2)
 
 
 def scalar_blocks(model):
@@ -413,12 +437,118 @@ class TestFactorOrdering:
         lu = factorize_stiffness(model)
         assert np.array_equal(lu.perm_r, lu.perm_c)
 
-    def test_basis_keeps_colamd_with_partial_pivoting(self):
-        model = apply_floor_grading(build_frame_grid(50, 20, n_sb=1), 4000.0, 36000.0, "E")
-        part = make_partition(model, default_additional_set(model))
-        reference = spla.splu(part.c_b)  # SuperLU's defaults: COLAMD, partial pivoting
-        assert np.array_equal(part.c_b_lu.perm_c, reference.perm_c)
-        assert np.array_equal(part.c_b_lu.perm_r, reference.perm_r)
+    @pytest.mark.parametrize("build", [
+        lambda: with_default_set(build_truss_grid(31, 64)),
+        lambda: with_default_set(graded_frame()),
+        lambda: with_default_set(build_frame_grid(50, 20, n_sb=4)),
+        lambda: with_default_set(c08c_frame()),
+        lambda: with_default_set(build_truss_grid(2, 60)),
+        span2_ladder,
+    ], ids=["ladder-31x64", "frame-n_sb1", "frame-n_sb4", "c08c", "ladder-2x60",
+            "ladder-4x6-span2-basis"])
+    def test_basis_factor_has_no_fill(self, build):
+        # the matched, level-ordered basis is a triangle: L holds its
+        # entries and a unit diagonal, U its diagonal
+        part = make_partition(*build())
+        lu = part.c_b_lu
+        assert lu.L.nnz + lu.U.nnz == np.count_nonzero(part.c_b.data) + part.n
+        assert lu.U.nnz == np.count_nonzero(lu.U.diagonal()) == part.n
+        pivots = np.abs(lu.U.diagonal())
+        assert part.basis_pivot_ratio == pivots.min() / pivots.max()
+
+    @pytest.mark.parametrize("build", [
+        lambda: with_default_set(build_truss_grid(7, 16)),
+        lambda: with_default_set(graded_fg_frame()),
+        lambda: cyclic_truss(),
+    ], ids=["ladder-7x16", "graded-fg-frame", "cyclic-truss"])
+    def test_basis_factor_reads_as_superlu(self, build):
+        # Pr C_b Pc = L U with SciPy's SuperLU permutation matrices
+        part = make_partition(*build())
+        lu, n = part.c_b_lu, part.n
+        pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
+        pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
+        assert rel_err((lu.L @ lu.U).toarray(), (pr @ part.c_b @ pc).toarray()) < 1e-15
+
+    def test_one_level_schedule_per_partition(self, monkeypatch):
+        # the schedule that orders the basis triangle also builds C_s
+        real = assembly._LevelSchedule.of.__func__
+        calls = []
+
+        def counted(cls, t):
+            calls.append(t.shape)
+            return real(cls, t)
+
+        monkeypatch.setattr(assembly._LevelSchedule, "of", classmethod(counted))
+        model = build_truss_grid(7, 16)
+        TestInfluenceMatrix.assert_matches_definition(
+            make_partition(model, default_additional_set(model)))
+        assert calls == [(model.n, model.n)]
+
+
+def truss(xy, bars, supports, loads=()):
+    """A bar truss of the given node coordinates, (node_i, node_j) bars,
+    supports and (node, dof, value) loads."""
+    nodes = [Node(i, float(x), float(y)) for i, (x, y) in enumerate(xy)]
+    elems = [ElementRecord(k, ElementKind.TRUSS_BAR, i, j, SectionSpec(area=10.0),
+                           MaterialSpec(e=2e4), MemberTag("chord", 1, k + 1))
+             for k, (i, j) in enumerate(bars)]
+    return StructuralModel(nodes, elems, supports, [PointLoad(*load) for load in loads])
+
+
+def cyclic_truss():
+    """A truss whose basis couples DOFs in cycles, with its partition spec.
+
+    Two supports carry nodes 2 and 3 one unit up and node 4 at the apex.
+    Each of nodes 2 and 4 hangs on two inclined basis bars, so its x and y
+    rows reference each other; node 3's y is solved by bar 1-3 alone and its
+    x then by the horizontal bar 2-3.  Bars 0-4, 1-4 and 0-3 are additional.
+    """
+    model = truss([(0, 0), (4, 0), (1, 1), (3, 1), (2, 2)],
+                  [(0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (0, 4), (1, 4), (0, 3)],
+                  {0: (0, 1), 1: (0, 1)}, [(4, 1, -10.0), (2, 0, 3.0)])
+    return model, PartitionSpec.of([6, 7, 8])
+
+
+class TestCyclicBasis:
+    """A basis whose matched digraph has cycles is ordered by strongly
+    connected blocks, each with its rows in partial-pivoting order."""
+
+    def test_solves_to_definition(self):
+        model, spec = cyclic_truss()
+        part = make_partition(model, spec)
+        assert sp.triu(part.c_b_lu.U, 1).nnz == 2  # one elimination in each 2 x 2 block
+        TestInfluenceMatrix.assert_matches_definition(part)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(part.n)
+        assert rel_err(part.c_b @ part.solve_c_b(v), v) < 1e-14
+        assert rel_err(part.c_b.T @ part.solve_c_b_t(v), v) < 1e-14
+        d = factorize_stiffness(model).solve(model.load_vector())
+        b, _ = reduced_rhs(part, model.load_vector())
+        f_a = np.linalg.solve(reduced_gram(part) + part.k_la_inv.toarray(), b)
+        assert rel_err(part.c_a @ d, part.k_la_inv @ f_a) < 1e-12
+
+    def test_block_rows_in_pivoting_order(self):
+        # with its rows in matching order, eliminating this basis's 4 x 4
+        # block cancels a diagonal pivot exactly, though C_b's condition
+        # number is 15; partial pivoting inside the block orders the rows
+        model = truss([(3, 2), (2, 0), (1, 1), (1, 0), (2, 2)],
+                      [(3, 4), (0, 4), (1, 3), (2, 4), (2, 3), (0, 2), (0, 3)],
+                      {0: (0, 1), 1: (0, 1)})
+        part = make_partition(model, PartitionSpec.of([6]))
+        assert np.linalg.cond(part.c_b.toarray()) < 20
+        TestInfluenceMatrix.assert_matches_definition(part)
+        v = np.arange(float(part.n))
+        assert rel_err(part.c_b @ part.solve_c_b(v), v) < 1e-14
+
+    @pytest.mark.parametrize("apex, message", [
+        ((2.0, 2.0), "is singular"),
+        ((2.0, 2.0 + 1e-12), "nearly singular"),
+    ], ids=["collinear", "nearly-collinear"])
+    def test_singular_block_raises(self, apex, message):
+        # node 1 hangs on two bars along one line: a singular 2 x 2 block
+        model = truss([(0, 0), (1, 1), apex], [(0, 1), (1, 2)], {0: (0, 1), 2: (0, 1)})
+        with pytest.raises(BasisUnstableError, match=message):
+            make_partition(model, PartitionSpec.of([]))
 
 
 class TestUpdateTopologyCheck:
@@ -538,8 +668,8 @@ class TestReducedOperators:
 
 
 class TestInfluenceMatrix:
-    """C_s from level-scheduled solves with the basis LU factors, against the
-    dense definition C_a C_b^-1."""
+    """C_s from level-scheduled solves with the matched basis transposed,
+    against the dense definition C_a C_b^-1."""
 
     @staticmethod
     def assert_matches_definition(part):
@@ -559,17 +689,14 @@ class TestInfluenceMatrix:
 
     def test_deep_basis(self):
         # up a tall two-span ladder each floor's basis unknowns wait on the
-        # floor below, so the transposed U factor has over a hundred levels
+        # floor below, so the transposed L factor has over a hundred levels
         model = build_truss_grid(2, 60)
         part = make_partition(model, default_additional_set(model))
-        assert len(assembly._LevelSchedule.of(part.c_b_lu.U.T).levels) > 100
+        assert len(assembly._LevelSchedule.of(part.c_b_lu.L.T).levels) > 100
         self.assert_matches_definition(part)
 
     def test_non_default_basis(self):
-        # span 2 keeps its diagonals instead of span 1; the basis stays determinate
-        model = build_truss_grid(4, 6)
-        spec = PartitionSpec.of(e.id for e in model.elements
-                                if e.tag.kind == "diagonal" and e.tag.span != 2)
+        model, spec = span2_ladder()
         assert spec != default_additional_set(model)
         self.assert_matches_definition(make_partition(model, spec))
 
@@ -594,13 +721,6 @@ class TestInfluenceMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 55 * 2**20
-
-
-def graded_fg_frame():
-    """A depth-graded frame: its beams' 3x3 parameter blocks couple the
-    axial and bending modes."""
-    return build_frame_grid(3, 2, n_sb=2, n_sc=2,
-                            material=MaterialSpec(e_us=26000.0, e_ls=14000.0, p=2.0))
 
 
 class TestMaterialState:
@@ -646,6 +766,22 @@ class TestCsRoute:
         graded = update_partition(part, model.replace_materials(
             {0: dataclasses.replace(model.elements[0].material, e=1234.0)}))
         assert graded.c_s_stored is stored
+
+    @pytest.mark.parametrize("build, stored", [
+        (graded_frame, True),
+        (lambda: build_truss_grid(7, 16), False),
+    ], ids=["graded-frame-50x20", "ladder-7x16"])
+    def test_transpose_stored_on_stored_route_only(self, build, stored):
+        model = build()
+        part = make_partition(model, default_additional_set(model))
+        assert part.c_s_stored is stored
+        if stored:
+            assert part.c_s_t.format == "csr"
+            assert (part.c_s_t != part.c_s.T).nnz == 0
+        else:
+            assert part.c_s_t is None
+        updated = update_partition(part, apply_floor_grading(model, 4000.0, 36000.0, "E"))
+        assert updated.c_s_t is part.c_s_t
 
 
 def c_b_ladder():
