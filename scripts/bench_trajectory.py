@@ -113,7 +113,7 @@ def run_scenario(build, repeats: int) -> dict:
         times["solve_conventional"].append(t)
         fdp, t = timed(solvers.solve_fdp, part, r)
         times["solve_fdp"].append(t)
-    lu = part0.c_b_lu
+    lu = part0.c_b_lu.lu
     return {
         "n": part0.n, "q": part0.q, "elements": len(orig.elements),
         "c_s_route": "stored" if part0.c_s_stored else "c_b",

@@ -27,7 +27,6 @@ from .model import (
 )
 from .assembly import (
     assemble_global,
-    assemble_parameters,
     factorize_stiffness,
     make_partition,
     reduced_apply,

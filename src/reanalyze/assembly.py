@@ -21,12 +21,13 @@ element_blocks builds the parameter blocks of all elements array-wise, one
 call per element kind present to the elementwise kernels
 truss_decomposition, beam_decomposition and fg_beam_decomposition, by the
 names this module binds (benchmark/tracing.py counts the calls there).
-make_partition, update_partition and assemble_parameters all take their
+assemble_global, make_partition and update_partition all take their
 blocks from it, so a partition updated to its own model equals a fresh one
 bitwise.  mode_matrix builds the mode rows C of all elements with one call
 to elements.mode_rows (the one mode-row formula, in axis form) and one CSR
-build; assemble_parameters and the Newton driver's bars take C from it, and
-update_partition forms no rows.
+build; assemble_global, make_partition and the Newton driver's bars take C
+from it, and update_partition forms no rows.  _fields is the one reader of
+record fields: element_blocks and the Newton driver's bars read through it.
 
 A statically determinate basis can be solved joint by joint, so C_b is a
 permuted triangle, and make_partition factors it as one (Duff, ACM TOMS 7,
@@ -214,12 +215,6 @@ def mode_matrix(model: StructuralModel) -> sp.csr_matrix:
                          shape=(m * len(length), model.n))
 
 
-def assemble_parameters(model: StructuralModel) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The (elements, m, m) parameter blocks (element_blocks) and the mode
-    rows c (mode_matrix)."""
-    return element_blocks(model), mode_matrix(model)
-
-
 def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
     """Stiffness C^T K_L C of stacked mode rows c and parameters k_l: the one
     way the package forms a stiffness matrix."""
@@ -231,8 +226,7 @@ def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
 
 def assemble_global(model: StructuralModel) -> sp.csr_matrix:
     """Assembled free-DOF stiffness matrix K = C^T K_L C."""
-    blocks, c = assemble_parameters(model)
-    return stiffness(c, _block_diag(blocks))
+    return stiffness(mode_matrix(model), _block_diag(element_blocks(model)))
 
 
 def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *,
@@ -263,33 +257,14 @@ def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *,
 
 @dataclass(frozen=True)
 class BasisFactor:
-    """LU factors of the basis mode matrix C_b: the SuperLU factor of its
-    triangle T = C_b[rows][:, cols], which pivots on T's diagonal.
-
-    L, U, perm_r and perm_c read as SuperLU's for C_b itself: Pr C_b Pc = L U,
-    with row i of C_b at row perm_r[i] of Pr C_b and column j at column
-    perm_c[j] of C_b Pc.  solve takes SuperLU's arguments.
+    """The basis mode matrix C_b as its triangle T = C_b[rows][:, cols] and
+    T's SuperLU factor lu, which pivots on T's diagonal: T = lu.L lu.U, with
+    identity lu.perm_r and lu.perm_c.  solve solves with C_b itself.
     """
 
     lu: object  # SuperLU factor of T
     rows: np.ndarray  # the row of C_b at each row of T
     cols: np.ndarray  # the column of C_b at each column of T
-
-    @property
-    def L(self) -> sp.csc_matrix:
-        return self.lu.L
-
-    @property
-    def U(self) -> sp.csc_matrix:
-        return self.lu.U
-
-    @property
-    def perm_r(self) -> np.ndarray:
-        return np.argsort(self.rows)
-
-    @property
-    def perm_c(self) -> np.ndarray:
-        return np.argsort(self.cols)
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """C_b^-1 rhs, or C_b^-T rhs for trans="T"."""
@@ -531,7 +506,7 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     basis_ids = all_ids[~add_mask]
     additional_ids = all_ids[add_mask]
 
-    blocks, c = assemble_parameters(model)
+    blocks, c = element_blocks(model), mode_matrix(model)
     m = blocks.shape[1]
     c_b = c[_rows(basis_ids, m)].tocsc()
     c_a = c[_rows(additional_ids, m)]

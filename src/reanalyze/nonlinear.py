@@ -8,17 +8,18 @@ the elastic-state preconditioner held fixed for the whole run.  The material
 law is total-strain bilinear (monotonic loading, no unloading hysteresis), so
 the state is a pure function of the current displacement field.
 
-Bars share the linear path's factorization K = C^T K_L C, its element
-geometry and its element kernels: assembly.mode_matrix gives the unit axial
-mode rows C, built by the one mode-row kernel exactly as the linear
-assembly builds them, and assembly.element_geometry the bar lengths, whence
-the strains sqrt(2) C d / L and the internal force C^T (sqrt(2) A sigma).
-A tangent state only changes the 1x1 parameter blocks 2 E_t A / L, which
-come from the linear assembly's bar kernel elements.truss_decomposition and
-which the assembled tangent and the tangent partition build through the
-same assembly helpers as the linear stiffness.  The "reduction" backend is
-solvers.solve_fdp on the tangent partition.  The helpers below take the Bars
-a run builds once from its model, not the model.
+Bars go through the linear path's element layer and factorization
+K = C^T K_L C: assembly.mode_matrix gives the unit axial mode rows C,
+assembly.element_geometry the bar lengths, whence the strains
+sqrt(2) C d / L and the internal force C^T (sqrt(2) A sigma), and
+assembly._fields reads the bar records, so a bar lacking a field fails as
+in the linear assembly.  A tangent state only changes the 1x1 parameter
+blocks 2 E_t A / L, one (bars, 1, 1) array from the bar kernel
+elements.truss_decomposition, which the assembled tangent takes through
+assembly._block_diag and assembly.stiffness as the linear stiffness does,
+and the tangent partition through SystemPartition.with_blocks.  The
+"reduction" backend is solvers.solve_fdp on the tangent partition.  The
+helpers below take the Bars a run builds once from its model.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import scipy.sparse as sp
 # bound: benchmark/tracing.py patches them on this module by name
 from .assembly import (
     SystemPartition,
+    _block_diag,
+    _fields,
     element_geometry,
     make_partition,
     mode_matrix,
@@ -50,6 +53,7 @@ from .errors import (
 )
 from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
+    _check_finite,
     build_sri_preconditioner,
     recover_displacements,
     solve_fdp,
@@ -78,7 +82,8 @@ class Bars:
     """Unit mode rows and bilinear material data of a truss model's bars.
 
     c is the (bars, n) matrix of the axial mode rows on the free DOFs,
-    assembly.mode_matrix(model), the rows assemble_parameters(model) returns.
+    assembly.mode_matrix(model); of reads the record fields through
+    assembly._fields, as element_blocks does.
     """
 
     c: sp.csr_matrix
@@ -90,6 +95,7 @@ class Bars:
 
     @staticmethod
     def of(model: StructuralModel) -> "Bars":
+        flat = []
         for elem in model.elements:
             if elem.kind is not ElementKind.TRUSS_BAR:
                 raise UnsupportedModelError("nonlinear driver handles truss models only")
@@ -97,12 +103,11 @@ class Bars:
             if m.e0 is None or m.et is None or m.sigma_y is None:
                 raise UnsupportedModelError(
                     f"element {elem.id} lacks bilinear material data")
-        return Bars(
-            c=mode_matrix(model), length=element_geometry(model)[1],
-            area=np.array([e.section.area for e in model.elements]),
-            e0=np.array([e.material.e0 for e in model.elements]),
-            et=np.array([e.material.et for e in model.elements]),
-            sigma_y=np.array([e.material.sigma_y for e in model.elements]))
+            flat += (elem.section.area, m.e0, m.et, m.sigma_y)
+        area, e0, et, sigma_y = _fields(flat, range(len(model.elements)),
+                                        (("bar section needs area", [0]),))
+        return Bars(c=mode_matrix(model), length=element_geometry(model)[1],
+                    area=area, e0=e0, et=et, sigma_y=sigma_y)
 
 
 def evaluate_state(bars: Bars, d: np.ndarray) -> MaterialState:
@@ -118,17 +123,17 @@ def internal_force(bars: Bars, state: MaterialState) -> np.ndarray:
     return bars.c.T @ (SQRT2 * bars.area * state.stress)
 
 
-def _tangent_parameters(bars: Bars, state: MaterialState) -> np.ndarray:
-    """Bar parameters 2 E_t A / L of a state; raises InvalidStateError on a
-    non-positive tangent modulus."""
+def _tangent_blocks(bars: Bars, state: MaterialState) -> np.ndarray:
+    """(bars, 1, 1) parameter blocks 2 E_t A / L of a state; raises
+    InvalidStateError on a non-positive tangent modulus."""
     if np.any(state.tangent <= 0.0):
         raise InvalidStateError("non-positive tangent modulus")
-    return truss_decomposition(state.tangent, bars.area, bars.length)
+    return truss_decomposition(state.tangent, bars.area, bars.length)[:, None, None]
 
 
 def assemble_tangent(bars: Bars, state: MaterialState) -> sp.csr_matrix:
     """Assembled tangent stiffness C^T diag(2 E_t A / L) C."""
-    return stiffness(bars.c, sp.diags(_tangent_parameters(bars, state)))
+    return stiffness(bars.c, _block_diag(_tangent_blocks(bars, state)))
 
 
 def tangent_partition(bars: Bars, state: MaterialState,
@@ -138,7 +143,7 @@ def tangent_partition(bars: Bars, state: MaterialState,
     The topology (basis factorization, influence matrix) is element-layout
     bound and is reused untouched; only the 1x1 bar blocks change.
     """
-    return partition.with_blocks(_tangent_parameters(bars, state)[:, None, None])
+    return partition.with_blocks(_tangent_blocks(bars, state))
 
 
 @dataclass
@@ -184,8 +189,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
         raise UnsupportedModelError(f"unknown backend {backend!r}")
     if n_steps < 1:
         raise InvalidParameterError(f"need at least one load step, got n_steps={n_steps}")
-    if not np.all(np.isfinite(p0)):
-        raise InvalidParameterError("load vector p0 has non-finite entries")
+    _check_finite(p0)
     bars = Bars.of(model)
     t0 = time.perf_counter()
 
@@ -197,7 +201,6 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
 
     run = NonlinearRun(backend=backend)
     d = np.zeros(model.n)
-    state = evaluate_state(bars, d)
     for step in range(1, n_steps + 1):
         lam = step / n_steps
         target = lam * p0

@@ -12,7 +12,6 @@ from reanalyze import assembly, elements
 from reanalyze.assembly import (
     PIVOT_TOL,
     assemble_global,
-    assemble_parameters,
     factorize_stiffness,
     make_partition,
     reduced_apply,
@@ -135,15 +134,15 @@ class TestAssembleParameters:
 
     def test_parameter_counts(self):
         truss = build_truss_grid(4, 3)
-        _, c = assemble_parameters(truss)
+        c = assembly.mode_matrix(truss)
         assert c.shape[0] == len(truss.elements)
         frame = build_frame_grid(3, 2, n_sb=2)
-        _, c = assemble_parameters(frame)
+        c = assembly.mode_matrix(frame)
         assert c.shape[0] == 3 * len(frame.elements)
 
     def test_rows_restricted_to_free_dofs(self):
         model = build_truss_grid(2, 2)
-        _, c = assemble_parameters(model)
+        c = assembly.mode_matrix(model)
         assert c.shape == (len(model.elements), model.n)
 
 
@@ -283,7 +282,7 @@ class TestElementBlocks:
         # every reader of element geometry raises the one error of element_geometry
         calls = [lambda: assembly.element_geometry(broken),
                  lambda: assembly.element_blocks(broken),
-                 lambda: assemble_parameters(broken),
+                 lambda: assembly.mode_matrix(broken),
                  lambda: make_partition(broken, default_additional_set(broken)),
                  lambda: update_partition(recorded, broken)]
         with warnings.catch_warnings():
@@ -347,8 +346,8 @@ class TestMakePartition:
         part = make_partition(model, default_additional_set(model))
         assert np.all(np.diff(part.additional_ids) > 0)
         d = np.arange(model.n, dtype=float)
-        blocks, c = assemble_parameters(model)
-        m = blocks.shape[1]
+        c = assembly.mode_matrix(model)
+        m = c.shape[0] // len(model.elements)
         stacked = np.concatenate([c[m * i:m * i + m] @ d for i in part.additional_ids])
         assert np.allclose(part.c_a @ d, stacked)
 
@@ -426,7 +425,7 @@ class TestPartitionConsistency:
     def test_basis_pivot_ratio(self, model):
         part = make_partition(model, default_additional_set(model))
         assert PIVOT_TOL < part.basis_pivot_ratio <= 1.0
-        pivots = np.abs(part.c_b_lu.U.diagonal())
+        pivots = np.abs(part.c_b_lu.lu.U.diagonal())
         assert part.basis_pivot_ratio == pivots.min() / pivots.max()
 
 
@@ -450,7 +449,7 @@ class TestFactorOrdering:
         # the matched, level-ordered basis is a triangle: L holds its
         # entries and a unit diagonal, U its diagonal
         part = make_partition(*build())
-        lu = part.c_b_lu
+        lu = part.c_b_lu.lu
         assert lu.L.nnz + lu.U.nnz == np.count_nonzero(part.c_b.data) + part.n
         assert lu.U.nnz == np.count_nonzero(lu.U.diagonal()) == part.n
         pivots = np.abs(lu.U.diagonal())
@@ -461,13 +460,16 @@ class TestFactorOrdering:
         lambda: with_default_set(graded_fg_frame()),
         lambda: cyclic_truss(),
     ], ids=["ladder-7x16", "graded-fg-frame", "cyclic-truss"])
-    def test_basis_factor_reads_as_superlu(self, build):
-        # Pr C_b Pc = L U with SciPy's SuperLU permutation matrices
+    def test_basis_factor_is_the_triangles(self, build):
+        # the factor is SuperLU's of C_b[rows][:, cols] as given: T = L U
+        # with no permutation
         part = make_partition(*build())
-        lu, n = part.c_b_lu, part.n
-        pr = sp.csc_matrix((np.ones(n), (lu.perm_r, np.arange(n))))
-        pc = sp.csc_matrix((np.ones(n), (np.arange(n), lu.perm_c)))
-        assert rel_err((lu.L @ lu.U).toarray(), (pr @ part.c_b @ pc).toarray()) < 1e-15
+        factor, n = part.c_b_lu, part.n
+        lu = factor.lu
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        triangle = part.c_b[factor.rows][:, factor.cols].toarray()
+        assert rel_err((lu.L @ lu.U).toarray(), triangle) < 1e-15
 
     def test_one_level_schedule_per_partition(self, monkeypatch):
         # the schedule that orders the basis triangle also builds C_s
@@ -516,7 +518,7 @@ class TestCyclicBasis:
     def test_solves_to_definition(self):
         model, spec = cyclic_truss()
         part = make_partition(model, spec)
-        assert sp.triu(part.c_b_lu.U, 1).nnz == 2  # one elimination in each 2 x 2 block
+        assert sp.triu(part.c_b_lu.lu.U, 1).nnz == 2  # one elimination in each 2 x 2 block
         TestInfluenceMatrix.assert_matches_definition(part)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(part.n)
@@ -692,7 +694,7 @@ class TestInfluenceMatrix:
         # floor below, so the transposed L factor has over a hundred levels
         model = build_truss_grid(2, 60)
         part = make_partition(model, default_additional_set(model))
-        assert len(assembly._LevelSchedule.of(part.c_b_lu.L.T).levels) > 100
+        assert len(assembly._LevelSchedule.of(part.c_b_lu.lu.L.T).levels) > 100
         self.assert_matches_definition(part)
 
     def test_non_default_basis(self):

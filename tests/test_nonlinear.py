@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reanalyze import assembly, elements, nonlinear
-from reanalyze.assembly import assemble_global, assemble_parameters, make_partition
+from reanalyze.assembly import assemble_global, make_partition, mode_matrix
 from reanalyze.errors import (
     DegenerateElementError,
     InvalidParameterError,
@@ -94,7 +94,7 @@ class TestBars:
     def test_mode_rows_match_assembled_rows(self):
         for model in (bilinear_truss(), bilinear_truss(4, 3), single_bar()):
             c = Bars.of(model).c.toarray()
-            expected = assemble_parameters(model)[1].toarray()
+            expected = mode_matrix(model).toarray()
             assert np.array_equal(c, expected)
 
 
@@ -134,6 +134,16 @@ class TestTangentPartition:
         k_lb, k_la = parameter_matrices(part_t)
         k_split = part_t.c_b.T @ k_lb @ part_t.c_b + part_t.c_a.T @ k_la @ part_t.c_a
         assert rel_err(k_split, k_t) < 1e-12
+
+    def test_elastic_tangent_is_the_linear_stiffness(self):
+        # the tangent goes through the linear layer's blocks and assembly,
+        # so at zero strain it is the assembled stiffness bitwise
+        model = bilinear_truss(5, 4)
+        bars = Bars.of(model)
+        k_t = assemble_tangent(bars, evaluate_state(bars, np.zeros(model.n)))
+        k = assemble_global(model)
+        assert np.array_equal(k_t.indptr, k.indptr) and np.array_equal(k_t.indices, k.indices)
+        assert np.array_equal(k_t.data, k.data)
 
     def test_rejects_nonpositive_tangent(self):
         model = bilinear_truss()
@@ -284,6 +294,23 @@ class TestRunNewtonRaphson:
         for n_steps in (0, -2):
             with pytest.raises(InvalidParameterError, match=f"n_steps={n_steps}$"):
                 run_newton_raphson(model, p0, n_steps=n_steps, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["regular", "reduction", "sri"])
+    def test_bar_without_area_raises_before_any_build(self, backend, monkeypatch):
+        # the bars read their fields as the linear assembly does, so every
+        # backend names the element that lacks one
+        def built(*args, **kwargs):
+            raise AssertionError("partitioned or factorized before the input checks")
+
+        monkeypatch.setattr(nonlinear, "make_partition", built)
+        monkeypatch.setattr(nonlinear, "sparse_lu", built)
+        model = bilinear_truss(3, 3)
+        elems = list(model.elements)
+        elems[4] = dataclasses.replace(elems[4], section=SectionSpec())
+        model = StructuralModel(list(model.nodes), elems, model.supports,
+                                list(model.loads), model.meta)
+        with pytest.raises(InvalidParameterError, match="^element 4: bar section needs area$"):
+            run_newton_raphson(model, model.load_vector(), backend=backend)
 
     def test_unknown_backend(self):
         model = bilinear_truss()
