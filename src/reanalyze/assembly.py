@@ -159,10 +159,10 @@ def element_blocks(model: StructuralModel) -> np.ndarray:
         if elem.kind is fg:
             flat[fg] += (mat.e_us, mat.e_ls, mat.p, sec.width, sec.height)
             coupling.append(mat.fg_coupling or "exact")
-        elif elem.kind is bar:
-            flat[bar] += (mat.e if mat.e is not None else mat.e0, sec.area)
-        else:
-            flat[beam] += (mat.e if mat.e is not None else mat.e0, sec.area, sec.inertia)
+            continue
+        flat[elem.kind] += (mat.e if mat.e is not None else mat.e0, sec.area)
+        if elem.kind is beam:
+            flat[beam].append(sec.inertia)
 
     no_young = "material defines neither e nor e0"
     m = 2 * model.dofs_per_node - 3
@@ -282,13 +282,13 @@ class SystemPartition:
     Topological members (c_b, its triangular factorization c_b_lu and pivot
     ratio, c_a, the sparse influence matrix c_s = C_a C_b^-1, its transpose
     where stored, and the model fingerprint element_nodes/node_xy/dof_map)
-    are shared across material updates.  A
-    material state is the (elements, m, m) parameter blocks, element i's at
-    i, plus the blockwise inverses the reduced operators read: k_lb_inv of
-    the basis blocks, k_la_inv of the additional ones.  with_blocks gives
-    the same topology under another state.  Basis element i owns rows
-    m i ... m i + m - 1 of c_b and k_lb_inv, additional element i those of
-    c_a and k_la_inv.
+    are shared across material updates.  Every solve with C_b or C_b^T is
+    c_b_lu.solve(v) or c_b_lu.solve(v, trans="T").  A material state is the
+    (elements, m, m) parameter blocks, element i's at i, plus the blockwise
+    inverses the reduced operators read: k_lb_inv of the basis blocks,
+    k_la_inv of the additional ones.  with_blocks gives the same topology
+    under another state.  Basis element i owns rows m i ... m i + m - 1 of
+    c_b and k_lb_inv, additional element i those of c_a and k_la_inv.
     Instances are immutable; solves through the factorization do not mutate
     visible state.
 
@@ -321,25 +321,17 @@ class SystemPartition:
     node_xy: np.ndarray  # (nodes, 2) its node coordinates
     dof_map: np.ndarray  # (nodes, dofs per node) its free-DOF numbering, -1 where supported
 
-    def solve_c_b(self, v: np.ndarray) -> np.ndarray:
-        """Apply C_b^-1."""
-        return self.c_b_lu.solve(v)
-
-    def solve_c_b_t(self, v: np.ndarray) -> np.ndarray:
-        """Apply C_b^-T."""
-        return self.c_b_lu.solve(v, trans="T")
-
     def apply_c_s(self, v: np.ndarray) -> np.ndarray:
         """Apply C_s = C_a C_b^-1 to an n-vector."""
         if self.c_s_stored:
             return self.c_s @ v
-        return self.c_a @ self.solve_c_b(v)
+        return self.c_a @ self.c_b_lu.solve(v)
 
     def apply_c_s_t(self, x: np.ndarray) -> np.ndarray:
         """Apply C_s^T = C_b^-T C_a^T to a q-vector."""
         if self.c_s_stored:
             return self.c_s_t @ x
-        return self.solve_c_b_t(self.c_a.T @ x)
+        return self.c_b_lu.solve(self.c_a.T @ x, trans="T")
 
     def with_blocks(self, blocks: np.ndarray) -> "SystemPartition":
         """The same topology under the (elements, m, m) parameter blocks."""
@@ -489,12 +481,15 @@ def _influence_matrix(schedule: _LevelSchedule, matched: np.ndarray,
 def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartition:
     """Build and factorize the basis/additional partition of a model.
 
-    The basis parameter count must equal the number of free DOFs.  C_b is
-    matched, ordered into its triangle and factored, and the sparse
-    influence matrix C_s is built here, eagerly, by level-scheduled solves
-    with the matched C_b's transpose (the module docstring gives the steps).
-    Raises BasisUnstableError when C_b is singular or nearly so.
+    The basis parameter count must equal the number of free DOFs, of which
+    there must be some (InvalidParameterError otherwise).  C_b is matched,
+    ordered into its triangle and factored, and the sparse influence matrix
+    C_s is built here, eagerly, by level-scheduled solves with the matched
+    C_b's transpose (the module docstring gives the steps).  Raises
+    BasisUnstableError when C_b is singular or nearly so.
     """
+    if model.n == 0:
+        raise InvalidParameterError("model has no free DOFs to partition")
     n_elements = len(model.elements)
     ids = np.fromiter(spec.additional_ids, dtype=np.int64, count=len(spec.additional_ids))
     outside = (ids < 0) | (ids >= n_elements)
@@ -584,7 +579,7 @@ def reduced_rhs(partition: SystemPartition, r: np.ndarray) -> tuple[np.ndarray, 
     Evaluated strictly right-to-left: t = C_b^-T r, b_s = K_Lb^-1 t,
     b = C_s b_s.  b_s is returned for reuse by displacement recovery.
     """
-    t = partition.solve_c_b_t(r)
+    t = partition.c_b_lu.solve(r, trans="T")
     b_s = partition.k_lb_inv @ t
     return partition.apply_c_s(b_s), b_s
 

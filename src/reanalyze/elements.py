@@ -172,11 +172,12 @@ def fg_beam_decomposition(width, constants: FgSectionConstants, length) -> np.nd
 
 
 def bilinear_stress(strain, e0, et, sigma_y):
-    """Stress and tangent modulus of the bilinear law at a total strain.
+    """Stress, tangent modulus and yield mask of the bilinear law at a total
+    strain: the one yield test of the package.
 
     Elastic branch up to the yield strain sigma_y/e0 (boundary counted as
-    elastic), hardening slope et beyond; odd in strain.  Takes scalars or
-    arrays, elementwise.
+    elastic, so yielded is False there), hardening slope et beyond; odd in
+    strain.  Takes scalars or arrays, elementwise.
     """
     if np.any(np.asarray(e0) <= 0.0) or np.any(np.asarray(sigma_y) <= 0.0):
         raise InvalidParameterError("e0 and sigma_y must be positive")
@@ -184,4 +185,4 @@ def bilinear_stress(strain, e0, et, sigma_y):
     yielded = np.abs(strain) > eps_y
     stress = np.where(yielded, np.sign(strain) * (sigma_y + et * (np.abs(strain) - eps_y)),
                       e0 * strain)
-    return stress, np.where(yielded, et, e0)
+    return stress, np.where(yielded, et, e0), yielded

@@ -319,8 +319,8 @@ def build_frame_grid(n_span: int, n_floor: int, n_sb: int = 1, n_sc: int = 1,
     """
     if min(n_span, n_floor, n_sb, n_sc) < 1:
         raise InvalidParameterError("all frame counts must be >= 1")
-    if width <= 0 or depth <= 0 or load <= 0:
-        raise InvalidParameterError("width, depth and load must be positive")
+    if span <= 0 or height <= 0 or width <= 0 or depth <= 0 or load <= 0:
+        raise InvalidParameterError("span, height, width, depth and load must be positive")
     mat = material if material is not None else MaterialSpec(e=20000.0)
     kind = ElementKind.FG_BEAM if mat.e_us is not None else ElementKind.HOMOGENEOUS_BEAM
     if kind is ElementKind.FG_BEAM and (mat.e_ls is None or mat.p is None):
@@ -414,22 +414,23 @@ def apply_floor_grading(model: StructuralModel, e_lower: float, e_upper: float,
     return model.replace_materials(updates)
 
 
-def replace_fg_exponent(model: StructuralModel, p: float) -> StructuralModel:
-    """New model with the power-law exponent replaced on every graded beam."""
-    updates = {e.id: dataclasses.replace(e.material, p=p)
+def _replace_fg(model: StructuralModel, **fields) -> StructuralModel:
+    """New model with the given material fields replaced on every graded beam."""
+    updates = {e.id: dataclasses.replace(e.material, **fields)
                for e in model.elements if e.kind is ElementKind.FG_BEAM}
     if not updates:
         raise UnsupportedModelError("model has no graded beams")
     return model.replace_materials(updates)
+
+
+def replace_fg_exponent(model: StructuralModel, p: float) -> StructuralModel:
+    """New model with the power-law exponent replaced on every graded beam."""
+    return _replace_fg(model, p=p)
 
 
 def replace_fg_coupling(model: StructuralModel, coupling: str) -> StructuralModel:
     """New model with the coupling-moment convention set on every graded beam."""
-    updates = {e.id: dataclasses.replace(e.material, fg_coupling=coupling)
-               for e in model.elements if e.kind is ElementKind.FG_BEAM}
-    if not updates:
-        raise UnsupportedModelError("model has no graded beams")
-    return model.replace_materials(updates)
+    return _replace_fg(model, fg_coupling=coupling)
 
 
 def default_additional_set(model: StructuralModel) -> PartitionSpec:

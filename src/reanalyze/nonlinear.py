@@ -113,8 +113,7 @@ class Bars:
 def evaluate_state(bars: Bars, d: np.ndarray) -> MaterialState:
     """Bilinear stress/tangent state of every bar at displacement d."""
     strain = SQRT2 * (bars.c @ d) / bars.length
-    stress, tangent = bilinear_stress(strain, bars.e0, bars.et, bars.sigma_y)
-    return MaterialState(strain, stress, tangent, np.abs(strain) > bars.sigma_y / bars.e0)
+    return MaterialState(strain, *bilinear_stress(strain, bars.e0, bars.et, bars.sigma_y))
 
 
 def internal_force(bars: Bars, state: MaterialState) -> np.ndarray:
@@ -173,14 +172,14 @@ def _fail(run: NonlinearRun, step: int, state: MaterialState, t0: float) -> Nonl
 
 def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20,
                        backend: str = "regular", tol_outer: float = 1e-8,
-                       tol_inner: float = 1e-15, max_outer: int = OUTER_CAP) -> NonlinearRun:
+                       tol_inner: float = 1e-15) -> NonlinearRun:
     """Equal-increment load-controlled Newton-Raphson run.
 
     backend "regular" solves the assembled tangent directly, "reduction" the
     tangent reduced system directly, "sri" the reduced system iteratively with
     the elastic preconditioner kept for the whole run (residuals normalized by
     the step load norm); both reduced backends partition the model with its
-    default_additional_set.  A step that fails to converge within max_outer
+    default_additional_set.  A step that fails to converge within OUTER_CAP
     iterations, or whose inner SRI solve ends unconverged, terminates the run
     with the history accumulated so far.  A non-finite load p0 or fewer than
     one load step raises InvalidParameterError before anything is built.
@@ -212,7 +211,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
             res_norm = float(np.linalg.norm(residual))
             if res_norm < tol_outer * target_norm or res_norm == 0.0:
                 break
-            if iters >= max_outer:
+            if iters >= OUTER_CAP:
                 return _fail(run, step, state, t0)
             if backend == "regular":
                 k_t = assemble_tangent(bars, state)

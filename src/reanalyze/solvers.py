@@ -212,7 +212,7 @@ def recover_displacements(partition: SystemPartition, f_a: np.ndarray,
     """Displacements from additional-component forces:
     d = C_b^-1 (B_s - K_Lb^-1 C_s^T F_a), with B_s = K_Lb^-1 C_b^-T R the
     basis solution reduced_rhs returns."""
-    return partition.solve_c_b(b_s - partition.k_lb_inv @ partition.apply_c_s_t(f_a))
+    return partition.c_b_lu.solve(b_s - partition.k_lb_inv @ partition.apply_c_s_t(f_a))
 
 
 def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
@@ -225,8 +225,11 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
     displacement field through the basis factorization.  The convergence test
     divides the residual norm by ||B|| unless norm_ref overrides the
     denominator (the nonlinear driver normalizes by the step load instead).
-    A non-finite load raises InvalidParameterError.
+    A non-finite load, or a norm_ref that is not positive and finite, raises
+    InvalidParameterError.
     """
+    if norm_ref is not None and not 0.0 < norm_ref < np.inf:
+        raise InvalidParameterError(f"norm_ref must be positive and finite, got {norm_ref}")
     if preconditioner.q != partition_modified.q:
         raise InternalError(
             f"preconditioner size {preconditioner.q} != reduced size {partition_modified.q}")

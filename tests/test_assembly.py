@@ -324,6 +324,20 @@ class TestMakePartition:
         with pytest.raises(NotDeterminateError, match=f"additional id {bad} outside"):
             make_partition(model, spec)
 
+    def test_no_free_dofs_raises_before_any_block(self, monkeypatch):
+        # two pinned nodes and one bar, that bar additional
+        bar = ElementRecord(0, ElementKind.TRUSS_BAR, 0, 1, SectionSpec(area=2.0),
+                            MaterialSpec(e=2e5), MemberTag("chord", 1, 1))
+        model = StructuralModel([Node(0, 0.0, 0.0), Node(1, 100.0, 0.0)], [bar],
+                                {0: (0, 1), 1: (0, 1)}, [])
+
+        def unreached(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(assembly, "element_blocks", unreached)
+        with pytest.raises(InvalidParameterError, match="no free DOFs"):
+            make_partition(model, PartitionSpec.of([0]))
+
     def test_geometrically_unstable_basis(self):
         # removing a first-span chord instead of a diagonal keeps the count but
         # leaves the top-left node unsupported horizontally
@@ -338,8 +352,8 @@ class TestMakePartition:
         part = make_partition(model, default_additional_set(model))
         rng = np.random.default_rng(3)
         v = rng.standard_normal(part.n)
-        assert rel_err(part.c_b @ part.solve_c_b(v), v) < 1e-10
-        assert rel_err(part.c_b.T @ part.solve_c_b_t(v), v) < 1e-10
+        assert rel_err(part.c_b @ part.c_b_lu.solve(v), v) < 1e-10
+        assert rel_err(part.c_b.T @ part.c_b_lu.solve(v, trans="T"), v) < 1e-10
 
     def test_additional_rows_in_ascending_id_order(self):
         model = build_truss_grid(4, 2)
@@ -522,8 +536,8 @@ class TestCyclicBasis:
         TestInfluenceMatrix.assert_matches_definition(part)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(part.n)
-        assert rel_err(part.c_b @ part.solve_c_b(v), v) < 1e-14
-        assert rel_err(part.c_b.T @ part.solve_c_b_t(v), v) < 1e-14
+        assert rel_err(part.c_b @ part.c_b_lu.solve(v), v) < 1e-14
+        assert rel_err(part.c_b.T @ part.c_b_lu.solve(v, trans="T"), v) < 1e-14
         d = factorize_stiffness(model).solve(model.load_vector())
         b, _ = reduced_rhs(part, model.load_vector())
         f_a = np.linalg.solve(reduced_gram(part) + part.k_la_inv.toarray(), b)
@@ -540,7 +554,7 @@ class TestCyclicBasis:
         assert np.linalg.cond(part.c_b.toarray()) < 20
         TestInfluenceMatrix.assert_matches_definition(part)
         v = np.arange(float(part.n))
-        assert rel_err(part.c_b @ part.solve_c_b(v), v) < 1e-14
+        assert rel_err(part.c_b @ part.c_b_lu.solve(v), v) < 1e-14
 
     @pytest.mark.parametrize("apex, message", [
         ((2.0, 2.0), "is singular"),

@@ -262,40 +262,40 @@ class TestGradedBeamMatrices:
 
 class TestBilinearStress:
     def test_origin(self):
-        assert bilinear_stress(0.0, 2e5, 0.3e5, 25.0) == (0.0, 2e5)
+        assert bilinear_stress(0.0, 2e5, 0.3e5, 25.0) == (0.0, 2e5, False)
 
     def test_yield_boundary_is_elastic(self):
         e0, sigma_y = 2e5, 25.0
-        stress, tangent = bilinear_stress(sigma_y / e0, e0, 0.3e5, sigma_y)
+        stress, tangent, yielded = bilinear_stress(sigma_y / e0, e0, 0.3e5, sigma_y)
         assert stress == pytest.approx(sigma_y)
-        assert tangent == e0
+        assert tangent == e0 and not yielded
 
     def test_hardening_branch_value(self):
-        stress, tangent = bilinear_stress(2e-4, 2e5, 0.3e5, 25.0)
+        stress, tangent, yielded = bilinear_stress(2e-4, 2e5, 0.3e5, 25.0)
         assert stress == pytest.approx(27.25)
-        assert tangent == 0.3e5
+        assert tangent == 0.3e5 and yielded
 
     @given(st.floats(-5e-3, 5e-3))
     @settings(max_examples=200, deadline=None)
     def test_odd_and_continuous(self, strain):
         e0, et, sigma_y = 2e5, 0.3e5, 25.0
-        s_pos, _ = bilinear_stress(strain, e0, et, sigma_y)
-        s_neg, _ = bilinear_stress(-strain, e0, et, sigma_y)
+        s_pos, _, _ = bilinear_stress(strain, e0, et, sigma_y)
+        s_neg, _, _ = bilinear_stress(-strain, e0, et, sigma_y)
         assert s_pos == pytest.approx(-s_neg, abs=1e-12)
 
     def test_tangent_is_derivative_away_from_kink(self):
         e0, et, sigma_y = 2e5, 0.3e5, 25.0
         h = 1e-8
         for strain in (0.5e-4, 3e-4, -2.5e-4):
-            s1, tangent = bilinear_stress(strain, e0, et, sigma_y)
-            s_hi, _ = bilinear_stress(strain + h, e0, et, sigma_y)
-            s_lo, _ = bilinear_stress(strain - h, e0, et, sigma_y)
+            s1, tangent, _ = bilinear_stress(strain, e0, et, sigma_y)
+            s_hi, _, _ = bilinear_stress(strain + h, e0, et, sigma_y)
+            s_lo, _, _ = bilinear_stress(strain - h, e0, et, sigma_y)
             fd = (s_hi - s_lo) / (2 * h)
             assert fd == pytest.approx(tangent, rel=1e-6)
 
     def test_piecewise_linear_continuity_at_yield(self):
         e0, et, sigma_y = 2e5, 0.3e5, 25.0
         eps_y = sigma_y / e0
-        below, _ = bilinear_stress(eps_y * (1 - 1e-12), e0, et, sigma_y)
-        above, _ = bilinear_stress(eps_y * (1 + 1e-12), e0, et, sigma_y)
+        below, _, _ = bilinear_stress(eps_y * (1 - 1e-12), e0, et, sigma_y)
+        above, _, _ = bilinear_stress(eps_y * (1 + 1e-12), e0, et, sigma_y)
         assert below == pytest.approx(above, rel=1e-9)

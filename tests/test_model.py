@@ -135,6 +135,17 @@ class TestFrameGrid:
             build_frame_grid(1, 1, material=MaterialSpec(e_us=2e4))
 
 
+class TestGeneratorGeometry:
+    @pytest.mark.parametrize("build", [build_truss_grid, build_frame_grid],
+                             ids=["truss", "frame"])
+    @pytest.mark.parametrize("field", ["span", "height"])
+    @pytest.mark.parametrize("value", [0.0, -500.0])
+    def test_rejects_nonpositive_bay(self, build, field, value):
+        # a negative span would mirror the grid, a zero one fail at assembly
+        with pytest.raises(InvalidParameterError, match="span, height"):
+            build(2, 2, **{field: value})
+
+
 class TestFloorGrading:
     def test_five_floor_profile(self):
         m = build_truss_grid(2, 5)

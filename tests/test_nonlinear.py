@@ -83,6 +83,16 @@ class TestInternalForce:
         f = internal_force(bars, state)
         assert f[0] == pytest.approx(sigma * 2.0)  # area = 2
 
+    def test_yield_mask_at_the_yield_strain(self):
+        # e0 a power of two, so sigma_y / e0 gives back the bar's strain exactly
+        bars = dataclasses.replace(Bars.of(single_bar()), e0=np.array([2.0 ** 17]))
+        d = np.array([0.0125])
+        strain = evaluate_state(bars, d).strain
+        at_yield = dataclasses.replace(bars, sigma_y=strain * 2.0 ** 17)
+        assert np.array_equal(at_yield.sigma_y / at_yield.e0, strain)
+        assert evaluate_state(at_yield, d).yielded.tolist() == [False]
+        assert evaluate_state(at_yield, (1 + 1e-12) * d).yielded.tolist() == [True]
+
     def test_requires_bilinear_truss(self):
         with pytest.raises(UnsupportedModelError):
             Bars.of(build_truss_grid(2, 2))
@@ -216,9 +226,10 @@ class TestRunNewtonRaphson:
             res = internal_force(bars, evaluate_state(bars, d)) - lam * p0
             assert np.linalg.norm(res) / np.linalg.norm(lam * p0) < 1e-8
 
-    def test_step_failure_keeps_partial_history(self):
+    def test_step_failure_keeps_partial_history(self, monkeypatch):
+        monkeypatch.setattr(nonlinear, "OUTER_CAP", 0)
         model = bilinear_truss(3, 2, sigma_y=2.0)
-        run = run_newton_raphson(model, model.load_vector(), n_steps=5, max_outer=0)
+        run = run_newton_raphson(model, model.load_vector(), n_steps=5)
         assert not run.converged
         assert run.failed_step == 1
         assert run.lambdas == []

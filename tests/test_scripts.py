@@ -1,0 +1,33 @@
+"""Checks on the output of the scripts under scripts/."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_trajectory(tmp_path):
+    # every method within 1e-8 of the direct solve (the committed files reach
+    # 7.3e-10), the C_s route the ladder and the two frames take
+    # (SystemPartition.c_s_stored), and a basis factor without fill in every
+    # scenario
+    assert load_script("bench_trajectory").main(
+        ["--label", "test", "--out", str(tmp_path), "--repeats", "1"]) == 0
+    (path,) = tmp_path.glob("BENCH_*_test.json")
+    scenarios = json.loads(path.read_text())["scenarios"]
+    errors = {(name, method): err for name, s in scenarios.items()
+              for method, err in s["rel_err"].items()}
+    assert max(errors.values()) <= 1e-8, errors
+    routes = {name: s["c_s_route"] for name, s in scenarios.items()}
+    assert routes == {"ladder-31x64": "c_b", "frame-50x20-damaged5": "stored",
+                      "c08c": "stored"}, routes
+    fill = {name: s["c_b_fill"] for name, s in scenarios.items()}
+    assert len(fill) == 3 and not any(fill.values()), fill

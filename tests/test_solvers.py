@@ -295,6 +295,20 @@ class TestSolveSri:
         assert rep.residual_history[0] == pytest.approx(np.linalg.norm(b) / ref)
         assert rep.converged
 
+    @pytest.mark.parametrize("norm_ref", [0.0, -1.0, np.nan])
+    def test_invalid_norm_reference_raises_before_any_work(self, norm_ref, monkeypatch):
+        # a zero or negative reference would pass the convergence test at
+        # once and return the basis-only displacement as converged
+        orig = build_truss_grid(3, 4)
+        part0, part1, precond = reanalysis_setup(orig, orig)
+
+        def unreached(*args):
+            raise AssertionError("solve_sri started work")
+
+        monkeypatch.setattr(solvers, "reduced_rhs", unreached)
+        with pytest.raises(InvalidParameterError, match="norm_ref"):
+            solve_sri(part1, orig.load_vector(), precond, norm_ref=norm_ref)
+
 
 class TestRecoverDisplacements:
     def test_zero_forces_give_basis_solution(self):
