@@ -118,7 +118,7 @@ def run_scenario(build, repeats: int) -> dict:
         "n": part0.n, "q": part0.q, "elements": len(orig.elements),
         "c_s_route": "stored" if part0.c_s_stored else "c_b",
         "c_b_fill": int(lu.L.nnz + lu.U.nnz - np.count_nonzero(part0.c_b.data) - part0.n),
-        "basis_pivot_ratio": part0.basis_pivot_ratio,
+        "basis_pivot_ratio": assembly.pivot_ratio(lu),
         "sri_iterations": sri.iterations, "pcg_iterations": pcg.iterations,
         "rel_err": {"sri": rel_err(sri.d, direct.d), "pcg": rel_err(pcg.d, direct.d),
                     "fdp": rel_err(fdp.d, direct.d)},

@@ -43,8 +43,8 @@ on one another in a cycle (a complex truss; no generator builds one) the
 levels are those of the strongly connected blocks and the triangle is
 block triangular.  Each block of more than one row takes its rows in the
 order of its own dense LU with partial pivoting, so the pivots stay on the
-diagonal and inside the block.  A singular block, or a pivot ratio
-min/max |U_ii| below PIVOT_TOL, raises BasisUnstableError.
+diagonal and inside the block.  A singular block raises
+BasisUnstableError, and so does every check sparse_lu makes on the factor.
 
 The same level schedule builds the sparse influence matrix C_s once per
 topology: each level is one sparse-times-dense product on a block of C_a^T
@@ -84,7 +84,7 @@ from .errors import (
 )
 from .model import ElementKind, PartitionSpec, StructuralModel
 
-# Relative pivot threshold below which the basis mode matrix counts as singular.
+# pivot_ratio below which sparse_lu counts a factor as singular.
 PIVOT_TOL = 1e-10
 
 # Bytes of one dense slab: a row slab of L^T C_s^T in the syrk Gram builder,
@@ -215,10 +215,10 @@ def mode_matrix(model: StructuralModel) -> sp.csr_matrix:
                          shape=(m * len(length), model.n))
 
 
-def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
-    """Stiffness C^T K_L C of stacked mode rows c and parameters k_l: the one
-    way the package forms a stiffness matrix."""
-    k = c.T @ k_l @ c
+def stiffness(c: sp.spmatrix, blocks: np.ndarray) -> sp.csr_matrix:
+    """Stiffness C^T K_L C of stacked mode rows c and (elements, m, m) blocks
+    of K_L: the one way the package forms a stiffness matrix."""
+    k = c.T @ _block_diag(blocks) @ c
     # the summation order of C^T K_L C is not symmetric under (i, j) <-> (j, i),
     # so averaging with the transpose is what makes K bitwise symmetric
     return ((k + k.T) * 0.5).tocsr()
@@ -226,14 +226,20 @@ def stiffness(c: sp.spmatrix, k_l: sp.spmatrix) -> sp.csr_matrix:
 
 def assemble_global(model: StructuralModel) -> sp.csr_matrix:
     """Assembled free-DOF stiffness matrix K = C^T K_L C."""
-    return stiffness(mode_matrix(model), _block_diag(element_blocks(model)))
+    return stiffness(mode_matrix(model), element_blocks(model))
+
+
+def pivot_ratio(lu) -> float:
+    """min|U_ii| / max|U_ii| of a SuperLU factor, 1.0 for an empty one."""
+    pivots = np.abs(lu.U.diagonal())
+    return float(pivots.min() / pivots.max()) if pivots.size else 1.0
 
 
 def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *,
               ordering: str = "MMD_AT_PLUS_A"):
-    """Sparse LU of a square matrix and its pivot ratio min|U_ii| / max|U_ii|
-    (1.0 for an empty matrix); raises error when the matrix is singular or
-    the ratio falls below PIVOT_TOL.
+    """SuperLU factor of a square matrix, the one place a factor's health is
+    checked: raises error when the matrix is singular, its pivot_ratio is
+    below PIVOT_TOL or a pivot leaves the diagonal (perm_r != perm_c).
 
     Rows and columns take the one ordering (SuperLU's SymmetricMode) and the
     pivots are the diagonal wherever it is nonzero.  The stiffnesses
@@ -248,11 +254,12 @@ def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise error(f"{what} is singular: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    ratio = float(pivots.min() / pivots.max()) if pivots.size else 1.0
+    ratio = pivot_ratio(lu)
     if not ratio >= PIVOT_TOL:
         raise error(f"{what} nearly singular (pivot ratio {ratio:.2e})")
-    return lu, ratio
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise error(f"{what}: a pivot left the diagonal")
+    return lu
 
 
 @dataclass(frozen=True)
@@ -279,10 +286,10 @@ class BasisFactor:
 class SystemPartition:
     """Basis/additional split with factorized basis mode matrix.
 
-    Topological members (c_b, its triangular factorization c_b_lu and pivot
-    ratio, c_a, the sparse influence matrix c_s = C_a C_b^-1, its transpose
-    where stored, and the model fingerprint element_nodes/node_xy/dof_map)
-    are shared across material updates.  Every solve with C_b or C_b^T is
+    Topological members (c_b, its triangular factorization c_b_lu, c_a, the
+    sparse influence matrix c_s = C_a C_b^-1, its transpose where stored,
+    and the model fingerprint element_nodes/node_xy/dof_map) are shared
+    across material updates; sparse_lu checked the factor.  Every solve with C_b or C_b^T is
     c_b_lu.solve(v) or c_b_lu.solve(v, trans="T").  A material state is the
     (elements, m, m) parameter blocks, element i's at i, plus the blockwise
     inverses the reduced operators read: k_lb_inv of the basis blocks,
@@ -309,7 +316,6 @@ class SystemPartition:
     q: int
     c_b: sp.csc_matrix
     c_b_lu: object
-    basis_pivot_ratio: float  # min|U_ii| / max|U_ii| of the basis triangle's factor
     c_a: sp.csr_matrix
     c_s: sp.csr_matrix  # (q, n), exact zeros dropped
     c_s_stored: bool  # whether products with C_s multiply by c_s and c_s_t
@@ -527,17 +533,14 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     for a, b in schedule.cycles:
         a, b = model.n - b, model.n - a
         rows[a:b] = rows[a:b][_pivot_rows(nonzero[rows[a:b]][:, order[a:b]].toarray())]
-    lu, pivot_ratio = sparse_lu(nonzero[rows][:, order], BasisUnstableError,
-                                "basis mode matrix", ordering="NATURAL")
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise BasisUnstableError("basis mode matrix: a pivot left the diagonal")
+    lu = sparse_lu(nonzero[rows][:, order], BasisUnstableError, "basis mode matrix",
+                   ordering="NATURAL")
     c_s = _influence_matrix(schedule, matched, c_a)
     column_nnz = np.bincount(c_s.indices, minlength=model.n)
     stored = bool(column_nnz @ column_nnz <= SPARSE_SHARE * model.n * q * q)
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
-        c_b=c_b, c_b_lu=BasisFactor(lu, rows, order),
-        basis_pivot_ratio=pivot_ratio, c_a=c_a, c_s=c_s,
+        c_b=c_b, c_b_lu=BasisFactor(lu, rows, order), c_a=c_a, c_s=c_s,
         c_s_stored=stored, c_s_t=c_s.T.tocsr() if stored else None,
         **_material_state(blocks, basis_ids, additional_ids),
         element_nodes=model.element_nodes, node_xy=model.xy, dof_map=model.dof_map)
@@ -622,4 +625,4 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray:
 
 def factorize_stiffness(model: StructuralModel):
     """Sparse LU of the assembled stiffness; raises on singular structures."""
-    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix")[0]
+    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix")

@@ -137,6 +137,14 @@ def resolve_nodes(model: StructuralModel, scn: dict) -> list[int]:
     return out
 
 
+def node_values(model: StructuralModel, d: np.ndarray, nodes: list[int]):
+    """(node, dof, value) of every DOF of the report nodes under the free-DOF
+    displacements d, a constrained DOF reading 0.0."""
+    for node in nodes:
+        for dof, g in enumerate(model.dof_map[node]):
+            yield node, dof, float(d[g]) if g >= 0 else 0.0
+
+
 def _fmt(value, precision: str) -> str:
     if value is None or value == "":
         return ""
@@ -200,7 +208,6 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
     walls = {}
     for method in methods:
         times = []
-        rep = None
         for _ in range(runs):
             if method == "conventional":
                 rep = solve_conventional(model_final)
@@ -220,16 +227,10 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
     for method in methods:
         rep = reports[method]
         wall = walls[method] if timing_on else None
-        rct = None
-        if t_c and method != "conventional":
-            rct = costmodel.relative_time(wall, t_c)
-        for node in nodes:
-            for dof in range(model_final.dofs_per_node):
-                g = model_final.dof_map[node, dof]
-                value = float(rep.d[g]) if g >= 0 else 0.0
-                rows.append([scn["id"], method, node, dof, value,
-                             rep.iterations, rep.flops_estimate, wall, rct,
-                             rep.converged])
+        rct = costmodel.relative_time(wall, t_c) if t_c and method != "conventional" else None
+        rows += [[scn["id"], method, node, dof, value, rep.iterations, rep.flops_estimate,
+                  wall, rct, rep.converged]
+                 for node, dof, value in node_values(model_final, rep.d, nodes)]
     rows.sort(key=lambda row: (row[0], row[1], row[2], row[3]))
     return rows
 
@@ -293,14 +294,9 @@ def cmd_nonlinear(config: dict, out_dir: Path, tol: float | None = None,
             nodes = resolve_nodes(model, scn)
             for backend in backends:
                 run = run_newton_raphson(model, p0, backend=backend, **newton_kw)
-                rows = []
-                for i, lam in enumerate(run.lambdas):
-                    for node in nodes:
-                        for dof in range(model.dofs_per_node):
-                            g = model.dof_map[node, dof]
-                            value = float(run.displacements[i][g]) if g >= 0 else 0.0
-                            rows.append([i + 1, lam, node, dof, value,
-                                         run.outer_iterations[i], run.n_nle[i]])
+                rows = [[i + 1, lam, node, dof, value, run.outer_iterations[i], run.n_nle[i]]
+                        for i, lam in enumerate(run.lambdas)
+                        for node, dof, value in node_values(model, run.displacements[i], nodes)]
                 path = out_dir / f"{scn['id']}.nonlinear.sy{sigma_y:g}.{backend}.csv"
                 write_csv(path, ["step", "lambda", "node_id", "dof", "value",
                                  "outer_iters", "n_nle"], rows, precision)

@@ -16,10 +16,10 @@ assembly._fields reads the bar records, so a bar lacking a field fails as
 in the linear assembly.  A tangent state only changes the 1x1 parameter
 blocks 2 E_t A / L, one (bars, 1, 1) array from the bar kernel
 elements.truss_decomposition, which the assembled tangent takes through
-assembly._block_diag and assembly.stiffness as the linear stiffness does,
-and the tangent partition through SystemPartition.with_blocks.  The
-"reduction" backend is solvers.solve_fdp on the tangent partition.  The
-helpers below take the Bars a run builds once from its model.
+assembly.stiffness as the linear stiffness does, and the tangent partition
+through SystemPartition.with_blocks.  The "reduction" backend is
+solvers.solve_fdp on the tangent partition.  The helpers below take the
+Bars a run builds once from its model.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import scipy.sparse as sp
 # bound: benchmark/tracing.py patches them on this module by name
 from .assembly import (
     SystemPartition,
-    _block_diag,
     _fields,
     element_geometry,
     make_partition,
@@ -53,7 +52,7 @@ from .errors import (
 )
 from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
-    _check_finite,
+    _check_inputs,
     build_sri_preconditioner,
     recover_displacements,
     solve_fdp,
@@ -132,7 +131,7 @@ def _tangent_blocks(bars: Bars, state: MaterialState) -> np.ndarray:
 
 def assemble_tangent(bars: Bars, state: MaterialState) -> sp.csr_matrix:
     """Assembled tangent stiffness C^T diag(2 E_t A / L) C."""
-    return stiffness(bars.c, _block_diag(_tangent_blocks(bars, state)))
+    return stiffness(bars.c, _tangent_blocks(bars, state))
 
 
 def tangent_partition(bars: Bars, state: MaterialState,
@@ -181,14 +180,15 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
     the step load norm); both reduced backends partition the model with its
     default_additional_set.  A step that fails to converge within OUTER_CAP
     iterations, or whose inner SRI solve ends unconverged, terminates the run
-    with the history accumulated so far.  A non-finite load p0 or fewer than
-    one load step raises InvalidParameterError before anything is built.
+    with the history accumulated so far.  A p0 that is not a finite n-vector,
+    n_steps < 1 or a tolerance that is not positive and finite raises
+    InvalidParameterError before anything is built.
     """
     if backend not in ("regular", "reduction", "sri"):
         raise UnsupportedModelError(f"unknown backend {backend!r}")
     if n_steps < 1:
         raise InvalidParameterError(f"need at least one load step, got n_steps={n_steps}")
-    _check_finite(p0)
+    _check_inputs(p0, model.n, tol_outer=tol_outer, tol_inner=tol_inner)
     bars = Bars.of(model)
     t0 = time.perf_counter()
 
@@ -214,10 +214,8 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
             if iters >= OUTER_CAP:
                 return _fail(run, step, state, t0)
             if backend == "regular":
-                k_t = assemble_tangent(bars, state)
-                lu = sparse_lu(k_t, UnstableStructureError, "tangent stiffness")[0]
-                delta = lu.solve(-residual)
-                del lu  # a factor kept to the next iteration doubles the peak memory
+                delta = sparse_lu(assemble_tangent(bars, state), UnstableStructureError,
+                                  "tangent stiffness").solve(-residual)
             elif backend == "reduction":
                 delta = solve_fdp(tangent_partition(bars, state, partition), -residual).d
             else:

@@ -67,12 +67,19 @@ def solve_conventional(model: StructuralModel) -> SolveReport:
     A non-finite load raises InvalidParameterError."""
     t0 = time.perf_counter()
     r = model.load_vector()
-    _check_finite(r)
+    _check_inputs(r, model.n)
     d = factorize_stiffness(model).solve(r)
     return SolveReport(method="conventional", d=d, wall_time=time.perf_counter() - t0)
 
 
-def _check_finite(r: np.ndarray) -> None:
+def _check_inputs(r: np.ndarray, n: int, **positive: float) -> None:
+    """Raise InvalidParameterError unless the load r is a finite (n,) vector
+    and every keyword value (a tolerance, norm_ref) is positive and finite."""
+    for name, value in positive.items():
+        if not 0.0 < value < np.inf:
+            raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+    if np.shape(r) != (n,):
+        raise InvalidParameterError(f"load vector has shape {np.shape(r)}, expected ({n},)")
     if not np.all(np.isfinite(r)):
         raise InvalidParameterError("load vector holds a non-finite value")
 
@@ -134,10 +141,11 @@ def solve_pcg_full(model_modified: StructuralModel, k0_factorization, tol: float
     (obtained in advance via factorize_stiffness) and acts as the
     preconditioner; k_matrix may pass a pre-assembled modified stiffness so
     assembly stays outside the timed solve.  The convergence test divides the
-    residual norm by ||R||.  A non-finite load raises InvalidParameterError.
+    residual norm by ||R||.  A non-finite load or a tol that is not positive
+    and finite raises InvalidParameterError before any work.
     """
     r_vec = model_modified.load_vector()
-    _check_finite(r_vec)
+    _check_inputs(r_vec, model_modified.n, tol=tol)
     k = k_matrix if k_matrix is not None else assemble_global(model_modified)
     n = model_modified.n
     if max_iter is None:
@@ -164,15 +172,13 @@ class SriPreconditioner:
     so W(v) costs one sparse solve with the LU factor of K0.  apply() adds
     one refinement step, z + W(v - M0 z), at one operator apply (two basis
     solves) and a second K0 solve; apply(v, refine=False) is W(v) alone.
-    pivot_ratio is min|U_ii| / max|U_ii| of the K0 factor.
     """
 
-    def __init__(self, original: SystemPartition, k0_lu, pivot_ratio: float):
+    def __init__(self, original: SystemPartition, k0_lu):
         self.q = original.q
         self._original = original
         self._k_la0 = _block_diag(original.blocks[original.additional_ids])
         self._k0_lu = k0_lu
-        self.pivot_ratio = pivot_ratio
 
     def _woodbury(self, v: np.ndarray) -> np.ndarray:
         part = self._original
@@ -195,16 +201,12 @@ class SriPreconditioner:
 def build_sri_preconditioner(partition_original: SystemPartition) -> SriPreconditioner:
     """Factorize the original stiffness K0 = C^T K_L0 C formed from the
     partition, with C = [C_b; C_a] and K_L0 = diag(K_Lb0, K_La0); built once
-    per reanalysis campaign.
-
-    Raises UnstableStructureError when K0 is singular or its pivot ratio is
-    below the threshold factorize_stiffness applies.
-    """
+    per reanalysis campaign.  Raises UnstableStructureError when sparse_lu
+    rejects the factor."""
     part = partition_original
-    k_l0 = _block_diag(part.blocks[np.concatenate([part.basis_ids, part.additional_ids])])
-    k0 = stiffness(sp.vstack([part.c_b, part.c_a]), k_l0)
-    k0_lu, ratio = sparse_lu(k0, UnstableStructureError, "original stiffness")
-    return SriPreconditioner(part, k0_lu, ratio)
+    k0 = stiffness(sp.vstack([part.c_b, part.c_a]),
+                   part.blocks[np.concatenate([part.basis_ids, part.additional_ids])])
+    return SriPreconditioner(part, sparse_lu(k0, UnstableStructureError, "original stiffness"))
 
 
 def recover_displacements(partition: SystemPartition, f_a: np.ndarray,
@@ -225,15 +227,14 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
     displacement field through the basis factorization.  The convergence test
     divides the residual norm by ||B|| unless norm_ref overrides the
     denominator (the nonlinear driver normalizes by the step load instead).
-    A non-finite load, or a norm_ref that is not positive and finite, raises
-    InvalidParameterError.
+    A load that is not a finite n-vector, or a tol or norm_ref that is not
+    positive and finite, raises InvalidParameterError before any work.
     """
-    if norm_ref is not None and not 0.0 < norm_ref < np.inf:
-        raise InvalidParameterError(f"norm_ref must be positive and finite, got {norm_ref}")
     if preconditioner.q != partition_modified.q:
         raise InternalError(
             f"preconditioner size {preconditioner.q} != reduced size {partition_modified.q}")
-    _check_finite(r)
+    _check_inputs(r, partition_modified.n, tol=tol,
+                  **({} if norm_ref is None else {"norm_ref": norm_ref}))
     n, q = partition_modified.n, partition_modified.q
     if max_iter is None:
         max_iter = max(10 * q, 1)
@@ -258,11 +259,11 @@ def solve_fdp(partition_modified: SystemPartition, r: np.ndarray) -> SolveReport
 
     Forms the dense reduced operator K_La^-1 + C_s K_Lb^-1 C_s^T, solves it
     for the additional-component forces by Cholesky and recovers the
-    displacements as matrix-vector chains.  A non-finite load raises
-    InvalidParameterError; a reduced operator that is not positive definite
-    raises UnstableStructureError.
+    displacements as matrix-vector chains.  A load that is not a finite
+    n-vector raises InvalidParameterError; a reduced operator that is not
+    positive definite raises UnstableStructureError.
     """
-    _check_finite(r)
+    _check_inputs(r, partition_modified.n)
     n, q = partition_modified.n, partition_modified.q
     t0 = time.perf_counter()
     b, b_s = reduced_rhs(partition_modified, r)

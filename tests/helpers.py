@@ -148,6 +148,12 @@ def parameter_matrices(part):
     return out
 
 
+def malformed_loads(r):
+    """Loads of the wrong shape for a model whose load vector is r: two
+    extra entries, one missing, a scalar and an (n, 1) column."""
+    return [np.append(r, [1.0, 2.0]), r[:-1], 1.0, r[:, None]]
+
+
 def rel_err(actual, expected):
     expected = np.asarray(expected, dtype=float)
     scale = np.max(np.abs(expected))

@@ -14,9 +14,11 @@ from reanalyze.assembly import (
     assemble_global,
     factorize_stiffness,
     make_partition,
+    pivot_ratio,
     reduced_apply,
     reduced_gram,
     reduced_rhs,
+    sparse_lu,
     update_partition,
 )
 from reanalyze.errors import (
@@ -438,9 +440,28 @@ class TestPartitionConsistency:
                              ids=["ladder", "frame"])
     def test_basis_pivot_ratio(self, model):
         part = make_partition(model, default_additional_set(model))
-        assert PIVOT_TOL < part.basis_pivot_ratio <= 1.0
-        pivots = np.abs(part.c_b_lu.lu.U.diagonal())
-        assert part.basis_pivot_ratio == pivots.min() / pivots.max()
+        assert PIVOT_TOL <= pivot_ratio(part.c_b_lu.lu) <= 1.0
+
+
+class TestSparseLu:
+    def test_off_diagonal_pivot_raises(self):
+        # nonsingular with a unit pivot ratio, but a zero diagonal forces
+        # SuperLU to pivot off it
+        with pytest.raises(UnstableStructureError, match="^swap: a pivot left the diagonal$"):
+            sparse_lu(sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), UnstableStructureError, "swap",
+                      ordering="NATURAL")
+
+    def test_small_pivot_ratio_raises(self):
+        with pytest.raises(UnstableStructureError, match="nearly singular"):
+            sparse_lu(sp.diags([1.0, 1e-12]), UnstableStructureError, "scaled")
+
+    def test_ratio_of_empty_factor(self):
+        lu = sparse_lu(sp.csr_matrix((0, 0)), UnstableStructureError, "empty")
+        assert pivot_ratio(lu) == 1.0
+
+    def test_ratio_is_min_over_max_pivot(self):
+        lu = sparse_lu(sp.diags([4.0, -2.0, 8.0]), UnstableStructureError, "diagonal")
+        assert pivot_ratio(lu) == 0.25
 
 
 class TestFactorOrdering:
@@ -466,8 +487,7 @@ class TestFactorOrdering:
         lu = part.c_b_lu.lu
         assert lu.L.nnz + lu.U.nnz == np.count_nonzero(part.c_b.data) + part.n
         assert lu.U.nnz == np.count_nonzero(lu.U.diagonal()) == part.n
-        pivots = np.abs(lu.U.diagonal())
-        assert part.basis_pivot_ratio == pivots.min() / pivots.max()
+        assert PIVOT_TOL <= pivot_ratio(lu) <= 1.0
 
     @pytest.mark.parametrize("build", [
         lambda: with_default_set(build_truss_grid(7, 16)),

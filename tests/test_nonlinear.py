@@ -37,7 +37,7 @@ from reanalyze.nonlinear import (
     tangent_partition,
 )
 
-from helpers import parameter_matrices, rel_err
+from helpers import malformed_loads, parameter_matrices, rel_err
 
 BILINEAR = MaterialSpec(e0=2e5, et=0.3e5, sigma_y=25.0)
 
@@ -305,6 +305,25 @@ class TestRunNewtonRaphson:
         for n_steps in (0, -2):
             with pytest.raises(InvalidParameterError, match=f"n_steps={n_steps}$"):
                 run_newton_raphson(model, p0, n_steps=n_steps, backend=backend)
+        # a scalar would load every free DOF
+        for bad in malformed_loads(p0):
+            with pytest.raises(InvalidParameterError, match="shape"):
+                run_newton_raphson(model, bad, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["regular", "reduction", "sri"])
+    @pytest.mark.parametrize("name", ["tol_outer", "tol_inner"])
+    def test_invalid_tolerance_raises_before_any_build(self, backend, name, monkeypatch):
+        # tol_outer=inf would return all-zero displacements as converged
+        def built(*args, **kwargs):
+            raise AssertionError("partitioned or factorized before the input checks")
+
+        monkeypatch.setattr(nonlinear, "make_partition", built)
+        monkeypatch.setattr(nonlinear, "sparse_lu", built)
+        model = bilinear_truss(3, 4, sigma_y=5.0)
+        for tol in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be positive"):
+                run_newton_raphson(model, model.load_vector(), n_steps=2, backend=backend,
+                                   **{name: tol})
 
     @pytest.mark.parametrize("backend", ["regular", "reduction", "sri"])
     def test_bar_without_area_raises_before_any_build(self, backend, monkeypatch):

@@ -2,7 +2,12 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import jsonschema
+
+from reanalyze.modelio import schema
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -31,3 +36,30 @@ def test_bench_trajectory(tmp_path):
                       "c08c": "stored"}, routes
     fill = {name: s["c_b_fill"] for name, s in scenarios.items()}
     assert len(fill) == 3 and not any(fill.values()), fill
+
+
+def captured_config(monkeypatch, name, argv):
+    """The config a CLI-driven script hands to reanalyze.cli.run under argv,
+    captured before anything is solved."""
+    module = load_script(name)
+    configs = []
+    monkeypatch.setattr(module, "run", lambda command, config, out: configs.append(config))
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    module.main()
+    (config,) = configs
+    return config
+
+
+def test_script_configs_match_the_scenario_schema(monkeypatch):
+    # the scripts otherwise meet the schema only when run end to end
+    configs = [
+        load_script("truss_reanalysis_table").build_config([2048, 4096, 6144]),
+        load_script("frame_reanalysis_table").build_config("simplified"),
+        load_script("frame_reanalysis_table").build_config("exact"),
+        captured_config(monkeypatch, "nonlinear_ladder", []),
+        captured_config(monkeypatch, "nonlinear_ladder",
+                        ["--reduced", "--backends", "regular", "reduction", "sri"]),
+        captured_config(monkeypatch, "flop_ratio_curves", []),
+    ]
+    for config in configs:
+        jsonschema.validate(config, schema("scenario"))

@@ -11,6 +11,7 @@ from reanalyze.assembly import (
     assemble_global,
     factorize_stiffness,
     make_partition,
+    pivot_ratio,
     reduced_apply,
     reduced_gram,
     reduced_rhs,
@@ -36,7 +37,7 @@ from reanalyze.solvers import (
     solve_sri,
 )
 
-from helpers import dense_truss_solution, parameter_matrices, rel_err
+from helpers import dense_truss_solution, malformed_loads, parameter_matrices, rel_err
 
 
 def reanalysis_setup(orig, modified, spec=None):
@@ -125,6 +126,20 @@ class TestPcgFull:
         with np.errstate(over="ignore"), pytest.raises(InvalidParameterError, match="non-finite"):
             solve_pcg_full(bad, k0, tol=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_tolerance_raises_before_any_work(self, tol, monkeypatch):
+        # tol=inf would return d = 0 as converged
+        model = build_truss_grid(3, 4)
+        k0 = factorize_stiffness(model)
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("solve_pcg_full started work")
+
+        monkeypatch.setattr(solvers, "assemble_global", unreached)
+        monkeypatch.setattr(solvers, "_cg", unreached)
+        with pytest.raises(InvalidParameterError, match="^tol must be positive and finite"):
+            solve_pcg_full(model, k0, tol=tol)
+
     def test_indefinite_operator_stops_unconverged(self):
         model = build_truss_grid(7, 16)
         k0 = factorize_stiffness(model)
@@ -163,9 +178,7 @@ class TestSriPreconditioner:
     def test_pivot_ratio(self, model):
         part = make_partition(model, default_additional_set(model))
         precond = build_sri_preconditioner(part)
-        assert PIVOT_TOL <= precond.pivot_ratio <= 1.0
-        pivots = np.abs(precond._k0_lu.U.diagonal())
-        assert precond.pivot_ratio == pivots.min() / pivots.max()
+        assert PIVOT_TOL <= pivot_ratio(precond._k0_lu) <= 1.0
 
     def test_original_stiffness_symmetric_permutation(self):
         # the stiffness ordering permutes rows and columns alike
@@ -228,6 +241,10 @@ class TestSolveSri:
         r[3] = np.nan
         with pytest.raises(InvalidParameterError):
             solve_sri(part1, r, precond)
+        # a load of the wrong shape must not be truncated, padded or broadcast
+        for bad in malformed_loads(orig.load_vector()):
+            with pytest.raises(InvalidParameterError, match="shape"):
+                solve_sri(part1, bad, precond)
 
     def test_indefinite_operator_stops_unconverged(self):
         orig = build_truss_grid(7, 16)
@@ -309,6 +326,20 @@ class TestSolveSri:
         with pytest.raises(InvalidParameterError, match="norm_ref"):
             solve_sri(part1, orig.load_vector(), precond, norm_ref=norm_ref)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_tolerance_raises_before_any_work(self, tol, monkeypatch):
+        # tol=inf would return the basis-only displacement as converged
+        # after 0 iterations; 0 or a negative tol can never be met
+        orig = build_truss_grid(3, 4)
+        part0, part1, precond = reanalysis_setup(orig, orig)
+
+        def unreached(*args):
+            raise AssertionError("solve_sri started work")
+
+        monkeypatch.setattr(solvers, "reduced_rhs", unreached)
+        with pytest.raises(InvalidParameterError, match="^tol must be positive and finite"):
+            solve_sri(part1, orig.load_vector(), precond, tol=tol)
+
 
 class TestRecoverDisplacements:
     def test_zero_forces_give_basis_solution(self):
@@ -361,6 +392,9 @@ class TestSolveFdp:
         r[3] = np.inf
         with pytest.raises(InvalidParameterError):
             solve_fdp(part1, r)
+        for bad in malformed_loads(orig.load_vector()):
+            with pytest.raises(InvalidParameterError, match="shape"):
+                solve_fdp(part1, bad)
 
     @pytest.mark.parametrize("builder", [lambda: build_truss_grid(7, 16),
                                          lambda: build_frame_grid(20, 8)],
