@@ -31,9 +31,9 @@ def build_config(coupling):
             "id": f"fg-frame-p{p:g}",
             "model": {"generator": "frame", "n_span": 4, "n_floor": 4,
                       "n_sb": 8, "n_sc": 8,
-                      "material": {"e_us": 20000, "e_ls": 20000, "p": 1.0}},
-            "modification": {"e_lower": 4000, "e_upper": 36000, "target": "E_US",
-                             "p": p, "fg_coupling": coupling},
+                      "material": {"e_us": 20000, "e_ls": 20000, "p": 1.0,
+                                   "fg_coupling": coupling}},
+            "modification": {"e_lower": 4000, "e_upper": 36000, "target": "E_US", "p": p},
             "partition": "default",
             "solvers": {"methods": ["fdp", "pcg", "sri", "conventional"], "tol": 1e-12},
             "report": {"nodes": ["B"]},

@@ -24,10 +24,9 @@ def main():
     config = {"scenarios": [{
         "id": f"ladder-nl-{30}x{n_floor}",
         "model": {"generator": "truss", "n_span": 30, "n_floor": n_floor,
-                  "area": 200, "load": 500},
+                  "area": 200, "load": 500, "material": {"e0": 2e5, "et": 0.3e5}},
         "report": {"nodes": ["B"]},
-        "nonlinear": {"sigma_y": sigma_y, "backends": args.backends,
-                      "n_steps": 20, "e0": 2e5, "et": 0.3e5},
+        "nonlinear": {"sigma_y": sigma_y, "backends": args.backends, "n_steps": 20},
     }]}
     return run("nonlinear", config, args.out)
 

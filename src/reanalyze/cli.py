@@ -3,10 +3,11 @@ and nonlinear runs driven by JSON scenario configs.
 
 The front end is thin.  Configs are checked against
 schemas/scenario.schema.json, and each command forwards only the keys a
-scenario gives to the library, whose own defaults cover the rest.  A command
-takes only the flags in COMMAND_FLAGS.  `run` is the in-process entry point
-(the scripts/ drivers call it); `main` parses the command line, reads the
-config file and calls `run`.
+scenario gives to the library, whose own defaults cover the rest.  Every
+setting lives in the config; the one flag, --precision, only formats the
+output of the commands that write tables.  `run` is the in-process entry
+point (the scripts/ drivers call it); `main` parses the command line, reads
+the config file and calls `run`.
 
 Timing follows the reanalysis convention: everything precomputable for a
 campaign (influence matrix, preconditioner factorizations, assembled modified
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -38,7 +40,6 @@ from .model import (
     build_frame_grid,
     build_truss_grid,
     default_additional_set,
-    replace_fg_coupling,
     replace_fg_exponent,
     spans_from_level,
 )
@@ -59,19 +60,6 @@ EXIT_MODEL = 3
 RESULT_COLUMNS = ["scenario", "method", "node", "dof", "value",
                   "iterations", "flops", "wall_time", "rct", "converged"]
 
-FLAG_ARGS = {
-    "repeat": {"type": int, "help": "timing repetitions (0 disables timing)"},
-    "tol": {"type": float, "help": "override the solver tolerance (nonlinear: the inner one)"},
-    "precision": {"choices": ("table", "full"),
-                  "help": "float formatting: 7 significant digits (table, the default) or full"},
-}
-COMMAND_FLAGS = {
-    "generate": (),
-    "solve": ("repeat", "tol", "precision"),
-    "reanalyze": ("repeat", "tol", "precision"),
-    "flops": ("precision",),
-    "nonlinear": ("tol", "precision"),
-}
 # result-table commands: whether the operators come from the original structure
 TABLE_COMMANDS = {"solve": False, "reanalyze": True}
 GENERATORS = {"truss": build_truss_grid, "frame": build_frame_grid}
@@ -120,20 +108,23 @@ def partition_spec_for(model: StructuralModel, scn: dict) -> PartitionSpec:
 
 
 def resolve_nodes(model: StructuralModel, scn: dict) -> list[int]:
-    entries = scn.get("report", {}).get("nodes", ["A", "B"])
+    """The report nodes of a scenario: node ids, or A/B as named by the
+    model's meta; anything that is not an int node id of the model is a
+    ConfigError."""
     out = []
-    for entry in entries:
+    for entry in scn.get("report", {}).get("nodes", ["A", "B"]):
         if entry in ("A", "B"):
             key = "node_" + entry.lower()
             if key not in model.meta:
                 raise ConfigError(f"report node {entry} is not named: "
                                   f"the model's meta has no {key}")
-            out.append(int(model.meta[key]))
-        elif entry < len(model.nodes):
-            out.append(int(entry))
+            node, source = model.meta[key], f"the model's meta {key}"
         else:
-            raise ConfigError(f"report node {entry} does not exist: "
+            node, source = entry, "report node"
+        if type(node) is not int or not 0 <= node < len(model.nodes):
+            raise ConfigError(f"{source} {node!r} is not a node id: "
                               f"the model has {len(model.nodes)} nodes")
+        out.append(node)
     return out
 
 
@@ -168,19 +159,15 @@ def write_csv(path: Path, header: list[str], rows: list[list], precision: str) -
             writer.writerow([_fmt(v, precision) for v in row])
 
 
-def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
-                        tol: float | None) -> list[list]:
+def run_linear_scenario(scn: dict, *, from_original: bool) -> list[list]:
     """Rows of the result table for one scenario.
 
     from_original=True is reanalysis (partition topology, preconditioners and
     the full-system factorization come from the unmodified structure);
     from_original=False solves the final structure with its own operators.
-    tol, if given, overrides the scenario's solver tolerance.
     """
     model_orig = build_model(scn.get("model", {}))
     mod_block = scn.get("modification")
-    if mod_block and "fg_coupling" in mod_block:
-        model_orig = replace_fg_coupling(model_orig, mod_block["fg_coupling"])
     model_final = apply_modification(model_orig, mod_block) if mod_block else model_orig
     base = model_orig if from_original else model_final
     nodes = resolve_nodes(model_final, scn)
@@ -188,8 +175,6 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
     solver_block = scn.get("solvers", {})
     methods = solver_block.get("methods", ["conventional", "pcg", "sri", "fdp"])
     solve_kw = _given(solver_block, "tol", "max_iter")
-    if tol is not None:
-        solve_kw["tol"] = tol
 
     # preprocessing, excluded from reanalysis timing
     part_final = precond = k0 = k_mod = None
@@ -203,6 +188,7 @@ def run_linear_scenario(scn: dict, *, from_original: bool, repeat: int,
         k_mod = assemble_global(model_final)
     r = model_final.load_vector()
 
+    repeat = scn.get("repeat", 1)
     runs = max(repeat, 1)
     reports = {}
     walls = {}
@@ -248,13 +234,11 @@ def cmd_generate(config: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_table(command: str, config: dict, out_dir: Path, repeat: int | None = None,
-              tol: float | None = None, precision: str = "table") -> int:
+def cmd_table(command: str, config: dict, out_dir: Path, precision: str = "table") -> int:
     """One result table per scenario for solve or reanalyze."""
     from_original = TABLE_COMMANDS[command]
     for scn in config["scenarios"]:
-        reps = repeat if repeat is not None else scn.get("repeat", 1)
-        rows = run_linear_scenario(scn, from_original=from_original, repeat=reps, tol=tol)
+        rows = run_linear_scenario(scn, from_original=from_original)
         path = out_dir / f"{scn['id']}.{command}.csv"
         write_csv(path, RESULT_COLUMNS, rows, precision)
         print(f"wrote {path}")
@@ -275,23 +259,22 @@ def cmd_flops(config: dict, out_dir: Path, precision: str = "table") -> int:
     return EXIT_OK
 
 
-def cmd_nonlinear(config: dict, out_dir: Path, tol: float | None = None,
-                  precision: str = "table") -> int:
+def cmd_nonlinear(config: dict, out_dir: Path, precision: str = "table") -> int:
+    """Newton runs of each scenario's model, whose material gives the bilinear
+    moduli, with sigma_y set on every element in turn to each swept value."""
     for scn in config["scenarios"]:
         block = scn.get("nonlinear")
         if block is None:
             raise ConfigError(f"scenario {scn['id']} lacks a nonlinear block")
         backends = block.get("backends", ["regular"])
         newton_kw = _given(block, "n_steps", "tol_outer", "tol_inner")
-        if tol is not None:
-            newton_kw["tol_inner"] = tol
+        base = build_model(scn.get("model", {}))
+        p0 = base.load_vector()
+        nodes = resolve_nodes(base, scn)
         summary = []
         for sigma_y in block["sigma_y"]:
-            material = {"e0": block.get("e0", 2e5), "et": block.get("et", 0.3e5),
-                        "sigma_y": sigma_y}
-            model = build_model({**scn.get("model", {}), "material": material})
-            p0 = model.load_vector()
-            nodes = resolve_nodes(model, scn)
+            model = base.replace_materials(
+                {e.id: dataclasses.replace(e.material, sigma_y=sigma_y) for e in base.elements})
             for backend in backends:
                 run = run_newton_raphson(model, p0, backend=backend, **newton_kw)
                 rows = [[i + 1, lam, node, dof, value, run.outer_iterations[i], run.n_nle[i]]
@@ -318,13 +301,14 @@ def make_parser() -> argparse.ArgumentParser:
         prog="reanalyze",
         description="Structural reanalysis benchmark driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in COMMAND_FLAGS.items():
+    for name in ("generate", "solve", "reanalyze", "flops", "nonlinear"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=".", help="output directory")
-        for flag in flags:
-            # an absent flag is not passed, so the command's own default holds
-            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **FLAG_ARGS[flag])
+        if name != "generate":
+            p.add_argument("--precision", choices=("table", "full"), default="table",
+                           help="float formatting: 7 significant digits (table, "
+                                "the default) or full")
     return parser
 
 
@@ -332,8 +316,9 @@ def run(command: str, config: dict, out_dir: str | Path, **flags) -> int:
     """Validate config against the scenario schema, run command on it and
     return the exit code: 0 done, 2 config error, 3 model error.
 
-    flags are the command's flags from COMMAND_FLAGS, as keywords (repeat,
-    tol, precision); any other keyword raises TypeError.
+    flags are the command's flags as keywords: precision="table" or "full"
+    for every command but generate, which takes none; any other keyword
+    raises TypeError.
     """
     out_dir = Path(out_dir)
     try:

@@ -262,19 +262,21 @@ def spans_from_level(a: int) -> int:
 
 
 def build_truss_grid(n_span: int, n_floor: int, span: float = 500.0, height: float = 500.0,
-                     area: float = 20.0, e0: float = 20000.0, load: float = 20.0,
+                     area: float = 20.0, load: float = 20.0,
                      material: MaterialSpec | None = None) -> StructuralModel:
     """Pin-jointed ladder truss: n_span x n_floor panels of verticals, chords
     and one lower-left to upper-right diagonal per panel.
 
-    Base nodes are pinned; a horizontal point load acts at every free
-    left-edge node.  Free DOF count is 2 * n_floor * (n_span + 1).
+    Every bar gets material, by default MaterialSpec(e=20000.0); a Newton run
+    needs its bilinear fields e0, et and sigma_y.  Base nodes are pinned; a
+    horizontal point load acts at every free left-edge node.  Free DOF count
+    is 2 * n_floor * (n_span + 1).
     """
     if n_span < 1 or n_floor < 1:
         raise InvalidParameterError("n_span and n_floor must be >= 1")
     if span <= 0 or height <= 0 or area <= 0 or load <= 0:
         raise InvalidParameterError("span, height, area and load must be positive")
-    mat = material if material is not None else MaterialSpec(e=e0)
+    mat = material if material is not None else MaterialSpec(e=20000.0)
     sec = SectionSpec(area=area)
 
     cols = n_span + 1

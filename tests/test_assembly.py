@@ -56,7 +56,7 @@ def small_models():
     return [
         build_truss_grid(1, 1),
         build_truss_grid(3, 2),
-        build_truss_grid(2, 4, area=35.0, e0=12000.0),
+        build_truss_grid(2, 4, area=35.0, material=MaterialSpec(e=12000.0)),
         build_frame_grid(2, 2),
         build_frame_grid(1, 2, n_sb=2, n_sc=3),
         build_frame_grid(2, 1, n_sb=3, material=fg),
@@ -87,7 +87,7 @@ class TestAssembleGlobal:
             assert abs(k - k.T).max() == 0.0
 
     def test_against_independent_truss_assembly(self):
-        model = build_truss_grid(3, 1, area=20.0, e0=20000.0)
+        model = build_truss_grid(3, 1, area=20.0, material=MaterialSpec(e=20000.0))
         d_oracle = dense_truss_solution(model)
         d = factorize_stiffness(model).solve(model.load_vector())
         assert rel_err(d, d_oracle) < 1e-12
@@ -130,7 +130,8 @@ class TestAssembleGlobal:
 class TestAssembleParameters:
     def test_reconstruction_identity(self):
         # C^T K_L C against textbook bar and beam matrices assembled densely
-        for model in (build_truss_grid(3, 2), build_truss_grid(2, 4, area=35.0, e0=12000.0),
+        for model in (build_truss_grid(3, 2),
+                      build_truss_grid(2, 4, area=35.0, material=MaterialSpec(e=12000.0)),
                       build_frame_grid(2, 2), build_frame_grid(1, 2, n_sb=2, n_sc=3)):
             assert rel_err(assemble_global(model).toarray(), dense_stiffness(model)) < 1e-12
 

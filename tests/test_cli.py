@@ -6,8 +6,9 @@ import json
 import pytest
 
 from reanalyze.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main, run
-from reanalyze.model import build_truss_grid
-from reanalyze.modelio import load_model, to_document
+from reanalyze.model import MaterialSpec, build_truss_grid
+from reanalyze.modelio import load_model, save_model, to_document
+from reanalyze.nonlinear import run_newton_raphson
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -76,11 +77,13 @@ class TestGenerate:
         {"generator": "truss", "n_span": 2},
         {"generator": "frame", "n_floor": 2},
         {"generator": "truss", "n_span": 2, "n_floor": 2, "n_sb": 3},
-        {"generator": "frame", "n_span": 2, "n_floor": 2, "e0": 5.0},
+        {"generator": "frame", "n_span": 2, "n_floor": 2, "area": 5.0},
         {"generator": "truss", "n_span": 3, "level": 2, "n_floor": 2},
         {"path": "m.model.json", "n_span": 2},
+        {"generator": "truss", "n_span": 2, "n_floor": 2, "e0": 5.0},
     ], ids=["truss-no-span", "truss-no-floor", "frame-no-span", "truss-frame-key",
-            "frame-truss-key", "truss-span-and-level", "path-and-generator-key"])
+            "frame-truss-key", "truss-span-and-level", "path-and-generator-key",
+            "truss-e0"])
     def test_malformed_generator_block_exits_2(self, tmp_path, capsys, block):
         cfg = write_config(tmp_path, {"scenarios": [{"id": "g", "model": block}]})
         out = tmp_path / "out"
@@ -88,12 +91,30 @@ class TestGenerate:
         assert not out.exists()
 
     def test_flag_not_read_by_command_is_rejected(self, tmp_path):
+        # the scenario's repeat, solvers.tol and nonlinear.tol_inner have no
+        # flag; --precision formats tables, which generate does not write
         cfg = write_config(tmp_path, {"scenarios": [{"id": "f", "flops": {"n": 100}}]})
-        for argv in (["generate", "--repeat", "3"], ["flops", "--tol", "1e-3"]):
+        commands = ("generate", "solve", "reanalyze", "flops", "nonlinear")
+        argvs = ([[c, "--repeat", "3"] for c in commands]
+                 + [[c, "--tol", "1e-3"] for c in commands]
+                 + [["generate", "--precision", "full"]])
+        for argv in argvs:
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--config", cfg, "--out", str(tmp_path)])
             assert exc.value.code == 2
-        assert not list(tmp_path.glob("*.csv"))
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("scn", [
+        {"modification": {"p": 0.5, "fg_coupling": "simplified"}},
+        {"nonlinear": {"sigma_y": [5.0], "e0": 2e5}},
+        {"nonlinear": {"sigma_y": [5.0], "et": 3e4}},
+    ], ids=["modification-fg-coupling", "nonlinear-e0", "nonlinear-et"])
+    def test_material_key_outside_the_model_block_exits_2(self, tmp_path, capsys, scn):
+        # e0, et and fg_coupling are set in model.material only
+        model = {"generator": "truss", "n_span": 2, "n_floor": 2}
+        cfg = write_config(tmp_path, {"scenarios": [{"id": "m", "model": model, **scn}]})
+        assert_config_error(capsys, main(["generate", "--config", cfg,
+                                          "--out", str(tmp_path / "out")]))
 
     def test_output_filename_is_not_a_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenarios": [{
@@ -195,6 +216,19 @@ class TestSolveAndReanalyze:
                                                 "--out", str(tmp_path)]))
         assert "node_a" in err
 
+    @pytest.mark.parametrize("node_b", [-1, 10**6, "x"])
+    def test_meta_node_that_is_no_node_id_exits_2(self, tmp_path, capsys, node_b):
+        doc = to_document(build_truss_grid(3, 4))
+        doc["meta"]["node_b"] = node_b
+        (tmp_path / "m.model.json").write_text(json.dumps(doc))
+        scn = {"id": "m", "model": {"path": str(tmp_path / "m.model.json")},
+               "solvers": {"methods": ["conventional"]}}
+        cfg = write_config(tmp_path, {"scenarios": [scn]})
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, main(["solve", "--config", cfg, "--out", str(out)]))
+        assert "node_b" in err and repr(node_b) in err
+        assert not out.exists()
+
     def test_model_error_exits_3(self, tmp_path):
         scn = {"id": "bad", "model": {"generator": "truss", "n_span": 2, "n_floor": 2},
                "modification": {"e_lower": 5000, "e_upper": 35000, "target": "E_US"}}
@@ -214,20 +248,19 @@ class TestSolveAndReanalyze:
 
 class TestBenchAndThreads:
     def test_reanalyze_reports_rct_with_repeats(self, tmp_path):
-        scn = dict(TRUSS_SCENARIO)
+        scn = dict(TRUSS_SCENARIO, repeat=5)
         cfg = write_config(tmp_path, {"scenarios": [scn]})
-        assert main(["reanalyze", "--config", cfg, "--out", str(tmp_path),
-                     "--repeat", "5"]) == EXIT_OK
+        assert main(["reanalyze", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         rows = read_rows(tmp_path / "t1.reanalyze.csv")
         for r in rows:
             if r["method"] != "conventional":
                 assert float(r["rct"]) > 0.0
 
     def test_untimed_runs_leave_wall_time_blank(self, tmp_path):
-        scn2 = dict(TRUSS_SCENARIO, id="t2")
-        cfg = write_config(tmp_path, {"scenarios": [TRUSS_SCENARIO, scn2]})
-        assert main(["reanalyze", "--config", cfg, "--out", str(tmp_path),
-                     "--repeat", "0"]) == EXIT_OK
+        scn1 = dict(TRUSS_SCENARIO, repeat=0)
+        scn2 = dict(TRUSS_SCENARIO, id="t2", repeat=0)
+        cfg = write_config(tmp_path, {"scenarios": [scn1, scn2]})
+        assert main(["reanalyze", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         for name in ("t1", "t2"):
             rows = read_rows(tmp_path / f"{name}.reanalyze.csv")
             assert rows and all(r["wall_time"] == "" for r in rows)
@@ -276,10 +309,10 @@ class TestNonlinear:
         cfg = write_config(tmp_path, {"scenarios": [{
             "id": "nl",
             "model": {"generator": "truss", "n_span": 3, "n_floor": 3,
-                      "area": 200, "load": 500},
+                      "area": 200, "load": 500, "material": {"e0": 2e5, "et": 0.3e5}},
             "report": {"nodes": ["B"]},
             "nonlinear": {"sigma_y": [2.0, 1e6], "backends": ["regular", "sri"],
-                          "n_steps": 5, "e0": 2e5, "et": 0.3e5},
+                          "n_steps": 5},
         }]})
         assert main(["nonlinear", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         hist = read_rows(tmp_path / "nl.nonlinear.sy2.regular.csv")
@@ -290,6 +323,41 @@ class TestNonlinear:
         assert len(summary) == 4  # two yield stresses x two backends
         elastic = [r for r in summary if r["sigma_y"] == "1.000000e+06"]
         assert all(r["n_nle_final"] == "0" for r in elastic)
+
+    def test_moduli_come_from_the_model_material(self, tmp_path):
+        material = {"e0": 1e5, "et": 1e4}
+        model_block = {"generator": "truss", "n_span": 3, "n_floor": 4,
+                       "area": 200, "load": 500, "material": material}
+        config = {"scenarios": [{"id": "nl", "model": model_block,
+                                 "report": {"nodes": ["B"]},
+                                 "nonlinear": {"sigma_y": [5.0], "n_steps": 4}}]}
+        assert run("nonlinear", config, tmp_path, precision="full") == EXIT_OK
+        model = build_truss_grid(3, 4, area=200.0, load=500.0,
+                                 material=MaterialSpec(sigma_y=5.0, **material))
+        direct = run_newton_raphson(model, model.load_vector(), n_steps=4)
+        node_b = model.meta["node_b"]
+        expected = [float(d[g]) for d in direct.displacements for g in model.dof_map[node_b]]
+        rows = read_rows(tmp_path / "nl.nonlinear.sy5.regular.csv")
+        assert {r["node_id"] for r in rows} == {str(node_b)}
+        assert [float(r["value"]) for r in rows] == expected
+
+    def test_sweep_sets_sigma_y_of_a_path_model(self, tmp_path):
+        model = build_truss_grid(3, 4, area=200.0, load=500.0,
+                                 material=MaterialSpec(e0=2e5, et=0.3e5, sigma_y=5.0))
+        save_model(model, tmp_path / "ladder.model.json")
+        config = {"scenarios": [{"id": "nl",
+                                 "model": {"path": str(tmp_path / "ladder.model.json")},
+                                 "nonlinear": {"sigma_y": [2.0, 1e6], "n_steps": 4}}]}
+        assert run("nonlinear", config, tmp_path) == EXIT_OK
+        summary = {r["sigma_y"]: r for r in read_rows(tmp_path / "nl.nonlinear.summary.csv")}
+        assert summary["1.000000e+06"]["n_nle_final"] == "0"
+        assert int(summary["2.000000e+00"]["n_nle_final"]) > 0
+
+    def test_model_without_bilinear_data_exits_3(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenarios": [{
+            "id": "el", "model": {"generator": "truss", "n_span": 2, "n_floor": 2},
+            "nonlinear": {"sigma_y": [5.0]}}]})
+        assert main(["nonlinear", "--config", cfg, "--out", str(tmp_path)]) == EXIT_MODEL
 
     def test_missing_block_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"scenarios": [{

@@ -15,7 +15,7 @@ from reanalyze.solvers import solve_conventional
 
 class TestRoundTrip:
     def test_truss_roundtrip_preserves_solution(self, tmp_path):
-        model = build_truss_grid(3, 2, area=17.5, e0=21234.5)
+        model = build_truss_grid(3, 2, area=17.5, material=MaterialSpec(e=21234.5))
         spec = default_additional_set(model)
         path = tmp_path / "truss.json"
         save_model(model, path, spec)

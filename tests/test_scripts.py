@@ -1,5 +1,6 @@
 """Checks on the output of the scripts under scripts/."""
 
+import csv
 import importlib.util
 import json
 import sys
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import jsonschema
 
+from reanalyze.cli import EXIT_OK, run
 from reanalyze.modelio import schema
+
+from test_acceptance import FG_FRAME_REFERENCE
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -63,3 +67,31 @@ def test_script_configs_match_the_scenario_schema(monkeypatch):
     ]
     for config in configs:
         jsonschema.validate(config, schema("scenario"))
+
+
+def graded_frame_triples(tmp_path, coupling):
+    """{(p, method): printed node-B triple} of the graded frames of the frame
+    table's config under coupling, run through the CLI."""
+    config = load_script("frame_reanalysis_table").build_config(coupling)
+    config["scenarios"] = [scn for scn in config["scenarios"]
+                           if scn["id"].startswith("fg-frame-")]
+    assert run("reanalyze", config, tmp_path) == EXIT_OK
+    triples = {}
+    for p in FG_FRAME_REFERENCE:
+        with open(tmp_path / f"fg-frame-p{p:g}.reanalyze.csv") as fh:
+            for row in csv.DictReader(fh):
+                triples.setdefault((p, row["method"]), []).append(row["value"])
+    return {key: tuple(values) for key, values in triples.items()}
+
+
+def test_frame_table_reproduces_the_graded_frame_triples(tmp_path):
+    # the coupling convention reaches the CLI only through the graded
+    # frames' model.material; acceptance check c03 publishes these triples
+    # under the simplified convention, which the exact one changes at p != 1
+    printed = {p: tuple(f"{v:.6e}" for v in triple) for p, triple in FG_FRAME_REFERENCE.items()}
+    simplified = graded_frame_triples(tmp_path / "simplified", "simplified")
+    assert len(simplified) == 4 * len(FG_FRAME_REFERENCE)
+    assert simplified == {(p, method): printed[p] for p, method in simplified}
+    exact = graded_frame_triples(tmp_path / "exact", "exact")
+    methods = ("fdp", "pcg", "sri", "conventional")
+    assert all(exact[(0.5, method)] != printed[0.5] for method in methods)
