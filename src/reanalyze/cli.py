@@ -1,13 +1,16 @@
 """Batch front end: model generation, solve/reanalysis campaigns, flop sweeps
 and nonlinear runs driven by JSON scenario configs.
 
-The front end is thin.  Configs are checked against
-schemas/scenario.schema.json, and each command forwards only the keys a
-scenario gives to the library, whose own defaults cover the rest.  Every
-setting lives in the config; the one flag, --precision, only formats the
-output of the commands that write tables.  `run` is the in-process entry
-point (the scripts/ drivers call it); `main` parses the command line, reads
-the config file and calls `run`.
+The front end is thin.  COMMANDS names each command's handler and the
+scenario blocks it reads; configs are checked against
+schemas/scenario.schema.json restricted to those blocks, so a block the
+command does not read is a config error.  Each command forwards only the
+keys a scenario gives to the library, whose own defaults cover the rest; a
+model file's saved partition is its default partition.  Every setting lives
+in the config; the one flag, --precision, only formats the output of the
+commands that write tables.  `run` is the in-process entry point (the
+scripts/ drivers call it); `main` parses the command line, reads the config
+file and calls `run`.
 
 Timing follows the reanalysis convention: everything precomputable for a
 campaign (influence matrix, preconditioner factorizations, assembled modified
@@ -19,8 +22,10 @@ repeat = 0 timing is disabled.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
+import functools
 import json
 import statistics
 import sys
@@ -60,8 +65,6 @@ EXIT_MODEL = 3
 RESULT_COLUMNS = ["scenario", "method", "node", "dof", "value",
                   "iterations", "flops", "wall_time", "rct", "converged"]
 
-# result-table commands: whether the operators come from the original structure
-TABLE_COMMANDS = {"solve": False, "reanalyze": True}
 GENERATORS = {"truss": build_truss_grid, "frame": build_frame_grid}
 
 
@@ -74,20 +77,19 @@ def _given(block: dict, *keys: str) -> dict:
     return {k: block[k] for k in keys if k in block}
 
 
-def build_model(block: dict) -> StructuralModel:
-    """The model of a scenario's model block: a model file, or the block's
-    generator called with exactly the keys the block gives."""
+def build_model(block: dict) -> tuple[StructuralModel, PartitionSpec | None]:
+    """The model of a scenario's model block and the partition saved with it:
+    a model file and its partition, if it holds one, or the block's generator
+    called with exactly the keys the block gives and None."""
     if "path" in block:
-        return load_model(block["path"])[0]
+        return load_model(block["path"])
     kwargs = dict(block)
-    gen = kwargs.pop("generator", None)
-    if gen is None:
-        raise ConfigError("model block needs a generator or a path")
+    gen = kwargs.pop("generator")
     if "material" in kwargs:
         kwargs["material"] = MaterialSpec(**kwargs["material"])
     if "level" in kwargs:
         kwargs["n_span"] = spans_from_level(kwargs.pop("level"))
-    return GENERATORS[gen](**kwargs)
+    return GENERATORS[gen](**kwargs), None
 
 
 def apply_modification(model: StructuralModel, block: dict) -> StructuralModel:
@@ -100,11 +102,14 @@ def apply_modification(model: StructuralModel, block: dict) -> StructuralModel:
     return out
 
 
-def partition_spec_for(model: StructuralModel, scn: dict) -> PartitionSpec:
+def partition_spec_for(model: StructuralModel, saved: PartitionSpec | None,
+                       scn: dict) -> PartitionSpec:
+    """The scenario's additional ids; the default is the partition saved with
+    the model file, else the generator's."""
     block = scn.get("partition", "default")
-    if block == "default":
-        return default_additional_set(model)
-    return PartitionSpec.of(block["additional_ids"])
+    if block != "default":
+        return PartitionSpec.of(block["additional_ids"])
+    return saved if saved is not None else default_additional_set(model)
 
 
 def resolve_nodes(model: StructuralModel, scn: dict) -> list[int]:
@@ -166,7 +171,7 @@ def run_linear_scenario(scn: dict, *, from_original: bool) -> list[list]:
     the full-system factorization come from the unmodified structure);
     from_original=False solves the final structure with its own operators.
     """
-    model_orig = build_model(scn.get("model", {}))
+    model_orig, saved = build_model(scn["model"])
     mod_block = scn.get("modification")
     model_final = apply_modification(model_orig, mod_block) if mod_block else model_orig
     base = model_orig if from_original else model_final
@@ -179,7 +184,7 @@ def run_linear_scenario(scn: dict, *, from_original: bool) -> list[list]:
     # preprocessing, excluded from reanalysis timing
     part_final = precond = k0 = k_mod = None
     if "sri" in methods or "fdp" in methods:
-        part_base = make_partition(base, partition_spec_for(base, scn))
+        part_base = make_partition(base, partition_spec_for(base, saved, scn))
         part_final = part_base if model_final is base else update_partition(part_base, model_final)
         if "sri" in methods:
             precond = build_sri_preconditioner(part_base)
@@ -223,10 +228,9 @@ def run_linear_scenario(scn: dict, *, from_original: bool) -> list[list]:
 
 def cmd_generate(config: dict, out_dir: Path) -> int:
     for scn in config["scenarios"]:
-        model = build_model(scn.get("model", {}))
-        partition = None
+        model, partition = build_model(scn["model"])
         if "partition" in scn:
-            partition = partition_spec_for(model, scn)
+            partition = partition_spec_for(model, partition, scn)
         path = out_dir / f"{scn['id']}.model.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         save_model(model, path, partition)
@@ -236,9 +240,8 @@ def cmd_generate(config: dict, out_dir: Path) -> int:
 
 def cmd_table(command: str, config: dict, out_dir: Path, precision: str = "table") -> int:
     """One result table per scenario for solve or reanalyze."""
-    from_original = TABLE_COMMANDS[command]
     for scn in config["scenarios"]:
-        rows = run_linear_scenario(scn, from_original=from_original)
+        rows = run_linear_scenario(scn, from_original=command == "reanalyze")
         path = out_dir / f"{scn['id']}.{command}.csv"
         write_csv(path, RESULT_COLUMNS, rows, precision)
         print(f"wrote {path}")
@@ -259,16 +262,19 @@ def cmd_flops(config: dict, out_dir: Path, precision: str = "table") -> int:
     return EXIT_OK
 
 
+def _sy_label(sigma_y: float) -> str:
+    """The yield stress's part of a nonlinear output file name."""
+    return f"sy{sigma_y:g}"
+
+
 def cmd_nonlinear(config: dict, out_dir: Path, precision: str = "table") -> int:
     """Newton runs of each scenario's model, whose material gives the bilinear
     moduli, with sigma_y set on every element in turn to each swept value."""
     for scn in config["scenarios"]:
-        block = scn.get("nonlinear")
-        if block is None:
-            raise ConfigError(f"scenario {scn['id']} lacks a nonlinear block")
+        block = scn["nonlinear"]
         backends = block.get("backends", ["regular"])
         newton_kw = _given(block, "n_steps", "tol_outer", "tol_inner")
-        base = build_model(scn.get("model", {}))
+        base, _ = build_model(scn["model"])
         p0 = base.load_vector()
         nodes = resolve_nodes(base, scn)
         summary = []
@@ -280,7 +286,7 @@ def cmd_nonlinear(config: dict, out_dir: Path, precision: str = "table") -> int:
                 rows = [[i + 1, lam, node, dof, value, run.outer_iterations[i], run.n_nle[i]]
                         for i, lam in enumerate(run.lambdas)
                         for node, dof, value in node_values(model, run.displacements[i], nodes)]
-                path = out_dir / f"{scn['id']}.nonlinear.sy{sigma_y:g}.{backend}.csv"
+                path = out_dir / f"{scn['id']}.nonlinear.{_sy_label(sigma_y)}.{backend}.csv"
                 write_csv(path, ["step", "lambda", "node_id", "dof", "value",
                                  "outer_iters", "n_nle"], rows, precision)
                 print(f"wrote {path}" + ("" if run.converged else
@@ -296,12 +302,59 @@ def cmd_nonlinear(config: dict, out_dir: Path, precision: str = "table") -> int:
     return EXIT_OK
 
 
+# command: (handler, the scenario blocks it requires, the further blocks it reads)
+COMMANDS = {
+    "generate": (cmd_generate, ("model",), ("partition",)),
+    "solve": (functools.partial(cmd_table, "solve"), ("model",),
+              ("modification", "partition", "solvers", "report", "repeat")),
+    "reanalyze": (functools.partial(cmd_table, "reanalyze"), ("model",),
+                  ("modification", "partition", "solvers", "report", "repeat")),
+    "flops": (cmd_flops, (), ("flops",)),
+    "nonlinear": (cmd_nonlinear, ("model", "nonlinear"), ("report",)),
+}
+
+
+def _clash(values, label):
+    """The first two of values whose labels coincide, or None."""
+    seen = {}
+    for value in values:
+        if label(value) in seen:
+            return seen[label(value)], value
+        seen[label(value)] = value
+    return None
+
+
+def check_config(command: str, config: dict) -> None:
+    """Raise ConfigError unless config meets the scenario schema restricted to
+    the id and the blocks command reads, and names no two output files alike:
+    scenario ids, and the sigma_y file labels of a scenario, are distinct."""
+    _, required, optional = COMMANDS[command]
+    restricted = copy.deepcopy(schema("scenario"))
+    items = restricted["properties"]["scenarios"]["items"]
+    items["required"] = ["id", *required]
+    items["properties"] = {k: items["properties"][k] for k in ("id", *required, *optional)}
+    try:
+        jsonschema.validate(config, restricted)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config violates schema at {exc.json_path}: "
+                          f"{exc.message}") from exc
+    clash = _clash([scn["id"] for scn in config["scenarios"]], str)
+    if clash:
+        raise ConfigError(f"scenario id {clash[0]!r} is given twice; "
+                          f"output files are named by scenario id")
+    for scn in config["scenarios"]:
+        clash = _clash(scn.get("nonlinear", {}).get("sigma_y", []), _sy_label)
+        if clash:
+            raise ConfigError(f"scenario {scn['id']}: sigma_y {clash[0]!r} and "
+                              f"{clash[1]!r} share the file label {_sy_label(clash[0])}")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reanalyze",
         description="Structural reanalysis benchmark driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "solve", "reanalyze", "flops", "nonlinear"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=".", help="output directory")
@@ -313,24 +366,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, config: dict, out_dir: str | Path, **flags) -> int:
-    """Validate config against the scenario schema, run command on it and
-    return the exit code: 0 done, 2 config error, 3 model error.
+    """Check config (check_config), then run command on it, and return the
+    exit code: 0 done, 2 config error, 3 model error.
 
     flags are the command's flags as keywords: precision="table" or "full"
     for every command but generate, which takes none; any other keyword
     raises TypeError.
     """
-    out_dir = Path(out_dir)
+    handler = COMMANDS[command][0]
     try:
-        try:
-            jsonschema.validate(config, schema("scenario"))
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config violates schema at {exc.json_path}: "
-                              f"{exc.message}") from exc
-        if command in TABLE_COMMANDS:
-            return cmd_table(command, config, out_dir, **flags)
-        handlers = {"generate": cmd_generate, "flops": cmd_flops, "nonlinear": cmd_nonlinear}
-        return handlers[command](config, out_dir, **flags)
+        check_config(command, config)
+        return handler(config, Path(out_dir), **flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

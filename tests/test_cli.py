@@ -6,7 +6,7 @@ import json
 import pytest
 
 from reanalyze.cli import EXIT_CONFIG, EXIT_MODEL, EXIT_OK, main, run
-from reanalyze.model import MaterialSpec, build_truss_grid
+from reanalyze.model import MaterialSpec, build_truss_grid, default_additional_set
 from reanalyze.modelio import load_model, save_model, to_document
 from reanalyze.nonlinear import run_newton_raphson
 
@@ -39,6 +39,85 @@ TRUSS_SCENARIO = {
     "report": {"nodes": ["A", "B"]},
     "repeat": 1,
 }
+
+
+# a valid instance of each scenario block, and the blocks each command reads
+BLOCKS = {
+    "model": {"generator": "truss", "n_span": 3, "n_floor": 2, "area": 200, "load": 500,
+              "material": {"e0": 2e5, "et": 0.3e5}},
+    "modification": {"e_lower": 5000, "e_upper": 35000, "target": "E"},
+    "partition": "default",
+    "solvers": {"methods": ["conventional", "sri"]},
+    "report": {"nodes": ["B"]},
+    "repeat": 0,
+    "nonlinear": {"sigma_y": [5.0], "n_steps": 2},
+    "flops": {"mode": "sri_vs_fdp", "axis": [0.1], "parameters": [0.3]},
+}
+LINEAR_READS = ["model", "modification", "partition", "solvers", "report", "repeat"]
+READS = {"generate": ["model", "partition"], "solve": LINEAR_READS,
+         "reanalyze": LINEAR_READS, "flops": ["flops"],
+         "nonlinear": ["model", "nonlinear", "report"]}
+REQUIRED = [("generate", "model"), ("solve", "model"), ("reanalyze", "model"),
+            ("nonlinear", "model"), ("nonlinear", "nonlinear")]
+UNREAD = [(command, block) for command, reads in READS.items()
+          for block in BLOCKS if block not in reads]
+
+
+def scenario_reading(command, scn_id="c"):
+    """A scenario that gives every block command reads."""
+    return {"id": scn_id, **{block: BLOCKS[block] for block in READS[command]}}
+
+
+class TestCommandContract:
+    # the commands read 18 of the 40 (command, block) pairs; the other 22
+    # exit 2
+    @pytest.mark.parametrize("command", READS)
+    def test_every_block_the_command_reads_is_accepted(self, tmp_path, command):
+        assert run(command, {"scenarios": [scenario_reading(command)]}, tmp_path) == EXIT_OK
+
+    @pytest.mark.parametrize("command, block", UNREAD,
+                             ids=[f"{c}-{b}" for c, b in UNREAD])
+    def test_block_the_command_does_not_read_exits_2(self, tmp_path, capsys,
+                                                     command, block):
+        scn = dict(scenario_reading(command), **{block: BLOCKS[block]})
+        cfg = write_config(tmp_path, {"scenarios": [scn]})
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, main([command, "--config", cfg, "--out", str(out)]))
+        assert repr(block) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, block", REQUIRED,
+                             ids=[f"{c}-{b}" for c, b in REQUIRED])
+    def test_required_block_missing_exits_2(self, tmp_path, capsys, command, block):
+        scn = scenario_reading(command)
+        del scn[block]
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, run(command, {"scenarios": [scn]}, out))
+        assert repr(block) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", READS)
+    def test_duplicate_scenario_id_exits_2_without_output(self, tmp_path, capsys, command):
+        # every command names its files by scenario id
+        scenarios = [scenario_reading(command, "a"), scenario_reading(command, "b"),
+                     scenario_reading(command, "a")]
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, run(command, {"scenarios": scenarios}, out))
+        assert "'a'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, scn", [
+        ("nonlinear", {"nonlinear": {"sigma_y": [5.0], "backends": ["sri", "regular", "sri"]}}),
+        ("reanalyze", {"solvers": {"methods": ["fdp", "fdp"]}}),
+    ], ids=["backends", "methods"])
+    def test_repeated_backend_or_method_exits_2(self, tmp_path, capsys, command, scn):
+        # a repeated backend wrote its history file twice, a repeated method
+        # its rows twice
+        scn = dict(scenario_reading(command), **scn)
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, run(command, {"scenarios": [scn]}, out))
+        assert "non-unique" in err
+        assert not out.exists()
 
 
 class TestGenerate:
@@ -81,14 +160,25 @@ class TestGenerate:
         {"generator": "truss", "n_span": 3, "level": 2, "n_floor": 2},
         {"path": "m.model.json", "n_span": 2},
         {"generator": "truss", "n_span": 2, "n_floor": 2, "e0": 5.0},
+        {},
+        {"n_span": 2, "n_floor": 2},
     ], ids=["truss-no-span", "truss-no-floor", "frame-no-span", "truss-frame-key",
             "frame-truss-key", "truss-span-and-level", "path-and-generator-key",
-            "truss-e0"])
+            "truss-e0", "empty", "no-generator-or-path"])
     def test_malformed_generator_block_exits_2(self, tmp_path, capsys, block):
         cfg = write_config(tmp_path, {"scenarios": [{"id": "g", "model": block}]})
         out = tmp_path / "out"
         assert_config_error(capsys, main(["generate", "--config", cfg, "--out", str(out)]))
         assert not out.exists()
+
+    def test_model_file_keeps_its_partition(self, tmp_path):
+        model = build_truss_grid(3, 2)
+        save_model(model, tmp_path / "src.model.json", default_additional_set(model))
+        cfg = write_config(tmp_path, {"scenarios": [{
+            "id": "copy", "model": {"path": str(tmp_path / "src.model.json")}}]})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        _, spec = load_model(tmp_path / "copy.model.json")
+        assert spec == default_additional_set(model)
 
     def test_flag_not_read_by_command_is_rejected(self, tmp_path):
         # the scenario's repeat, solvers.tol and nonlinear.tol_inner have no
@@ -104,17 +194,21 @@ class TestGenerate:
             assert exc.value.code == 2
         assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
-    @pytest.mark.parametrize("scn", [
-        {"modification": {"p": 0.5, "fg_coupling": "simplified"}},
-        {"nonlinear": {"sigma_y": [5.0], "e0": 2e5}},
-        {"nonlinear": {"sigma_y": [5.0], "et": 3e4}},
+    @pytest.mark.parametrize("command, scn, key", [
+        ("reanalyze", {"modification": {"p": 0.5, "fg_coupling": "simplified"}},
+         "fg_coupling"),
+        ("nonlinear", {"nonlinear": {"sigma_y": [5.0], "e0": 2e5}}, "e0"),
+        ("nonlinear", {"nonlinear": {"sigma_y": [5.0], "et": 3e4}}, "et"),
     ], ids=["modification-fg-coupling", "nonlinear-e0", "nonlinear-et"])
-    def test_material_key_outside_the_model_block_exits_2(self, tmp_path, capsys, scn):
-        # e0, et and fg_coupling are set in model.material only
+    def test_material_key_outside_the_model_block_exits_2(self, tmp_path, capsys,
+                                                           command, scn, key):
+        # e0, et and fg_coupling are set in model.material only; each block
+        # goes to the command that reads it, so only the key is at fault
         model = {"generator": "truss", "n_span": 2, "n_floor": 2}
         cfg = write_config(tmp_path, {"scenarios": [{"id": "m", "model": model, **scn}]})
-        assert_config_error(capsys, main(["generate", "--config", cfg,
-                                          "--out", str(tmp_path / "out")]))
+        err = assert_config_error(capsys, main([command, "--config", cfg,
+                                                "--out", str(tmp_path / "out")]))
+        assert repr(key) in err
 
     def test_output_filename_is_not_a_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenarios": [{
@@ -190,12 +284,39 @@ class TestSolveAndReanalyze:
         rows2 = read_rows(tmp_path / "direct.reanalyze.csv")
         assert [r["value"] for r in rows] == [r["value"] for r in rows2]
 
-    @pytest.mark.parametrize("bound", ["e_lower", "e_upper"])
-    def test_partial_grading_bounds_exit_2(self, tmp_path, capsys, bound):
-        scn = dict(TRUSS_SCENARIO, modification={bound: 5000, "target": "E"})
+    @pytest.mark.parametrize("modification", [
+        {"e_lower": 5000, "target": "E"},
+        {"e_upper": 5000, "target": "E"},
+        {"target": "E_US"},
+    ], ids=["e_lower", "e_upper", "target"])
+    def test_partial_grading_bounds_exit_2(self, tmp_path, capsys, modification):
+        # a target without bounds used to be dropped, leaving the model unmodified
+        scn = dict(TRUSS_SCENARIO, modification=modification)
         cfg = write_config(tmp_path, {"scenarios": [scn]})
-        assert_config_error(capsys, main(["reanalyze", "--config", cfg,
-                                          "--out", str(tmp_path)]))
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, main(["reanalyze", "--config", cfg,
+                                                "--out", str(out)]))
+        assert "is a dependency of" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("partition", ["default", None])
+    def test_model_file_partition_is_the_default(self, tmp_path, partition):
+        # a file without generator metadata has no generator default; its
+        # saved partition is used
+        model = build_truss_grid(3, 2)
+        doc = to_document(model, default_additional_set(model))
+        del doc["meta"]["generator"]
+        (tmp_path / "m.model.json").write_text(json.dumps(doc))
+        scn = dict(TRUSS_SCENARIO, model={"path": str(tmp_path / "m.model.json")}, repeat=0)
+        if partition is None:
+            del scn["partition"]
+        direct = dict(TRUSS_SCENARIO, id="direct", repeat=0)
+        config = {"scenarios": [scn, direct]}
+        assert run("reanalyze", config, tmp_path, precision="full") == EXIT_OK
+        rows = read_rows(tmp_path / "t1.reanalyze.csv")
+        rows2 = read_rows(tmp_path / "direct.reanalyze.csv")
+        assert len(rows) == 16
+        assert [dict(r, scenario="") for r in rows] == [dict(r, scenario="") for r in rows2]
 
     def test_out_of_range_report_node_exits_2(self, tmp_path, capsys):
         scn = dict(TRUSS_SCENARIO, model={"generator": "truss", "n_span": 2, "n_floor": 2},
@@ -352,6 +473,20 @@ class TestNonlinear:
         summary = {r["sigma_y"]: r for r in read_rows(tmp_path / "nl.nonlinear.summary.csv")}
         assert summary["1.000000e+06"]["n_nle_final"] == "0"
         assert int(summary["2.000000e+00"]["n_nle_final"]) > 0
+
+    @pytest.mark.parametrize("sigma_y", [[5.0, 5.0000001], [5, 5], [2.0, 5.0000001, 5.0]])
+    def test_sigma_y_values_sharing_a_file_label_exit_2(self, tmp_path, capsys, sigma_y):
+        # both runs used to write, and overwrite, nl.nonlinear.sy5.regular.csv
+        cfg = write_config(tmp_path, {"scenarios": [{
+            "id": "nl",
+            "model": {"generator": "truss", "n_span": 3, "n_floor": 4, "area": 200,
+                      "load": 500, "material": {"e0": 2e5, "et": 0.3e5}},
+            "nonlinear": {"sigma_y": sigma_y, "n_steps": 4}}]})
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, main(["nonlinear", "--config", cfg,
+                                                "--out", str(out)]))
+        assert f"sigma_y {sigma_y[-2]!r} and {sigma_y[-1]!r}" in err
+        assert not out.exists()
 
     def test_model_without_bilinear_data_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, {"scenarios": [{
