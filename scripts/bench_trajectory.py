@@ -7,10 +7,15 @@ Writes BENCH_<date>_<label>.json into --out: for each scenario the median
 and quartiles, over --repeats interleaved rounds, of make_partition (of the
 original), update_partition (original partition to the design),
 solve_sri, solve_pcg_full (assembly of the design included),
-solve_conventional and solve_fdp (the design's partition given), with SRI's
-iterations and C_s route, PCG's iterations, each method's relative error
-against the direct solve, and the basis factor's fill (its nonzeros beyond
-those of C_b plus a unit diagonal) and pivot ratio.  The file also records
+solve_conventional, its two stages assemble_global and factorize_stiffness
+(assembly included) of the design, and solve_fdp (the design's partition
+given), with SRI's iterations and C_s route, PCG's iterations, each method's
+relative error against the direct solve, the basis factor's fill (its
+nonzeros beyond those of C_b plus a unit diagonal) and pivot ratio, and the
+stiffness route of the original and of the design: the factor
+factorize_stiffness returns (banded Cholesky or sparse LU), the reverse
+Cuthill-McKee bandwidth u and the band share n (u + 1) / nnz(K) that
+assembly.BAND_SHARE bounds.  The file also records
 the machine: core count, the BLAS numpy was built against, the thread
 environment variables and the process's peak resident set.  Run with BLAS
 pinned to one thread (OPENBLAS_NUM_THREADS=1) to compare with the
@@ -31,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from reanalyze import assembly, solvers
 from reanalyze.model import (
@@ -91,6 +97,18 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+def stiffness_route(model) -> dict:
+    """The route of a model's stiffness factor, its reverse Cuthill-McKee
+    bandwidth and its band share."""
+    k = assembly.assemble_global(model)
+    perm = reverse_cuthill_mckee(k, symmetric_mode=True)
+    permuted = k[perm][:, perm].tocoo()
+    width = int(np.abs(permuted.row - permuted.col).max())
+    factor = type(assembly.factorize_stiffness(model)).__name__
+    return {"route": "banded" if factor == "BandedCholesky" else "sparse",
+            "rcm_bandwidth": width, "band_share": k.shape[0] * (width + 1) / k.nnz}
+
+
 def run_scenario(build, repeats: int) -> dict:
     orig, design = build()
     spec = default_additional_set(orig)
@@ -99,7 +117,8 @@ def run_scenario(build, repeats: int) -> dict:
     k0 = assembly.factorize_stiffness(orig)
     r = design.load_vector()
     times = {name: [] for name in ("make_partition", "update_partition", "solve_sri",
-                                   "solve_pcg_full", "solve_conventional", "solve_fdp")}
+                                   "solve_pcg_full", "solve_conventional", "assemble_global",
+                                   "factorize_stiffness", "solve_fdp")}
     for _ in range(repeats):
         _, t = timed(assembly.make_partition, orig, spec)
         times["make_partition"].append(t)
@@ -111,6 +130,10 @@ def run_scenario(build, repeats: int) -> dict:
         times["solve_pcg_full"].append(t)
         direct, t = timed(solvers.solve_conventional, design)
         times["solve_conventional"].append(t)
+        _, t = timed(assembly.assemble_global, design)
+        times["assemble_global"].append(t)
+        _, t = timed(assembly.factorize_stiffness, design)
+        times["factorize_stiffness"].append(t)
         fdp, t = timed(solvers.solve_fdp, part, r)
         times["solve_fdp"].append(t)
     lu = part0.c_b_lu.lu
@@ -119,6 +142,7 @@ def run_scenario(build, repeats: int) -> dict:
         "c_s_route": "stored" if part0.c_s_stored else "c_b",
         "c_b_fill": int(lu.L.nnz + lu.U.nnz - np.count_nonzero(part0.c_b.data) - part0.n),
         "basis_pivot_ratio": assembly.pivot_ratio(lu),
+        "stiffness": {"original": stiffness_route(orig), "design": stiffness_route(design)},
         "sri_iterations": sri.iterations, "pcg_iterations": pcg.iterations,
         "rel_err": {"sri": rel_err(sri.d, direct.d), "pcg": rel_err(pcg.d, direct.d),
                     "fdp": rel_err(fdp.d, direct.d)},

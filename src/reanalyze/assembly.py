@@ -54,6 +54,11 @@ reduced right-hand side, operator, displacement recovery and the dense
 q x q Gram matrix that the direct low-rank path and the tangent reduction
 backend need by definition) takes the route SystemPartition.c_s_stored
 holds, which make_partition decides once per topology by SPARSE_SHARE.
+
+factor_spd is the one place a stiffness (assembled, original or tangent) is
+factored: by banded Cholesky in reverse Cuthill-McKee order where that band
+is narrow (BAND_SHARE), else by sparse_lu, which also factors the basis
+triangle.  Both check the factor's health by pivot_ratio against PIVOT_TOL.
 """
 
 from __future__ import annotations
@@ -64,8 +69,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
-from scipy.linalg import lu_factor
+from scipy.sparse.csgraph import (
+    connected_components,
+    maximum_bipartite_matching,
+    reverse_cuthill_mckee,
+)
+from scipy.linalg import cho_solve_banded, cholesky_banded, lu_factor
 from scipy.linalg.blas import dsyrk
 
 from .elements import (
@@ -84,7 +93,7 @@ from .errors import (
 )
 from .model import ElementKind, PartitionSpec, StructuralModel
 
-# pivot_ratio below which sparse_lu counts a factor as singular.
+# pivot_ratio below which sparse_lu and factor_spd count a factor as singular.
 PIVOT_TOL = 1e-10
 
 # Bytes of one dense slab: a row slab of L^T C_s^T in the syrk Gram builder,
@@ -110,6 +119,29 @@ _SLAB_BYTES = 1 << 24
 # syrk wins 1.4-1.5x and the apply wins 2.9x on the 31x64 ladder, is on par
 # on the 30x30 and loses 1.6x on the 15x30.
 SPARSE_SHARE = 6e-3
+
+# factor_spd factors a stiffness by banded Cholesky when its reverse
+# Cuthill-McKee band, n (u + 1) entries for bandwidth u, holds at most
+# BAND_SHARE times the matrix's stored entries, and by sparse LU otherwise.
+# Measured on one BLAS thread of a 2-core Xeon (medians of 15 factors and of
+# 31 solves), factor then solve by sparse LU against banded, in ms: the 31x64
+# ladder (share 8.4) 21.0 against 8.2, 0.46 against 0.27; the 30x150 ladder
+# (8.2) 41.0 against 17.9, 1.05 against 0.51; the 30x30 ladder (7.9) 8.5
+# against 2.1, 0.11 against 0.09; the graded 50x20 frame (8.1) 15.0 against
+# 5.9, 0.19 against 0.13; c08's graded 10x20 frame (10.4) 20.7 against 20.8,
+# 0.86 against 0.77; the same frame ungraded (15.4: fewer entries, the
+# coupling terms being zero) 10.9 against 13.5, 0.40 against 0.58; the
+# 128x64 truss (16.4) 91 against 41, 1.6 against 1.6; the 40x40 frame (16.7)
+# 27.6 against 17.1, 0.62 against 0.45; the 50x20 frame at n_sb = 4 (25.9)
+# 21.7 against 42.3, 0.54 against 1.11; the 80x80 frame (32.3) 101 against
+# 119, 3.0 against 4.0.  Each of these models randomly renumbered keeps its
+# share within 0.3, and so its route, while sparse LU's factor slows by up
+# to 2.4x.  So every benchmark model takes the banded route, and c08's
+# ungraded frame (the original of its reanalysis, whose K0 solves serve PCG
+# and SRI's preconditioner) and the subdivided or large frames stay on
+# sparse LU.  A bound near 17 would also win on the 128x64 truss and the
+# 40x40 frame, but lose on c08's ungraded frame.
+BAND_SHARE = 12
 
 
 def _fields(flat: list, ids: list, groups) -> np.ndarray:
@@ -229,37 +261,102 @@ def assemble_global(model: StructuralModel) -> sp.csr_matrix:
     return stiffness(mode_matrix(model), element_blocks(model))
 
 
-def pivot_ratio(lu) -> float:
-    """min|U_ii| / max|U_ii| of a SuperLU factor, 1.0 for an empty one."""
-    pivots = np.abs(lu.U.diagonal())
+@dataclass(frozen=True)
+class BandedCholesky:
+    """Cholesky factor K[perm][:, perm] = R^T R of a symmetric positive
+    definite matrix K, R upper triangular in LAPACK's upper band storage:
+    band[u + i - j, j] = R_ij for the bandwidth u, R's diagonal in band[u].
+    solve solves with K itself."""
+
+    perm: np.ndarray  # the row and column of K at each position of the ordering
+    band: np.ndarray  # (u + 1, n)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K^-1 rhs for an n-vector or an n x k block."""
+        x = np.empty_like(rhs, dtype=float)
+        x[self.perm] = cho_solve_banded((self.band, False), rhs[self.perm], check_finite=False)
+        return x
+
+
+def pivot_ratio(factor) -> float:
+    """Smallest over largest LU pivot of a factor, 1.0 for an empty one: of a
+    SuperLU factor |U_ii|, of a BandedCholesky R_ii^2 (K = R^T R is the LU
+    (R^T D^-1)(D R), D = diag(R_ii)), so both factors of one matrix read alike."""
+    if isinstance(factor, BandedCholesky):
+        pivots = factor.band[-1] ** 2
+    else:
+        pivots = np.abs(factor.U.diagonal())
     return float(pivots.min() / pivots.max()) if pivots.size else 1.0
+
+
+def _check_pivots(factor, error: type[Exception], what: str) -> None:
+    """Raise error when the pivot_ratio of factor is below PIVOT_TOL."""
+    ratio = pivot_ratio(factor)
+    if not ratio >= PIVOT_TOL:
+        raise error(f"{what} nearly singular (pivot ratio {ratio:.2e})")
 
 
 def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *,
               ordering: str = "MMD_AT_PLUS_A"):
-    """SuperLU factor of a square matrix, the one place a factor's health is
-    checked: raises error when the matrix is singular, its pivot_ratio is
-    below PIVOT_TOL or a pivot leaves the diagonal (perm_r != perm_c).
+    """SuperLU factor of a square matrix, checked: raises error when the
+    matrix is singular, its pivot_ratio is below PIVOT_TOL or a pivot leaves
+    the diagonal (perm_r != perm_c).
 
     Rows and columns take the one ordering (SuperLU's SymmetricMode) and the
-    pivots are the diagonal wherever it is nonzero.  The stiffnesses
-    (assembled, original and tangent) are symmetric and positive definite
-    whenever they are nonsingular, and take the default ordering, minimum
-    degree on A^T + A: its factor is symmetric in structure and a third to a
-    half smaller than COLAMD's.  The basis triangle of make_partition comes
-    ordered already and takes ordering="NATURAL", so it factors without fill.
+    pivots are the diagonal wherever it is nonzero.  It serves two matrices:
+    the basis triangle of make_partition, which comes ordered already and
+    takes ordering="NATURAL", so it factors without fill, and, through
+    factor_spd, a stiffness whose band is too wide for banded Cholesky.  That
+    one takes the default ordering, minimum degree on A^T + A: its factor is
+    symmetric in structure and a third to a half smaller than COLAMD's.
     """
     try:
         lu = spla.splu(sp.csc_matrix(matrix), permc_spec=ordering, diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise error(f"{what} is singular: {exc}") from exc
-    ratio = pivot_ratio(lu)
-    if not ratio >= PIVOT_TOL:
-        raise error(f"{what} nearly singular (pivot ratio {ratio:.2e})")
+    _check_pivots(lu, error, what)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise error(f"{what}: a pivot left the diagonal")
     return lu
+
+
+def factor_spd(matrix: sp.spmatrix, error: type[Exception], what: str):
+    """Factor of a symmetric positive definite matrix (a stiffness: the
+    assembled, the original or a tangent one), the one place a stiffness is
+    factored.  Raises error when the matrix is singular or its pivot_ratio is
+    below PIVOT_TOL; the factor's solve(rhs) solves with the matrix.
+
+    The reverse Cuthill-McKee ordering narrows the band (George and Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981).
+    Where the band of that ordering holds at most BAND_SHARE times the
+    entries of the matrix, the permuted upper triangle is scattered straight
+    into LAPACK band storage and factored by banded Cholesky
+    (BandedCholesky); a breakdown, a pivot that is not positive, means the
+    matrix is singular.  A wider band goes to sparse_lu.
+    """
+    k = sp.csr_matrix(matrix, copy=True)
+    k.sum_duplicates()  # the band takes each entry once
+    n = k.shape[0]
+    perm = reverse_cuthill_mckee(k, symmetric_mode=True) if n else np.arange(0)
+    position = np.empty_like(perm)
+    position[perm] = np.arange(n, dtype=perm.dtype)
+    row = position[np.repeat(np.arange(n), np.diff(k.indptr))]
+    col = position[k.indices]
+    upper = row <= col
+    row, col = row[upper], col[upper]
+    width = int((col - row).max(initial=0))
+    if n * (width + 1) > BAND_SHARE * k.nnz:
+        return sparse_lu(k, error, what)
+    band = np.zeros((width + 1, n))
+    band[width + row - col, col] = k.data[upper]
+    try:
+        factor = BandedCholesky(perm, cholesky_banded(band, overwrite_ab=True,
+                                                      check_finite=False))
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what} is singular: {exc}") from exc
+    _check_pivots(factor, error, what)
+    return factor
 
 
 @dataclass(frozen=True)
@@ -624,5 +721,7 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray:
 
 
 def factorize_stiffness(model: StructuralModel):
-    """Sparse LU of the assembled stiffness; raises on singular structures."""
-    return sparse_lu(assemble_global(model), UnstableStructureError, "stiffness matrix")
+    """factor_spd of the assembled stiffness: banded Cholesky where its
+    reverse Cuthill-McKee band is narrow (BAND_SHARE), else sparse LU.
+    Raises UnstableStructureError on singular structures."""
+    return factor_spd(assemble_global(model), UnstableStructureError, "stiffness matrix")

@@ -6,11 +6,12 @@ scenario blocks it reads; configs are checked against
 schemas/scenario.schema.json restricted to those blocks, so a block the
 command does not read is a config error.  Each command forwards only the
 keys a scenario gives to the library, whose own defaults cover the rest; a
-model file's saved partition is its default partition.  Every setting lives
-in the config; the one flag, --precision, only formats the output of the
-commands that write tables.  `run` is the in-process entry point (the
-scripts/ drivers call it); `main` parses the command line, reads the config
-file and calls `run`.
+model file's saved partition is its default partition.  Output files are
+named by scenario id, which the schema keeps free of path separators.
+Every setting lives in the config; the one flag, --precision, only formats
+the output of the commands that write tables.  `run` is the in-process
+entry point (the scripts/ drivers call it); `main` parses the command line,
+reads the config file and calls `run`.
 
 Timing follows the reanalysis convention: everything precomputable for a
 campaign (influence matrix, preconditioner factorizations, assembled modified
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import costmodel
 from .assembly import assemble_global, factorize_stiffness, make_partition, update_partition
-from .errors import ReanalysisError
+from .errors import InvalidParameterError, ReanalysisError
 from .model import (
     MaterialSpec,
     PartitionSpec,
@@ -80,9 +81,18 @@ def _given(block: dict, *keys: str) -> dict:
 def build_model(block: dict) -> tuple[StructuralModel, PartitionSpec | None]:
     """The model of a scenario's model block and the partition saved with it:
     a model file and its partition, if it holds one, or the block's generator
-    called with exactly the keys the block gives and None."""
+    called with exactly the keys the block gives and None.  A model file that
+    cannot be read or parsed is a ConfigError, one that violates the model
+    schema an InvalidParameterError; both messages name the file."""
     if "path" in block:
-        return load_model(block["path"])
+        path = block["path"]
+        try:
+            return load_model(path)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read model file {path}: {exc}") from exc
+        except jsonschema.ValidationError as exc:
+            raise InvalidParameterError(f"model file {path} violates the model schema "
+                                        f"at {exc.json_path}: {exc.message}") from exc
     kwargs = dict(block)
     gen = kwargs.pop("generator")
     if "material" in kwargs:

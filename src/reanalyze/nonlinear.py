@@ -2,11 +2,13 @@
 
 Each equal load step scales the base load vector; the incremental equations
 K_t(d) delta_d = -(F(d) - lambda P0) are solved by one of three backends:
-"regular" factorizes the assembled tangent, "reduction" solves the tangent
-reduced system directly, "sri" runs the reduced preconditioned iteration with
-the elastic-state preconditioner held fixed for the whole run.  The material
-law is total-strain bilinear (monotonic loading, no unloading hysteresis), so
-the state is a pure function of the current displacement field.
+"regular" factorizes the assembled tangent by assembly.factor_spd (banded
+Cholesky where its reverse Cuthill-McKee band is narrow, sparse LU
+otherwise), "reduction" solves the tangent reduced system directly, "sri"
+runs the reduced preconditioned iteration with the elastic-state
+preconditioner held fixed for the whole run.  The material law is
+total-strain bilinear (monotonic loading, no unloading hysteresis), so the
+state is a pure function of the current displacement field.
 
 Bars go through the linear path's element layer and factorization
 K = C^T K_L C: assembly.mode_matrix gives the unit axial mode rows C,
@@ -36,11 +38,11 @@ from .assembly import (
     SystemPartition,
     _fields,
     element_geometry,
+    factor_spd,
     make_partition,
     mode_matrix,
     reduced_gram,
     reduced_rhs,
-    sparse_lu,
     stiffness,
 )
 from .elements import SQRT2, bilinear_stress, truss_decomposition
@@ -214,8 +216,8 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
             if iters >= OUTER_CAP:
                 return _fail(run, step, state, t0)
             if backend == "regular":
-                delta = sparse_lu(assemble_tangent(bars, state), UnstableStructureError,
-                                  "tangent stiffness").solve(-residual)
+                delta = factor_spd(assemble_tangent(bars, state), UnstableStructureError,
+                                   "tangent stiffness").solve(-residual)
             elif backend == "reduction":
                 delta = solve_fdp(tangent_partition(bars, state, partition), -residual).d
             else:

@@ -9,8 +9,11 @@ SolveReport and, per the operation-count model, evaluate strictly as
 matrix-vector chains with the operator applied once per iteration.
 
 SRI never forms the reduced operator, and its preconditioner inverts the
-original reduced operator through the Woodbury identity with the sparse LU
-of the original stiffness.  An SRI iteration makes one solve with the
+original reduced operator through the Woodbury identity with the factor of
+the original stiffness.  Every stiffness factor (the complete analysis's,
+PCG's and the preconditioner's) is assembly.factor_spd's: banded Cholesky in
+reverse Cuthill-McKee order where that band is narrow, sparse LU otherwise
+(assembly.BAND_SHARE).  An SRI iteration makes one solve with the
 original stiffness's factor plus one operator apply (reduced_apply), whose
 products with C_s take the route SystemPartition.c_s_stored holds.  The
 first preconditioner apply of a solve adds one refinement step (one more
@@ -34,11 +37,11 @@ from .assembly import (
     SystemPartition,
     _block_diag,
     assemble_global,
+    factor_spd,
     factorize_stiffness,
     reduced_apply,
     reduced_gram,
     reduced_rhs,
-    sparse_lu,
     stiffness,
 )
 from .errors import InternalError, InvalidParameterError, UnstableStructureError
@@ -169,21 +172,21 @@ class SriPreconditioner:
     By the Woodbury identity, with K0 = C_b^T K_Lb0 C_b + C_a^T K_La0 C_a the
     original stiffness,
         M0^-1 = W = K_La0 - K_La0 C_a K0^-1 C_a^T K_La0,
-    so W(v) costs one sparse solve with the LU factor of K0.  apply() adds
+    so W(v) costs one solve with K0's factor_spd factor.  apply() adds
     one refinement step, z + W(v - M0 z), at one operator apply (two basis
     solves) and a second K0 solve; apply(v, refine=False) is W(v) alone.
     """
 
-    def __init__(self, original: SystemPartition, k0_lu):
+    def __init__(self, original: SystemPartition, k0_factor):
         self.q = original.q
         self._original = original
         self._k_la0 = _block_diag(original.blocks[original.additional_ids])
-        self._k0_lu = k0_lu
+        self._k0_factor = k0_factor
 
     def _woodbury(self, v: np.ndarray) -> np.ndarray:
         part = self._original
         u = self._k_la0 @ v
-        return u - self._k_la0 @ (part.c_a @ self._k0_lu.solve(part.c_a.T @ u))
+        return u - self._k_la0 @ (part.c_a @ self._k0_factor.solve(part.c_a.T @ u))
 
     def apply(self, v: np.ndarray, refine: bool = True) -> np.ndarray:
         # W subtracts two nearly equal terms when the additional components
@@ -200,13 +203,13 @@ class SriPreconditioner:
 
 def build_sri_preconditioner(partition_original: SystemPartition) -> SriPreconditioner:
     """Factorize the original stiffness K0 = C^T K_L0 C formed from the
-    partition, with C = [C_b; C_a] and K_L0 = diag(K_Lb0, K_La0); built once
-    per reanalysis campaign.  Raises UnstableStructureError when sparse_lu
-    rejects the factor."""
+    partition, with C = [C_b; C_a] and K_L0 = diag(K_Lb0, K_La0), by
+    factor_spd; built once per reanalysis campaign.  Raises
+    UnstableStructureError when factor_spd rejects the factor."""
     part = partition_original
     k0 = stiffness(sp.vstack([part.c_b, part.c_a]),
                    part.blocks[np.concatenate([part.basis_ids, part.additional_ids])])
-    return SriPreconditioner(part, sparse_lu(k0, UnstableStructureError, "original stiffness"))
+    return SriPreconditioner(part, factor_spd(k0, UnstableStructureError, "original stiffness"))
 
 
 def recover_displacements(partition: SystemPartition, f_a: np.ndarray,

@@ -11,6 +11,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
 
 from reanalyze.elements import mode_rows
@@ -146,6 +147,18 @@ def parameter_matrices(part):
             k[m * j:m * j + m, m * j:m * j + m] = block
         out.append(k)
     return out
+
+
+def assert_banded_cholesky_of(factor, k):
+    """Assert that factor, a BandedCholesky, holds R with R^T R = P K P^T for
+    the one permutation P of its perm, rows and columns alike: R is read
+    from LAPACK's upper band storage as a DIA matrix, whose row u - j holds
+    the j-th superdiagonal."""
+    u, n = factor.band.shape[0] - 1, factor.band.shape[1]
+    assert np.array_equal(np.sort(factor.perm), np.arange(n))
+    r = sp.dia_matrix((factor.band, np.arange(u, -1, -1)), shape=(n, n)).tocsr()
+    permuted = k.tocsr()[factor.perm][:, factor.perm]
+    assert abs(r.T @ r - permuted).max() <= 1e-12 * abs(k).max()
 
 
 def malformed_loads(r):

@@ -11,7 +11,9 @@ import scipy.sparse as sp
 from reanalyze import assembly, elements
 from reanalyze.assembly import (
     PIVOT_TOL,
+    BandedCholesky,
     assemble_global,
+    factor_spd,
     factorize_stiffness,
     make_partition,
     pivot_ratio,
@@ -43,6 +45,7 @@ from reanalyze.model import (
 from reanalyze.model import ElementKind, ElementRecord, MemberTag
 
 from helpers import (
+    assert_banded_cholesky_of,
     dense_stiffness,
     dense_truss_solution,
     length_and_angle,
@@ -117,14 +120,8 @@ class TestAssembleGlobal:
 
     def test_singular_detection(self):
         # two collinear bars in series loaded transversally: mechanism
-        nodes = [Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 2.0, 0.0)]
-        mk = lambda i, a, b: ElementRecord(i, ElementKind.TRUSS_BAR, a, b,
-                                           SectionSpec(area=1.0), MaterialSpec(e=1.0),
-                                           MemberTag("chord", 1, i + 1))
-        model = StructuralModel(nodes, [mk(0, 0, 1), mk(1, 1, 2)],
-                                {0: (0, 1), 2: (0, 1)}, [])
         with pytest.raises(UnstableStructureError):
-            factorize_stiffness(model)
+            factorize_stiffness(collinear_bars())
 
 
 class TestAssembleParameters:
@@ -159,6 +156,16 @@ def graded_fg_frame():
     axial and bending modes."""
     return build_frame_grid(3, 2, n_sb=2, n_sc=2,
                             material=MaterialSpec(e_us=26000.0, e_ls=14000.0, p=2.0))
+
+
+def collinear_bars():
+    """Two collinear bars in series, both ends pinned: the middle node is a
+    mechanism across the line."""
+    nodes = [Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 2.0, 0.0)]
+    mk = lambda i, a, b: ElementRecord(i, ElementKind.TRUSS_BAR, a, b,
+                                       SectionSpec(area=1.0), MaterialSpec(e=1.0),
+                                       MemberTag("chord", 1, i + 1))
+    return StructuralModel(nodes, [mk(0, 0, 1), mk(1, 1, 2)], {0: (0, 1), 2: (0, 1)}, [])
 
 
 def with_default_set(model):
@@ -465,12 +472,90 @@ class TestSparseLu:
         assert pivot_ratio(lu) == 0.25
 
 
+def renumbered(k, seed=0):
+    """P K P^T for a random permutation P, and the permutation p: row i of
+    the result is row p[i] of k."""
+    p = np.random.default_rng(seed).permutation(k.shape[0])
+    return k[p][:, p].tocsr(), p
+
+
+class TestFactorSpd:
+    # BAND_SHARE's comment gives the measured rule behind these routes
+    @pytest.mark.parametrize("build, banded", [
+        (lambda: build_truss_grid(31, 64), True),
+        (graded_frame, True),
+        (c08c_frame, False),
+        (lambda: apply_floor_grading(c08c_frame(), 4000.0, 36000.0, "E_US"), True),
+        (lambda: build_frame_grid(50, 20, n_sb=4), False),
+    ], ids=["ladder-31x64", "frame-50x20", "c08c", "c08c-graded", "frame-n_sb4"])
+    def test_route(self, build, banded):
+        model = build()
+        factor = factorize_stiffness(model)
+        assert isinstance(factor, BandedCholesky) == banded
+        if banded:
+            assert_banded_cholesky_of(factor, assemble_global(model))
+
+    def test_banded_and_sparse_lu_agree(self):
+        model = graded_frame()
+        k, r = assemble_global(model), model.load_vector()
+        banded = factor_spd(k, UnstableStructureError, "k")
+        assert isinstance(banded, BandedCholesky)
+        d = sparse_lu(k, UnstableStructureError, "k").solve(r)
+        assert rel_err(banded.solve(r), d) < 1e-10
+        # a block of right-hand sides solves column by column
+        block = np.column_stack([r, 2.0 * r])
+        assert rel_err(banded.solve(block)[:, 1], 2.0 * d) < 1e-10
+
+    @pytest.mark.parametrize("build, limit", [
+        (lambda: build_truss_grid(31, 64), 1e-10),
+        (graded_frame, 1e-10),
+        # c08c's stiffness has a condition number near 3e10, and its sparse
+        # LU under the two numberings differs by 1.6e-10
+        (c08c_frame, 1e-9),
+    ], ids=["ladder-31x64", "frame-50x20", "c08c"])
+    def test_renumbered_stiffness_takes_the_same_route(self, build, limit):
+        # the route reads the ordering reverse Cuthill-McKee finds, not the
+        # numbering the model came with
+        model = build()
+        k, r = assemble_global(model), model.load_vector()
+        k_p, p = renumbered(k)
+        factor = factor_spd(k, UnstableStructureError, "k")
+        factor_p = factor_spd(k_p, UnstableStructureError, "k")
+        assert type(factor_p) is type(factor)
+        assert rel_err(factor_p.solve(r[p]), factor.solve(r)[p]) < limit
+
+    def test_small_pivot_ratio_raises(self):
+        with pytest.raises(UnstableStructureError,
+                           match="^scaled nearly singular \\(pivot ratio 1.00e-12\\)$"):
+            factor_spd(sp.diags([1.0, 1e-12]), UnstableStructureError, "scaled")
+
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(UnstableStructureError, match="^indefinite is singular: "):
+            factor_spd(sp.diags([1.0, -1.0]), UnstableStructureError, "indefinite")
+
+    def test_mechanism_raises(self):
+        # two collinear bars in series: no stiffness across the line
+        model = collinear_bars()
+        with pytest.raises(UnstableStructureError, match="^mechanism (is|nearly) singular"):
+            factor_spd(assemble_global(model), UnstableStructureError, "mechanism")
+
+    def test_ratio_is_that_of_the_lu(self):
+        # R_ii^2 are the pivots of the LU (R^T D^-1)(D R), D = diag(R_ii)
+        factor = factor_spd(sp.diags([4.0, 2.0, 8.0]), UnstableStructureError, "diagonal")
+        assert isinstance(factor, BandedCholesky)
+        assert pivot_ratio(factor) == 0.25
+
+    def test_empty_matrix(self):
+        factor = factor_spd(sp.csr_matrix((0, 0)), UnstableStructureError, "empty")
+        assert pivot_ratio(factor) == 1.0
+        assert factor.solve(np.zeros(0)).shape == (0,)
+
+
 class TestFactorOrdering:
     def test_stiffness_symmetric_permutation(self):
-        # a symmetric ordering with diagonal pivots permutes rows and columns alike
+        # the reverse Cuthill-McKee ordering permutes rows and columns alike
         model = apply_floor_grading(build_frame_grid(50, 20, n_sb=1), 4000.0, 36000.0, "E")
-        lu = factorize_stiffness(model)
-        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert_banded_cholesky_of(factorize_stiffness(model), assemble_global(model))
 
     @pytest.mark.parametrize("build", [
         lambda: with_default_set(build_truss_grid(31, 64)),

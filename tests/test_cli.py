@@ -106,6 +106,19 @@ class TestCommandContract:
         assert "'a'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", READS)
+    @pytest.mark.parametrize("scn_id", ["x/../../esc", "x/../a", "a\\b"],
+                             ids=["escapes-out", "aliases-a", "backslash"])
+    def test_id_with_a_path_separator_exits_2_without_output(self, tmp_path, capsys,
+                                                             command, scn_id):
+        # files are named by id: "x/../../esc" wrote outside --out, and
+        # "x/../a" named the file of id "a"
+        scenarios = [scenario_reading(command, "a"), scenario_reading(command, scn_id)]
+        out = tmp_path / "o" / "deep"
+        err = assert_config_error(capsys, run(command, {"scenarios": scenarios}, out))
+        assert repr(scn_id) in err and "does not match" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command, scn", [
         ("nonlinear", {"nonlinear": {"sigma_y": [5.0], "backends": ["sri", "regular", "sri"]}}),
         ("reanalyze", {"solvers": {"methods": ["fdp", "fdp"]}}),
@@ -348,6 +361,34 @@ class TestSolveAndReanalyze:
         out = tmp_path / "out"
         err = assert_config_error(capsys, main(["solve", "--config", cfg, "--out", str(out)]))
         assert "node_b" in err and repr(node_b) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "solve", "reanalyze", "nonlinear"])
+    @pytest.mark.parametrize("content", [None, "{", b"\xff\xfe"],
+                             ids=["missing", "bad-json", "not-utf8"])
+    def test_unreadable_model_file_exits_2(self, tmp_path, capsys, command, content):
+        # these ended in a traceback and exit 1
+        path = tmp_path / "m.model.json"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_bytes(content)
+        scn = dict(scenario_reading(command), model={"path": str(path)})
+        out = tmp_path / "out"
+        err = assert_config_error(capsys, run(command, {"scenarios": [scn]}, out))
+        assert err.startswith(f"config error: cannot read model file {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "solve", "reanalyze", "nonlinear"])
+    def test_model_file_violating_the_schema_exits_3(self, tmp_path, capsys, command):
+        path = tmp_path / "m.model.json"
+        path.write_text(json.dumps({"format": "reanalyze-model"}))
+        scn = dict(scenario_reading(command), model={"path": str(path)})
+        out = tmp_path / "out"
+        assert run(command, {"scenarios": [scn]}, out) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert err == (f"model error: model file {path} violates the model schema at $: "
+                       "'version' is a required property\n")
         assert not out.exists()
 
     def test_model_error_exits_3(self, tmp_path):

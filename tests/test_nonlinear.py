@@ -294,7 +294,7 @@ class TestRunNewtonRaphson:
             raise AssertionError("partitioned or factorized before the input checks")
 
         monkeypatch.setattr(nonlinear, "make_partition", built)
-        monkeypatch.setattr(nonlinear, "sparse_lu", built)
+        monkeypatch.setattr(nonlinear, "factor_spd", built)
         model = bilinear_truss(3, 3)
         p0 = model.load_vector()
         for value in (np.nan, np.inf, -np.inf):
@@ -318,7 +318,7 @@ class TestRunNewtonRaphson:
             raise AssertionError("partitioned or factorized before the input checks")
 
         monkeypatch.setattr(nonlinear, "make_partition", built)
-        monkeypatch.setattr(nonlinear, "sparse_lu", built)
+        monkeypatch.setattr(nonlinear, "factor_spd", built)
         model = bilinear_truss(3, 4, sigma_y=5.0)
         for tol in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidParameterError, match=f"^{name} must be positive"):
@@ -333,7 +333,7 @@ class TestRunNewtonRaphson:
             raise AssertionError("partitioned or factorized before the input checks")
 
         monkeypatch.setattr(nonlinear, "make_partition", built)
-        monkeypatch.setattr(nonlinear, "sparse_lu", built)
+        monkeypatch.setattr(nonlinear, "factor_spd", built)
         model = bilinear_truss(3, 3)
         elems = list(model.elements)
         elems[4] = dataclasses.replace(elems[4], section=SectionSpec())

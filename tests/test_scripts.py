@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+from reanalyze.assembly import BAND_SHARE
 from reanalyze.cli import EXIT_OK, check_config, run
 
 from test_acceptance import FG_FRAME_REFERENCE
@@ -23,8 +24,8 @@ def load_script(name):
 def test_bench_trajectory(tmp_path):
     # every method within 1e-8 of the direct solve (the committed files reach
     # 7.3e-10), the C_s route the ladder and the two frames take
-    # (SystemPartition.c_s_stored), and a basis factor without fill in every
-    # scenario
+    # (SystemPartition.c_s_stored), a basis factor without fill in every
+    # scenario, and the stiffness routes
     assert load_script("bench_trajectory").main(
         ["--label", "test", "--out", str(tmp_path), "--repeats", "1"]) == 0
     (path,) = tmp_path.glob("BENCH_*_test.json")
@@ -37,6 +38,20 @@ def test_bench_trajectory(tmp_path):
                       "c08c": "stored"}, routes
     fill = {name: s["c_b_fill"] for name, s in scenarios.items()}
     assert len(fill) == 3 and not any(fill.values()), fill
+    # the stiffness routes: banded Cholesky for the ladder and the frame,
+    # sparse LU for c08c's original (PCG's and the preconditioner's K0) and
+    # banded for its graded design, each as its band share and BAND_SHARE
+    # give it
+    stiffness = {(name, which): route for name, s in scenarios.items()
+                 for which, route in s["stiffness"].items()}
+    assert {key: route["route"] for key, route in stiffness.items()} == {
+        ("ladder-31x64", "original"): "banded", ("ladder-31x64", "design"): "banded",
+        ("frame-50x20-damaged5", "original"): "banded",
+        ("frame-50x20-damaged5", "design"): "banded",
+        ("c08c", "original"): "sparse", ("c08c", "design"): "banded"}, stiffness
+    for route in stiffness.values():
+        assert (route["band_share"] <= BAND_SHARE) == (route["route"] == "banded"), stiffness
+        assert route["rcm_bandwidth"] > 0
 
 
 def captured_run(monkeypatch, name, argv):

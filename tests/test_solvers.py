@@ -8,6 +8,7 @@ import pytest
 from reanalyze import costmodel, solvers
 from reanalyze.assembly import (
     PIVOT_TOL,
+    BandedCholesky,
     assemble_global,
     factorize_stiffness,
     make_partition,
@@ -37,7 +38,13 @@ from reanalyze.solvers import (
     solve_sri,
 )
 
-from helpers import dense_truss_solution, malformed_loads, parameter_matrices, rel_err
+from helpers import (
+    assert_banded_cholesky_of,
+    dense_truss_solution,
+    malformed_loads,
+    parameter_matrices,
+    rel_err,
+)
 
 
 def reanalysis_setup(orig, modified, spec=None):
@@ -178,13 +185,14 @@ class TestSriPreconditioner:
     def test_pivot_ratio(self, model):
         part = make_partition(model, default_additional_set(model))
         precond = build_sri_preconditioner(part)
-        assert PIVOT_TOL <= pivot_ratio(precond._k0_lu) <= 1.0
+        assert isinstance(precond._k0_factor, BandedCholesky)
+        assert PIVOT_TOL <= pivot_ratio(precond._k0_factor) <= 1.0
 
     def test_original_stiffness_symmetric_permutation(self):
-        # the stiffness ordering permutes rows and columns alike
+        # the reverse Cuthill-McKee ordering permutes rows and columns alike
         model = graded_frame(n_sb=1)
         precond = build_sri_preconditioner(make_partition(model, default_additional_set(model)))
-        assert np.array_equal(precond._k0_lu.perm_r, precond._k0_lu.perm_c)
+        assert_banded_cholesky_of(precond._k0_factor, assemble_global(model))
 
     def test_rejects_singular_original(self):
         # basis bars 1e-14 as stiff as the rest: K0 is singular to working precision
