@@ -9,17 +9,19 @@ original), update_partition (original partition to the design),
 solve_sri, solve_pcg_full (assembly of the design included),
 solve_conventional, its two stages assemble_global and factorize_stiffness
 (assembly included) of the design, and solve_fdp (the design's partition
-given), with SRI's iterations and C_s route, PCG's iterations, each method's
-relative error against the direct solve, the basis factor's fill (its
-nonzeros beyond those of C_b plus a unit diagonal) and pivot ratio, and the
-stiffness route of the original and of the design: the factor
-factorize_stiffness returns (banded Cholesky or sparse LU), the reverse
-Cuthill-McKee bandwidth u and the band share n (u + 1) / nnz(K) that
-assembly.BAND_SHARE bounds.  The file also records
-the machine: core count, the BLAS numpy was built against, the thread
-environment variables and the process's peak resident set.  Run with BLAS
-pinned to one thread (OPENBLAS_NUM_THREADS=1) to compare with the
-benchmark's figures.
+given) with its two stages reduced_gram and the Cholesky factor of the
+reduced operator, with SRI's iterations and C_s route, PCG's iterations,
+the Gram's heavy rows (assembly.heavy_rows), the multiply-adds it executes
+(q^2 per heavy row plus nnz^2 per light row of C_s^T) and the paper's dense
+n q^2, each method's relative error against the direct solve, the basis
+factor's fill (its nonzeros beyond those of C_b plus a unit diagonal) and
+pivot ratio, and the stiffness route of the original and of the design: the
+factor factorize_stiffness returns (banded Cholesky or sparse LU), the
+reverse Cuthill-McKee bandwidth u and the band share n (u + 1) / nnz(K)
+that assembly.BAND_SHARE bounds.  The file also records the machine: core
+count, the BLAS numpy was built against, the thread environment variables
+and the process's peak resident set.  Run with BLAS pinned to one thread
+(OPENBLAS_NUM_THREADS=1) to compare with the benchmark's figures.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.linalg as sla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from reanalyze import assembly, solvers
@@ -109,6 +112,25 @@ def stiffness_route(model) -> dict:
             "rcm_bandwidth": width, "band_share": k.shape[0] * (width + 1) / k.nnz}
 
 
+def gram_work(part) -> dict:
+    """The heavy rows of a partition's Gram, the multiply-adds reduced_gram
+    executes and the n q^2 of the dense product."""
+    c_s_t = part.c_s.T.tocsr()
+    heavy = assembly.heavy_rows(c_s_t, part.blocks.shape[1])
+    light_nnz = np.diff(c_s_t.indptr)[~heavy].astype(float)
+    return {"heavy_rows": int(heavy.sum()),
+            "multiply_adds": float(heavy.sum() * part.q ** 2 + light_nnz @ light_nnz),
+            "dense_multiply_adds": float(part.n * part.q ** 2)}
+
+
+def fdp_cholesky(part, gram: np.ndarray) -> float:
+    """Time of solve_fdp's Cholesky factor of K_La^-1 + G, from the Gram G
+    (overwritten)."""
+    k = part.k_la_inv.tocoo()
+    gram[k.row, k.col] += k.data
+    return timed(sla.cho_factor, gram, overwrite_a=True)[1]
+
+
 def run_scenario(build, repeats: int) -> dict:
     orig, design = build()
     spec = default_additional_set(orig)
@@ -118,7 +140,8 @@ def run_scenario(build, repeats: int) -> dict:
     r = design.load_vector()
     times = {name: [] for name in ("make_partition", "update_partition", "solve_sri",
                                    "solve_pcg_full", "solve_conventional", "assemble_global",
-                                   "factorize_stiffness", "solve_fdp")}
+                                   "factorize_stiffness", "solve_fdp", "reduced_gram",
+                                   "fdp_cholesky")}
     for _ in range(repeats):
         _, t = timed(assembly.make_partition, orig, spec)
         times["make_partition"].append(t)
@@ -136,6 +159,9 @@ def run_scenario(build, repeats: int) -> dict:
         times["factorize_stiffness"].append(t)
         fdp, t = timed(solvers.solve_fdp, part, r)
         times["solve_fdp"].append(t)
+        gram, t = timed(assembly.reduced_gram, part)
+        times["reduced_gram"].append(t)
+        times["fdp_cholesky"].append(fdp_cholesky(part, gram))
     lu = part0.c_b_lu.lu
     return {
         "n": part0.n, "q": part0.q, "elements": len(orig.elements),
@@ -143,6 +169,7 @@ def run_scenario(build, repeats: int) -> dict:
         "c_b_fill": int(lu.L.nnz + lu.U.nnz - np.count_nonzero(part0.c_b.data) - part0.n),
         "basis_pivot_ratio": assembly.pivot_ratio(lu),
         "stiffness": {"original": stiffness_route(orig), "design": stiffness_route(design)},
+        "gram": gram_work(part0),
         "sri_iterations": sri.iterations, "pcg_iterations": pcg.iterations,
         "rel_err": {"sri": rel_err(sri.d, direct.d), "pcg": rel_err(pcg.d, direct.d),
                     "fdp": rel_err(fdp.d, direct.d)},

@@ -49,11 +49,14 @@ BasisUnstableError, and so does every check sparse_lu makes on the factor.
 The same level schedule builds the sparse influence matrix C_s once per
 topology: each level is one sparse-times-dense product on a block of C_a^T
 columns.  The build forms no dense array larger than a _SLAB_BYTES block,
-and no dense n x q array is kept anywhere.  Every product with C_s (the
-reduced right-hand side, operator, displacement recovery and the dense
-q x q Gram matrix that the direct low-rank path and the tangent reduction
-backend need by definition) takes the route SystemPartition.c_s_stored
-holds, which make_partition decides once per topology by SPARSE_SHARE.
+and no dense n x q array is kept anywhere.  The products with C_s of the
+reduced right-hand side, operator and displacement recovery take the route
+SystemPartition.c_s_stored holds, which make_partition decides once per
+topology by SPARSE_SHARE.  The dense q x q Gram matrix C_s K_Lb^-1 C_s^T,
+which the direct low-rank path and the tangent reduction backend need by
+definition, has one route, reduced_gram, split by the rows of C_s^T: the
+few rows dense enough that a dense product is cheaper (HEAVY_SHARE) go
+through BLAS, the others through a sparse product.
 
 factor_spd is the one place a stiffness (assembled, original or tangent) is
 factored: by banded Cholesky in reverse Cuthill-McKee order where that band
@@ -75,7 +78,7 @@ from scipy.sparse.csgraph import (
     reverse_cuthill_mckee,
 )
 from scipy.linalg import cho_solve_banded, cholesky_banded, lu_factor
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemm
 
 from .elements import (
     beam_decomposition,
@@ -96,29 +99,44 @@ from .model import ElementKind, PartitionSpec, StructuralModel
 # pivot_ratio below which sparse_lu and factor_spd count a factor as singular.
 PIVOT_TOL = 1e-10
 
-# Bytes of one dense slab: a row slab of L^T C_s^T in the syrk Gram builder,
-# a column block of C_a^T in the influence-matrix build.
+# Bytes of one dense column block of C_a^T in the influence-matrix build.
 _SLAB_BYTES = 1 << 24
 
 
-# make_partition sets SystemPartition.c_s_stored, the one C_s policy, when
-# the sparse Gram product C_s (K_Lb^-1 C_s^T) costs at most SPARSE_SHARE of
-# the dense product's n q^2 multiply-adds, the sparse product's count being
-# sum_j nnz(C_s[:, j])^2.  Measured on one BLAS thread of a 2-core Xeon (two
-# runs; medians of 3 Grams and of 30 reduced_apply calls), sparse product
-# against syrk, then the apply stored against by C_b: the 20x8 frame (share
-# 1.5e-3) 1.6 against 4.4 ms, 0.018 against 0.049 ms; the graded 50x20
-# frame (2.3e-4) 23 against 347 ms, 0.12 against 0.14 ms; the 50x20 frame
-# at n_sb = 2 (1.2e-4) 24 against 602 ms, 0.13 against 0.21 ms, and at
-# n_sb = 4 (5.8e-5) 24 against 1103 ms, 0.16 against 0.40 ms; c08's 10x20
-# frame (2.8e-3) 17 against 51 ms, 0.21 against 0.27 ms; the 30x30 ladder
-# (1.2e-2) 30 against 20 ms, 0.085 against 0.080 ms; the 15x30 ladder
-# (2.4e-2) 7.8 against 5.2 ms, 0.038 against 0.061 ms; the 31x64 ladder
-# (1.1e-2) 248 against 172 ms, 0.39 against 0.14 ms.  So the frames store
-# C_s, where both products win, and the ladders take the C_b route, where
-# syrk wins 1.4-1.5x and the apply wins 2.9x on the 31x64 ladder, is on par
-# on the 30x30 and loses 1.6x on the 15x30.
-SPARSE_SHARE = 6e-3
+# make_partition sets SystemPartition.c_s_stored, the one route of the
+# products with C_s in reduced_apply, reduced_rhs and displacement recovery,
+# when nnz(C_s), the work of one product with the stored C_s or its
+# transpose, is at most SPARSE_SHARE times nnz(C_b's factor) + nnz(C_a), the
+# work of one product by the C_b route (a solve with the factor and a product
+# with C_a).  Measured on one BLAS thread of a 2-core Xeon (medians of 301
+# reduced_apply calls), that ratio, then the apply stored against by C_b: the
+# 20x8 frame 1.6, 0.026 against 0.068 ms; the graded 50x20 frame 3.6, 0.17
+# against 0.18 ms; the 50x20 frame at n_sb = 2 2.7, 0.25 against 0.28 ms,
+# and at n_sb = 4 1.9, 0.19 against 0.47 ms; c08's 10x20 frame 4.5, 0.25
+# against 0.35 ms; the 15x30 ladder 6.9, 0.048 against 0.073 ms; the 30x30
+# ladder 8.7, 0.104 against 0.103 ms; the 31x64 ladder 15.2, 0.42 against
+# 0.19 ms; the 31x192 ladder 39.5, 3.3 against 0.49 ms.  So the frames and
+# the 15x30 ladder store C_s, and the 30x30 ladder (on par) and the longer
+# ladders take the C_b route.
+SPARSE_SHARE = 8
+
+# reduced_gram multiplies the rows of C_s^T of a basis element by BLAS when
+# their nonzero count nnz squared, the multiply-adds of their sparse product,
+# exceeds HEAVY_SHARE of the m q^2 of their dense one (m rows of q entries).
+# Measured on one BLAS thread of a 2-core Xeon (medians of 9 Grams, of 3 on
+# the 31x192 ladder), heavy rows, then the Gram in ms, at HEAVY_SHARE 0.2,
+# 0.1, 0.05, 0.03 and 0.02, against the sparse product of all rows: the 15x30
+# ladder 33, 41, 47, 49, 51 rows, 4.4, 3.9, 3.8, 3.6, 3.7 against 11.5 ms;
+# the 30x30 ladder 33 to 51 rows, 13.8, 10.9, 10.2, 10.4, 10.1 against 47.5;
+# the 31x64 ladder 71, 87, 99, 105, 109 rows, 75, 60, 55, 55, 54 against 342;
+# the 31x192 ladder 213, 263, 299, 317, 329 rows, 1523, 1035, 907, 981,
+# 883.  c08's 10x20 frame has no heavy row down to 0.04 (its heaviest
+# element reads 0.037) and its Gram takes 26.7 ms; at 0.03 it has 432 heavy
+# rows and takes 30.1 ms, at 0.02 1296 and 32.4 ms.  The 20x8 and 50x20
+# frames (n_sb = 1, 2, 4) read at most 0.0093.  So the ladders' few
+# near-dense rows go through BLAS and the frames take the sparse product
+# alone.
+HEAVY_SHARE = 0.05
 
 # factor_spd factors a stiffness by banded Cholesky when its reverse
 # Cuthill-McKee band, n (u + 1) entries for bandwidth u, holds at most
@@ -396,15 +414,14 @@ class SystemPartition:
     Instances are immutable; solves through the factorization do not mutate
     visible state.
 
-    c_s_stored is the one C_s policy, fixed by make_partition from the
-    topology alone (SPARSE_SHARE, whose comment gives the measurements), so
-    a partition, its updates and its preconditioner take the same route.
-    Where it holds, apply_c_s and apply_c_s_t multiply by the stored c_s and
-    its CSR transpose c_s_t, and reduced_gram forms the sparse product
-    C_s (K_Lb^-1 C_s^T); otherwise they solve with the basis factorization
-    (two triangular solves and two gathers), and reduced_gram accumulates
-    Y^T Y by BLAS syrk over row slabs of Y = L^T C_s^T, K_Lb^-1 = L L^T
-    blockwise.
+    c_s_stored is the one route of the products with C_s, fixed by
+    make_partition from the topology alone (SPARSE_SHARE, whose comment
+    gives the measurements), so a partition, its updates and its
+    preconditioner take the same route.  Where it holds, apply_c_s and
+    apply_c_s_t multiply by the stored c_s and its CSR transpose c_s_t;
+    otherwise they solve with the basis factorization (two triangular solves
+    and two gathers).  reduced_gram does not read it: it takes c_s_t where
+    stored and transposes c_s otherwise.
     """
 
     basis_ids: np.ndarray
@@ -415,7 +432,7 @@ class SystemPartition:
     c_b_lu: object
     c_a: sp.csr_matrix
     c_s: sp.csr_matrix  # (q, n), exact zeros dropped
-    c_s_stored: bool  # whether products with C_s multiply by c_s and c_s_t
+    c_s_stored: bool  # whether apply_c_s and apply_c_s_t multiply by c_s and c_s_t
     c_s_t: sp.csr_matrix | None  # (n, q) C_s^T where c_s_stored holds, else None
     blocks: np.ndarray  # (elements, m, m) parameter blocks
     k_lb_inv: sp.csr_matrix
@@ -633,8 +650,7 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     lu = sparse_lu(nonzero[rows][:, order], BasisUnstableError, "basis mode matrix",
                    ordering="NATURAL")
     c_s = _influence_matrix(schedule, matched, c_a)
-    column_nnz = np.bincount(c_s.indices, minlength=model.n)
-    stored = bool(column_nnz @ column_nnz <= SPARSE_SHARE * model.n * q * q)
+    stored = bool(c_s.nnz <= SPARSE_SHARE * (lu.L.nnz + lu.U.nnz + c_a.nnz))
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
         c_b=c_b, c_b_lu=BasisFactor(lu, rows, order), c_a=c_a, c_s=c_s,
@@ -695,29 +711,40 @@ def reduced_apply(partition: SystemPartition, x: np.ndarray) -> np.ndarray:
     return partition.k_la_inv @ x + partition.apply_c_s(h)
 
 
+def heavy_rows(c_s_t: sp.csr_matrix, m: int) -> np.ndarray:
+    """Mask of the rows of C_s^T (n x q, in CSR form) that reduced_gram
+    multiplies by BLAS: the m rows of every basis element whose nonzero count
+    nnz has nnz^2 > HEAVY_SHARE m q^2."""
+    nnz = np.diff(c_s_t.indptr).reshape(-1, m).sum(axis=1).astype(float)
+    return np.repeat(nnz * nnz > HEAVY_SHARE * m * c_s_t.shape[1] ** 2, m)
+
+
 def reduced_gram(partition: SystemPartition) -> np.ndarray:
-    """Dense q x q matrix G = C_s K_Lb^-1 C_s^T, in Fortran order, by the
-    route SystemPartition.c_s_stored holds; neither route forms a dense
-    n x q array.  The syrk route raises UnstableStructureError when a basis
-    parameter block is not positive definite.
+    """Dense q x q matrix G = C_s K_Lb^-1 C_s^T, both triangles, in Fortran
+    order, split by the rows of C_s^T (heavy_rows).  The light rows take the
+    sparse product C_s[:, light] K_Lb^-1[light] C_s^T[light]; the heavy ones
+    add Y^T Y by BLAS dgemm, Y = R^-1 C_s^T[heavy] for the Cholesky factors
+    R R^T of the basis blocks.  Without heavy rows G is the sparse product
+    C_s (K_Lb^-1 C_s^T) alone.  No dense n x q array is formed: Y holds
+    fewer than sqrt(m / HEAVY_SHARE) nnz(C_s) entries.  Raises
+    UnstableStructureError when a basis parameter block is not positive
+    definite.
     """
-    n, q = partition.n, partition.q
-    c_s = partition.c_s
-    if partition.c_s_stored:
-        return (c_s @ (partition.k_lb_inv @ partition.c_s_t)).toarray(order="F")
     try:
-        lower = np.linalg.cholesky(np.linalg.inv(partition.blocks[partition.basis_ids]))
+        lower = np.linalg.cholesky(partition.blocks[partition.basis_ids])
     except np.linalg.LinAlgError as exc:
         raise UnstableStructureError(
             f"basis parameter block not positive definite: {exc}") from exc
-    y = (_block_diag(lower).T @ c_s.T).tocsr()
-    gram = np.zeros((q, q), order="F")
-    rows = max(_SLAB_BYTES // (8 * q), 1)
-    for lo in range(0, n, rows):
-        # a C-ordered slab's transpose is the Fortran q x rows operand syrk takes
-        gram = dsyrk(1.0, y[lo:lo + rows].toarray().T, beta=1.0, c=gram, overwrite_c=True)
-    gram += np.triu(gram, 1).T  # syrk fills the upper triangle
-    return gram
+    c_s_t = partition.c_s_t if partition.c_s_t is not None else partition.c_s.T.tocsr()
+    m = lower.shape[1]
+    heavy = heavy_rows(c_s_t, m)
+    if not heavy.any():
+        return (partition.c_s @ (partition.k_lb_inv @ c_s_t)).toarray(order="F")
+    light = ~heavy
+    gram = (c_s_t[light].T @ (partition.k_lb_inv[light] @ c_s_t)).toarray(order="F")
+    y = (_block_diag(np.linalg.inv(lower[heavy[::m]])) @ c_s_t[heavy]).toarray()
+    # y's transpose is the Fortran q x rows operand; dgemm writes both triangles
+    return dgemm(1.0, y.T, y.T, beta=1.0, c=gram, trans_b=True, overwrite_c=True)
 
 
 def factorize_stiffness(model: StructuralModel):

@@ -19,8 +19,9 @@ products with C_s take the route SystemPartition.c_s_stored holds.  The
 first preconditioner apply of a solve adds one refinement step (one more
 operator apply and one more stiffness solve).
 FDP forms the dense q x q operator from the sparse influence matrix
-(reduced_gram) and factors it in place; the nonlinear "reduction" backend
-is solve_fdp on the tangent partition.
+(reduced_gram: BLAS over the few rows of C_s^T dense enough to pay, a sparse
+product over the rest) and factors it in place; the nonlinear "reduction"
+backend is solve_fdp on the tangent partition.
 """
 
 from __future__ import annotations

@@ -859,6 +859,12 @@ class TestMaterialState:
         assert not np.array_equal(updated.blocks, part.blocks)
 
 
+def c_b_ladder():
+    """A ladder whose C_s holds more than SPARSE_SHARE times the nonzeros of
+    C_b's factor and C_a, so it takes the C_b route."""
+    return build_truss_grid(30, 30)
+
+
 class TestCsRoute:
     @pytest.mark.parametrize("build", [lambda: build_truss_grid(7, 16), graded_frame],
                              ids=["ladder-7x16", "graded-frame-50x20"])
@@ -878,9 +884,10 @@ class TestCsRoute:
 
     @pytest.mark.parametrize("build, stored", [
         (graded_frame, True),
+        (lambda: build_truss_grid(15, 30), True),
         (lambda: build_truss_grid(31, 64), False),
-        (lambda: build_truss_grid(30, 30), False),
-    ], ids=["graded-frame-50x20", "ladder-31x64", "ladder-30x30"])
+        (c_b_ladder, False),
+    ], ids=["graded-frame-50x20", "ladder-15x30", "ladder-31x64", "ladder-30x30"])
     def test_route_by_topology(self, build, stored):
         model = build()
         part = make_partition(model, default_additional_set(model))
@@ -891,8 +898,8 @@ class TestCsRoute:
 
     @pytest.mark.parametrize("build, stored", [
         (graded_frame, True),
-        (lambda: build_truss_grid(7, 16), False),
-    ], ids=["graded-frame-50x20", "ladder-7x16"])
+        (c_b_ladder, False),
+    ], ids=["graded-frame-50x20", "ladder-30x30"])
     def test_transpose_stored_on_stored_route_only(self, build, stored):
         model = build()
         part = make_partition(model, default_additional_set(model))
@@ -906,28 +913,31 @@ class TestCsRoute:
         assert updated.c_s_t is part.c_s_t
 
 
-def c_b_ladder():
-    """A ladder whose C_s fills in past SPARSE_SHARE, so it takes the C_b route."""
-    return build_truss_grid(15, 30)
-
-
 class TestReducedGram:
-    @pytest.mark.parametrize("build, share, stored", [
-        (lambda: build_frame_grid(20, 8), None, True),
-        (lambda: build_truss_grid(7, 16), float("inf"), True),
-        (c_b_ladder, None, False),
-        (graded_fg_frame, -float("inf"), False),
-    ], ids=["frame-sparse", "ladder-sparse", "ladder-syrk", "frame-syrk"])
-    def test_matches_definition(self, build, share, stored, monkeypatch):
-        # "sparse" is the stored route's sparse product, "syrk" the C_b
-        # route's; ladder-sparse forces the stored route, so that 1x1 blocks
-        # go through the sparse product, and frame-syrk the C_b route, so
-        # that coupled 3x3 blocks go through the blockwise Cholesky
+    @staticmethod
+    def heavy(part):
+        return assembly.heavy_rows(part.c_s.T.tocsr(), part.blocks.shape[1])
+
+    @pytest.mark.parametrize("build, share, split", [
+        (lambda: build_frame_grid(20, 8), None, "light"),
+        (c_b_ladder, float("inf"), "light"),
+        (lambda: build_truss_grid(7, 16), -1.0, "heavy"),
+        (graded_fg_frame, -1.0, "heavy"),
+        (lambda: build_truss_grid(15, 30), None, "mixed"),
+        (c_b_ladder, None, "mixed"),
+    ], ids=["frame-light", "ladder-30x30-light", "ladder-heavy", "fg-frame-heavy",
+            "ladder-15x30-mixed", "ladder-30x30-mixed"])
+    def test_matches_definition(self, build, share, split, monkeypatch):
+        # HEAVY_SHARE inf sends no row through BLAS and -1 every row, so that
+        # fg-frame-heavy's coupled 3x3 blocks go through their Cholesky
+        # factors; the 30x30 ladder takes the C_b route, the others store C_s
         if share is not None:
-            monkeypatch.setattr(assembly, "SPARSE_SHARE", share)
+            monkeypatch.setattr(assembly, "HEAVY_SHARE", share)
         model = build()
         part = make_partition(model, default_additional_set(model))
-        assert part.c_s_stored is stored
+        heavy = self.heavy(part)
+        assert {"light": not heavy.any(), "heavy": heavy.all(),
+                "mixed": 0 < heavy.sum() < part.n}[split], heavy.sum()
         if build is graded_fg_frame:
             assert np.count_nonzero(part.blocks[:, 0, 1:])  # coupled blocks
         c_s = part.c_a.toarray() @ np.linalg.inv(part.c_b.toarray())
@@ -936,9 +946,32 @@ class TestReducedGram:
         assert g.flags.f_contiguous
         assert rel_err(g, expected) < 1e-12
 
-    def test_syrk_path_rejects_indefinite_basis_block(self):
-        model = c_b_ladder()
+    @pytest.mark.parametrize("build, share", [
+        (lambda: build_frame_grid(20, 8), None),
+        (c_b_ladder, float("inf")),
+    ], ids=["frame-stored", "ladder-30x30-c_b"])
+    def test_all_light_is_the_sparse_product(self, build, share, monkeypatch):
+        if share is not None:
+            monkeypatch.setattr(assembly, "HEAVY_SHARE", share)
+        model = build()
         part = make_partition(model, default_additional_set(model))
-        assert not part.c_s_stored
+        assert not self.heavy(part).any()
+        c_s_t = part.c_s.T.tocsr()
+        assert np.array_equal(reduced_gram(part), (part.c_s @ (part.k_lb_inv @ c_s_t)).toarray())
+
+    @pytest.mark.parametrize("build, stored", [
+        (lambda: build_frame_grid(20, 8), True),
+        (c_b_ladder, False),
+    ], ids=["frame-stored", "ladder-30x30-c_b"])
+    def test_rejects_indefinite_basis_block(self, build, stored):
+        model = build()
+        part = make_partition(model, default_additional_set(model))
+        assert part.c_s_stored is stored
         with pytest.raises(UnstableStructureError, match="basis parameter block"):
             reduced_gram(part.with_blocks(-part.blocks))
+
+    def test_empty_partition(self):
+        model = build_truss_grid(1, 1)
+        part = make_partition(model, PartitionSpec.of([]))
+        g = reduced_gram(part)
+        assert part.q == 0 and g.shape == (0, 0) and g.flags.f_contiguous

@@ -52,6 +52,14 @@ def test_bench_trajectory(tmp_path):
     for route in stiffness.values():
         assert (route["band_share"] <= BAND_SHARE) == (route["route"] == "banded"), stiffness
         assert route["rcm_bandwidth"] > 0
+    # the Gram sends some of the ladder's rows of C_s^T through BLAS and
+    # none of the frames', and executes fewer multiply-adds than n q^2
+    heavy = {name: s["gram"]["heavy_rows"] for name, s in scenarios.items()}
+    assert heavy["ladder-31x64"] > 0 and heavy["frame-50x20-damaged5"] == 0, heavy
+    for name, s in scenarios.items():
+        assert 0 < s["gram"]["multiply_adds"] < s["gram"]["dense_multiply_adds"], (name, s["gram"])
+        for stage in ("reduced_gram", "fdp_cholesky"):
+            assert s["calls"][stage]["median_s"] > 0, (name, stage)
 
 
 def captured_run(monkeypatch, name, argv):
