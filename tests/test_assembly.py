@@ -896,11 +896,16 @@ class TestCsRoute:
             {0: dataclasses.replace(model.elements[0].material, e=1234.0)}))
         assert graded.c_s_stored is stored
 
-    @pytest.mark.parametrize("build, stored", [
-        (graded_frame, True),
-        (c_b_ladder, False),
-    ], ids=["graded-frame-50x20", "ladder-30x30"])
-    def test_transpose_stored_on_stored_route_only(self, build, stored):
+    @pytest.mark.parametrize("build, share, stored", [
+        (graded_frame, None, True),
+        (lambda: build_truss_grid(7, 16), -float("inf"), False),
+        (c_b_ladder, None, False),
+    ], ids=["graded-frame-50x20", "ladder-7x16", "ladder-30x30"])
+    def test_transpose_stored_on_stored_route_only(self, build, share, stored, monkeypatch):
+        # ladder-7x16 stores C_s by topology; SPARSE_SHARE -inf forces it
+        # onto the C_b route
+        if share is not None:
+            monkeypatch.setattr(assembly, "SPARSE_SHARE", share)
         model = build()
         part = make_partition(model, default_additional_set(model))
         assert part.c_s_stored is stored
@@ -925,11 +930,13 @@ class TestReducedGram:
         (graded_fg_frame, -1.0, "heavy"),
         (lambda: build_truss_grid(15, 30), None, "mixed"),
         (c_b_ladder, None, "mixed"),
-    ], ids=["frame-light", "ladder-30x30-light", "ladder-heavy", "fg-frame-heavy",
+    ], ids=["frame-sparse", "ladder-sparse", "ladder-syrk", "frame-syrk",
             "ladder-15x30-mixed", "ladder-30x30-mixed"])
     def test_matches_definition(self, build, share, split, monkeypatch):
-        # HEAVY_SHARE inf sends no row through BLAS and -1 every row, so that
-        # fg-frame-heavy's coupled 3x3 blocks go through their Cholesky
+        # "sparse" cases send every row through the sparse product, "syrk"
+        # cases every row through the BLAS product Y^T Y, and "mixed" cases
+        # split them.  HEAVY_SHARE inf makes no row heavy and -1 every row,
+        # so that frame-syrk's coupled 3x3 blocks go through their Cholesky
         # factors; the 30x30 ladder takes the C_b route, the others store C_s
         if share is not None:
             monkeypatch.setattr(assembly, "HEAVY_SHARE", share)
@@ -967,6 +974,16 @@ class TestReducedGram:
         model = build()
         part = make_partition(model, default_additional_set(model))
         assert part.c_s_stored is stored
+        with pytest.raises(UnstableStructureError, match="basis parameter block"):
+            reduced_gram(part.with_blocks(-part.blocks))
+
+    def test_syrk_path_rejects_indefinite_basis_block(self, monkeypatch):
+        # every row heavy, so that the coupled 3x3 blocks would go through BLAS
+        monkeypatch.setattr(assembly, "HEAVY_SHARE", -1.0)
+        model = graded_fg_frame()
+        part = make_partition(model, default_additional_set(model))
+        assert self.heavy(part).all()
+        assert np.count_nonzero(part.blocks[:, 0, 1:])  # coupled blocks
         with pytest.raises(UnstableStructureError, match="basis parameter block"):
             reduced_gram(part.with_blocks(-part.blocks))
 
