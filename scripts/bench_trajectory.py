@@ -18,7 +18,11 @@ factor's fill (its nonzeros beyond those of C_b plus a unit diagonal) and
 pivot ratio, and the stiffness route of the original and of the design: the
 factor factorize_stiffness returns (banded Cholesky or sparse LU), the
 reverse Cuthill-McKee bandwidth u and the band share n (u + 1) / nnz(K)
-that assembly.BAND_SHARE bounds.  The file also records the machine: core
+that assembly.BAND_SHARE bounds.  It also times the Newton-Raphson runs of
+the bilinear 30 x 30 ladder at sigma_y 5 under every backend and of the
+30 x 150 ladder at sigma_y 45 under "regular" (ladder-nonlinear's runs),
+with their Newton and inner SRI iterations, the tangent factors they build
+and the final yield count.  The file also records the machine: core
 count, the BLAS numpy was built against, the thread environment variables
 and the process's peak resident set.  Run with BLAS pinned to one thread
 (OPENBLAS_NUM_THREADS=1) to compare with the benchmark's figures.
@@ -38,10 +42,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.linalg as sla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from reanalyze import assembly, solvers
+from reanalyze import assembly, nonlinear, solvers
 from reanalyze.model import (
     MaterialSpec,
     apply_floor_grading,
@@ -84,6 +87,10 @@ def c08c():
 
 SCENARIOS = {"ladder-31x64": ladder, "frame-50x20-damaged5": damaged_frame, "c08c": c08c}
 
+# Newton runs: (floors, sigma_y, backends) of the bilinear 30-span ladder
+NEWTON = {"ladder-30x30-sy5": (30, 5.0, ("regular", "reduction", "sri")),
+          "ladder-30x150-sy45": (150, 45.0, ("regular",))}
+
 
 def timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
@@ -124,11 +131,14 @@ def gram_work(part) -> dict:
 
 
 def fdp_cholesky(part, gram: np.ndarray) -> float:
-    """Time of solve_fdp's Cholesky factor of K_La^-1 + G, from the Gram G
-    (overwritten)."""
-    k = part.k_la_inv.tocoo()
-    gram[k.row, k.col] += k.data
-    return timed(sla.cho_factor, gram, overwrite_a=True)[1]
+    """Time of solvers.fdp_factor, solve_fdp's factor of K_La^-1 + G, given
+    the Gram G (overwritten) in place of its reduced_gram call."""
+    real = solvers.reduced_gram
+    solvers.reduced_gram = lambda _: gram
+    try:
+        return timed(solvers.fdp_factor, part)[1]
+    finally:
+        solvers.reduced_gram = real
 
 
 def run_scenario(build, repeats: int) -> dict:
@@ -177,6 +187,28 @@ def run_scenario(build, repeats: int) -> dict:
     }
 
 
+def run_newton(floors: int, sigma_y: float, backends, repeats: int) -> dict:
+    """Wall times of run_newton_raphson on the bilinear 30-span ladder, one
+    run per backend in each of repeats interleaved rounds, with each run's
+    Newton and inner iterations, tangent factors built and final yield
+    count."""
+    material = MaterialSpec(e0=2e5, et=0.3e5, sigma_y=sigma_y)
+    model = build_truss_grid(30, floors, area=200.0, load=500.0, material=material)
+    p0 = model.load_vector()
+    times = {backend: [] for backend in backends}
+    runs = {}
+    for _ in range(repeats):
+        for backend in backends:
+            runs[backend], t = timed(nonlinear.run_newton_raphson, model, p0, backend=backend)
+            times[backend].append(t)
+    return {"n": model.n, "backends": {backend: {
+        "run": summary(times[backend]), "converged": run.converged,
+        "outer_iterations": sum(run.outer_iterations),
+        "inner_iterations": sum(run.inner_iterations),
+        "factorizations": sum(run.factorizations),
+        "n_nle_final": run.n_nle[-1]} for backend, run in runs.items()}}
+
+
 def library(config: dict) -> dict:
     """A BLAS or LAPACK entry of numpy's build configuration, without the
     directories it was found in."""
@@ -207,12 +239,18 @@ def main(argv=None) -> int:
         ap.error("--repeats must be at least 1")
     date = time.strftime("%Y-%m-%d")
     result = {"label": args.label, "date": date, "repeats": args.repeats,
-              "machine": machine(), "scenarios": {}}
+              "machine": machine(), "scenarios": {}, "newton": {}}
     for name, build in SCENARIOS.items():
         result["scenarios"][name] = run_scenario(build, args.repeats)
         calls = result["scenarios"][name]["calls"]
         print(name, " ".join(f"{k}={v['median_s'] * 1e3:.1f}ms" for k, v in calls.items()),
               flush=True)
+    for name, (floors, sigma_y, backends) in NEWTON.items():
+        result["newton"][name] = run_newton(floors, sigma_y, backends, args.repeats)
+        runs = result["newton"][name]["backends"]
+        print(name, " ".join(f"{k}={v['run']['median_s'] * 1e3:.0f}ms/"
+                             f"{v['factorizations']}of{v['outer_iterations']}"
+                             for k, v in runs.items()), flush=True)
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -303,10 +303,12 @@ def cmd_nonlinear(config: dict, out_dir: Path, precision: str = "table") -> int:
                                          f"  [failed at step {run.failed_step}]"))
                 summary.append([scn["id"], sigma_y, backend, len(run.lambdas),
                                 run.n_nle[-1] if run.n_nle else 0,
-                                sum(run.outer_iterations), run.wall_time, run.converged])
+                                sum(run.outer_iterations), sum(run.factorizations),
+                                run.wall_time, run.converged])
         path = out_dir / f"{scn['id']}.nonlinear.summary.csv"
         write_csv(path, ["scenario", "sigma_y", "backend", "steps", "n_nle_final",
-                         "outer_iters_total", "wall_time", "converged"],
+                         "outer_iters_total", "factorizations_total", "wall_time",
+                         "converged"],
                   summary, precision)
         print(f"wrote {path}")
     return EXIT_OK

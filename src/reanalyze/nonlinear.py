@@ -10,6 +10,15 @@ preconditioner held fixed for the whole run.  The material law is
 total-strain bilinear (monotonic loading, no unloading hysteresis), so the
 state is a pure function of the current displacement field.
 
+A run keeps the factor of its last tangent: the "regular" backend's
+factor_spd factor, the "reduction" backend's Cholesky factor of
+K_La^-1 + G (solvers.fdp_factor) and the "sri" backend's tangent partition.
+It builds a new one only when the tangent moduli differ in any bar from
+those the held factor was built from (np.array_equal), that is when some bar
+has crossed its yield strain, and drops the held factor first, so at most
+one tangent factor is alive.  A reused factor is the factor the same moduli
+would rebuild, so reuse changes no result.
+
 Bars go through the linear path's element layer and factorization
 K = C^T K_L C: assembly.mode_matrix gives the unit axial mode rows C,
 assembly.element_geometry the bar lengths, whence the strains
@@ -19,9 +28,10 @@ in the linear assembly.  A tangent state only changes the 1x1 parameter
 blocks 2 E_t A / L, one (bars, 1, 1) array from the bar kernel
 elements.truss_decomposition, which the assembled tangent takes through
 assembly.stiffness as the linear stiffness does, and the tangent partition
-through SystemPartition.with_blocks.  The "reduction" backend is
-solvers.solve_fdp on the tangent partition.  The helpers below take the
-Bars a run builds once from its model.
+through SystemPartition.with_blocks.  The "reduction" backend solves as
+solvers.solve_fdp does: reduced_rhs, cho_solve with the held factor, then
+recover_displacements.  The helpers below take the Bars a run builds once
+from its model.
 """
 
 from __future__ import annotations
@@ -30,10 +40,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-# reduced_rhs, reduced_gram and recover_displacements are unused here but stay
-# bound: benchmark/tracing.py patches them on this module by name
+# reduced_gram is unused here but stays bound: benchmark/tracing.py patches it
+# on this module by name, as it does reduced_rhs and recover_displacements
 from .assembly import (
     SystemPartition,
     _fields,
@@ -56,8 +67,8 @@ from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
     _check_inputs,
     build_sri_preconditioner,
+    fdp_factor,
     recover_displacements,
-    solve_fdp,
     solve_sri,
 )
 
@@ -155,6 +166,7 @@ class NonlinearRun:
     displacements: list[np.ndarray] = field(default_factory=list)
     outer_iterations: list[int] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)  # SRI iterations per step
+    factorizations: list[int] = field(default_factory=list)  # tangent factors built per step
     n_nle: list[int] = field(default_factory=list)
     converged: bool = True
     failed_step: int | None = None
@@ -180,9 +192,14 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
     tangent reduced system directly, "sri" the reduced system iteratively with
     the elastic preconditioner kept for the whole run (residuals normalized by
     the step load norm); both reduced backends partition the model with its
-    default_additional_set.  A step that fails to converge within OUTER_CAP
-    iterations, or whose inner SRI solve ends unconverged, terminates the run
-    with the history accumulated so far.  A p0 that is not a finite n-vector,
+    default_additional_set.  The factor of a tangent (for "sri", its
+    partition) is built once and reused by every later Newton iteration whose
+    tangent moduli are np.array_equal to those it was built from, so only a
+    change of some bar's state costs a new factor, and the held one is
+    dropped before the next is built; run.factorizations counts them per
+    step.  A step that fails to converge within OUTER_CAP iterations, or
+    whose inner SRI solve ends unconverged, terminates the run with the
+    history accumulated so far.  A p0 that is not a finite n-vector,
     n_steps < 1 or a tolerance that is not positive and finite raises
     InvalidParameterError before anything is built.
     """
@@ -202,11 +219,15 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
 
     run = NonlinearRun(backend=backend)
     d = np.zeros(model.n)
+    # the moduli the held factor was built from; factor is the regular
+    # backend's factor_spd factor or the reduction backend's Cholesky factor,
+    # part_t the reduced backends' tangent partition
+    moduli = factor = part_t = None
     for step in range(1, n_steps + 1):
         lam = step / n_steps
         target = lam * p0
         target_norm = float(np.linalg.norm(target))
-        iters = inner = 0
+        iters = inner = built = 0
         while True:
             state = evaluate_state(bars, d)
             residual = internal_force(bars, state) - target
@@ -215,14 +236,25 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
                 break
             if iters >= OUTER_CAP:
                 return _fail(run, step, state, t0)
+            if not np.array_equal(state.tangent, moduli):
+                moduli = factor = part_t = None  # release the old factor first
+                if backend == "regular":
+                    factor = factor_spd(assemble_tangent(bars, state), UnstableStructureError,
+                                        "tangent stiffness")
+                else:
+                    part_t = tangent_partition(bars, state, partition)
+                    if backend == "reduction":
+                        factor = fdp_factor(part_t)
+                moduli = state.tangent
+                built += 1
             if backend == "regular":
-                delta = factor_spd(assemble_tangent(bars, state), UnstableStructureError,
-                                   "tangent stiffness").solve(-residual)
+                delta = factor.solve(-residual)
             elif backend == "reduction":
-                delta = solve_fdp(tangent_partition(bars, state, partition), -residual).d
+                b, b_s = reduced_rhs(part_t, -residual)
+                delta = recover_displacements(part_t, sla.cho_solve(factor, b), b_s)
             else:
-                rep = solve_sri(tangent_partition(bars, state, partition), -residual,
-                                precond, tol=tol_inner, norm_ref=target_norm)
+                rep = solve_sri(part_t, -residual, precond, tol=tol_inner,
+                                norm_ref=target_norm)
                 if not rep.converged:
                     return _fail(run, step, state, t0)
                 delta = rep.d
@@ -233,6 +265,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
         run.displacements.append(d.copy())
         run.outer_iterations.append(iters)
         run.inner_iterations.append(inner)
+        run.factorizations.append(built)
         run.n_nle.append(state.n_nonlinear)
     run.final_state = state
     run.wall_time = time.perf_counter() - t0

@@ -20,8 +20,8 @@ first preconditioner apply of a solve adds one refinement step (one more
 operator apply and one more stiffness solve).
 FDP forms the dense q x q operator from the sparse influence matrix
 (reduced_gram: BLAS over the few rows of C_s^T dense enough to pay, a sparse
-product over the rest) and factors it in place; the nonlinear "reduction"
-backend is solve_fdp on the tangent partition.
+product over the rest) and factors it in place (fdp_factor); the nonlinear
+"reduction" backend holds fdp_factor's factor of each tangent partition.
 """
 
 from __future__ import annotations
@@ -258,28 +258,35 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
                        wall_time=wall, converged=converged)
 
 
+def fdp_factor(partition: SystemPartition):
+    """Cholesky factor, in scipy.linalg.cho_factor form, of the dense reduced
+    operator K_La^-1 + C_s K_Lb^-1 C_s^T: the Gram from reduced_gram with
+    K_La^-1 added on its diagonal entries, then factored in place.  Raises
+    UnstableStructureError when the operator is not positive definite."""
+    gram = reduced_gram(partition)
+    k = partition.k_la_inv.tocoo()
+    gram[k.row, k.col] += k.data
+    try:
+        return sla.cho_factor(gram, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise UnstableStructureError(
+            f"reduced operator is not positive definite: {exc}") from exc
+
+
 def solve_fdp(partition_modified: SystemPartition, r: np.ndarray) -> SolveReport:
     """Direct reduced-system path via the low-rank update identity.
 
-    Forms the dense reduced operator K_La^-1 + C_s K_Lb^-1 C_s^T, solves it
-    for the additional-component forces by Cholesky and recovers the
-    displacements as matrix-vector chains.  A load that is not a finite
-    n-vector raises InvalidParameterError; a reduced operator that is not
-    positive definite raises UnstableStructureError.
+    Factors the dense reduced operator by fdp_factor, solves it for the
+    additional-component forces and recovers the displacements as
+    matrix-vector chains.  A load that is not a finite n-vector raises
+    InvalidParameterError; a reduced operator that is not positive definite
+    raises UnstableStructureError.
     """
     _check_inputs(r, partition_modified.n)
     n, q = partition_modified.n, partition_modified.q
     t0 = time.perf_counter()
     b, b_s = reduced_rhs(partition_modified, r)
-    gram = reduced_gram(partition_modified)
-    k = partition_modified.k_la_inv.tocoo()
-    gram[k.row, k.col] += k.data  # K_La^-1 + G, then factored in place
-    try:
-        factor = sla.cho_factor(gram, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise UnstableStructureError(
-            f"reduced operator is not positive definite: {exc}") from exc
-    f_a = sla.cho_solve(factor, b)
+    f_a = sla.cho_solve(fdp_factor(partition_modified), b)
     d = recover_displacements(partition_modified, f_a, b_s)
     wall = time.perf_counter() - t0
     return SolveReport(method="fdp", d=d, f_a=f_a,

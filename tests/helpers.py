@@ -4,7 +4,10 @@ Everything here is written from first principles (textbook element matrices,
 direct quadrature, dense linear algebra) so the production code is always
 checked against an implementation that does not share its code paths.  The
 exceptions are element_rows and element_stiffness, which form one element's
-mode rows and C^T K_L C through the package: they are what the oracles check.
+mode rows and C^T K_L C through the package: they are what the oracles check;
+and newton_factoring_every_iteration, the Newton loop through the package's
+own state, tangent and solver layers with no factor kept between iterations,
+against which the driver's factor reuse is checked.
 """
 
 import math
@@ -14,7 +17,19 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import IntegrationWarning, quad
 
+from reanalyze.assembly import factor_spd, make_partition
 from reanalyze.elements import mode_rows
+from reanalyze.errors import UnstableStructureError
+from reanalyze.model import default_additional_set
+from reanalyze.nonlinear import (
+    OUTER_CAP,
+    Bars,
+    assemble_tangent,
+    evaluate_state,
+    internal_force,
+    tangent_partition,
+)
+from reanalyze.solvers import build_sri_preconditioner, solve_fdp, solve_sri
 
 
 def truss_global_stiffness(young, area, length, angle):
@@ -173,3 +188,42 @@ def rel_err(actual, expected):
     if scale == 0.0:
         return float(np.max(np.abs(np.asarray(actual))))
     return float(np.max(np.abs(np.asarray(actual) - expected)) / scale)
+
+
+def newton_factoring_every_iteration(model, p0, backend, n_steps=20, tol_outer=1e-8,
+                                     tol_inner=1e-15):
+    """run_newton_raphson's load-controlled loop with the tangent factored
+    anew at every Newton iteration: "regular" by factor_spd of the assembled
+    tangent, "reduction" by solve_fdp and "sri" by solve_sri on the tangent
+    partition.  Returns the converged displacement of every step and the
+    tangent moduli of every Newton solve, in order."""
+    bars = Bars.of(model)
+    if backend != "regular":
+        partition = make_partition(model, default_additional_set(model))
+        precond = build_sri_preconditioner(partition) if backend == "sri" else None
+    d = np.zeros(model.n)
+    displacements, moduli = [], []
+    for step in range(1, n_steps + 1):
+        target = step / n_steps * p0
+        target_norm = float(np.linalg.norm(target))
+        for _ in range(OUTER_CAP + 1):
+            state = evaluate_state(bars, d)
+            residual = internal_force(bars, state) - target
+            res_norm = float(np.linalg.norm(residual))
+            if res_norm < tol_outer * target_norm or res_norm == 0.0:
+                break
+            moduli.append(state.tangent)
+            if backend == "regular":
+                d = d + factor_spd(assemble_tangent(bars, state), UnstableStructureError,
+                                   "tangent stiffness").solve(-residual)
+            elif backend == "reduction":
+                d = d + solve_fdp(tangent_partition(bars, state, partition), -residual).d
+            else:
+                rep = solve_sri(tangent_partition(bars, state, partition), -residual,
+                                precond, tol=tol_inner, norm_ref=target_norm)
+                assert rep.converged
+                d = d + rep.d
+        else:
+            raise AssertionError(f"step {step} did not converge")
+        displacements.append(d.copy())
+    return displacements, moduli

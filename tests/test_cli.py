@@ -485,6 +485,12 @@ class TestNonlinear:
         assert len(summary) == 4  # two yield stresses x two backends
         elastic = [r for r in summary if r["sigma_y"] == "1.000000e+06"]
         assert all(r["n_nle_final"] == "0" for r in elastic)
+        # an elastic run keeps its one tangent factor; a yielding one rebuilds
+        # it as bars yield, at most once per Newton iteration
+        assert all(r["factorizations_total"] == "1" for r in elastic)
+        plastic = [r for r in summary if r["sigma_y"] == "2.000000e+00"]
+        assert all(1 < int(r["factorizations_total"]) <= int(r["outer_iters_total"])
+                   for r in plastic)
 
     def test_moduli_come_from_the_model_material(self, tmp_path):
         material = {"e0": 1e5, "et": 1e4}

@@ -37,7 +37,12 @@ from reanalyze.nonlinear import (
     tangent_partition,
 )
 
-from helpers import malformed_loads, parameter_matrices, rel_err
+from helpers import (
+    malformed_loads,
+    newton_factoring_every_iteration,
+    parameter_matrices,
+    rel_err,
+)
 
 BILINEAR = MaterialSpec(e0=2e5, et=0.3e5, sigma_y=25.0)
 
@@ -346,3 +351,60 @@ class TestRunNewtonRaphson:
         model = bilinear_truss()
         with pytest.raises(UnsupportedModelError):
             run_newton_raphson(model, model.load_vector(), backend="magic")
+
+
+# the function each backend builds its tangent factor with, as the driver binds it
+FACTOR_BUILDER = {"regular": "factor_spd", "reduction": "fdp_factor", "sri": "tangent_partition"}
+
+
+def count_factors(monkeypatch, backend):
+    """Patch the backend's factor builder on the driver to count its calls."""
+    name = FACTOR_BUILDER[backend]
+    real = getattr(nonlinear, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module", params=["regular", "reduction", "sri"])
+def ladder_reference(request):
+    """A backend, the 30x30 ladder at sigma_y 5 and its run by the reference
+    loop that factors the tangent at every Newton iteration."""
+    model = bilinear_truss(30, 30, sigma_y=5.0)
+    return (request.param, model,
+            *newton_factoring_every_iteration(model, model.load_vector(), request.param))
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize("backend", ["regular", "reduction", "sri"])
+    def test_elastic_run_builds_one_factor(self, backend, monkeypatch):
+        calls = count_factors(monkeypatch, backend)
+        model = bilinear_truss(3, 3, sigma_y=1e9)
+        run = run_newton_raphson(model, model.load_vector(), n_steps=20, backend=backend)
+        assert run.converged and run.n_nle == [0] * 20
+        assert len(calls) == 1
+        assert run.factorizations == [1] + [0] * 19
+
+    def test_one_factor_per_change_of_the_tangent_moduli(self, ladder_reference, monkeypatch):
+        backend, model, _, moduli = ladder_reference
+        calls = count_factors(monkeypatch, backend)
+        run = run_newton_raphson(model, model.load_vector(), backend=backend)
+        assert run.converged
+        changes = sum(not np.array_equal(a, b) for a, b in zip(moduli, moduli[1:]))
+        assert sum(run.outer_iterations) == len(moduli) == 37
+        assert len(calls) == sum(run.factorizations) == 1 + changes == 18
+        assert len(run.factorizations) == 20
+
+    def test_displacements_equal_factoring_every_iteration(self, ladder_reference):
+        # a kept factor is the factor the same moduli rebuild, so reuse
+        # changes no bit of the result
+        backend, model, displacements, _ = ladder_reference
+        run = run_newton_raphson(model, model.load_vector(), backend=backend)
+        assert len(run.displacements) == len(displacements) == 20
+        for d, d_ref in zip(run.displacements, displacements):
+            assert np.array_equal(d, d_ref)

@@ -60,6 +60,17 @@ def test_bench_trajectory(tmp_path):
         assert 0 < s["gram"]["multiply_adds"] < s["gram"]["dense_multiply_adds"], (name, s["gram"])
         for stage in ("reduced_gram", "fdp_cholesky"):
             assert s["calls"][stage]["median_s"] > 0, (name, stage)
+    # every Newton run keeps its tangent factor while no bar changes state,
+    # and the 30x150 ladder ends with its published yield count
+    newton = json.loads(path.read_text())["newton"]
+    runs = {(name, backend): run for name, s in newton.items()
+            for backend, run in s["backends"].items()}
+    assert set(runs) == {("ladder-30x30-sy5", "regular"), ("ladder-30x30-sy5", "reduction"),
+                         ("ladder-30x30-sy5", "sri"), ("ladder-30x150-sy45", "regular")}, runs
+    for key, run in runs.items():
+        assert run["converged"] and run["run"]["median_s"] > 0, (key, run)
+        assert 0 < run["factorizations"] < run["outer_iterations"], (key, run)
+    assert runs["ladder-30x150-sy45", "regular"]["n_nle_final"] == 1691
 
 
 def captured_run(monkeypatch, name, argv):
