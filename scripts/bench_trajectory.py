@@ -11,21 +11,25 @@ solve_conventional, its two stages assemble_global and factorize_stiffness
 (assembly included) of the design, and solve_fdp (the design's partition
 given) with its two stages reduced_gram and the Cholesky factor of the
 reduced operator, with SRI's iterations and C_s route, PCG's iterations,
-the Gram's heavy rows (assembly.heavy_rows), the multiply-adds it executes
-(q^2 per heavy row plus nnz^2 per light row of C_s^T) and the paper's dense
-n q^2, each method's relative error against the direct solve, the basis
-factor's fill (its nonzeros beyond those of C_b plus a unit diagonal) and
-pivot ratio, and the stiffness route of the original and of the design: the
-factor factorize_stiffness returns (banded Cholesky or sparse LU), the
-reverse Cuthill-McKee bandwidth u and the band share n (u + 1) / nnz(K)
-that assembly.BAND_SHARE bounds.  It also times the Newton-Raphson runs of
-the bilinear 30 x 30 ladder at sigma_y 5 under every backend and of the
-30 x 150 ladder at sigma_y 45 under "regular" (ladder-nonlinear's runs),
-with their Newton and inner SRI iterations, the tangent factors they build
+the Gram's heavy rows (assembly.heavy_rows), the multiply-adds it
+executes (q^2 per heavy row plus nnz^2 per light row of C_s^T) and the
+paper's dense n q^2, FDP's route (the factor solvers.fdp_factor returns:
+dense or banded Cholesky, or sparse LU) with the nonzeros and reverse
+Cuthill-McKee bandwidth of the reduced operator, each method's relative
+error against the direct solve, the basis factor's fill (its nonzeros
+beyond those of C_b plus a unit diagonal) and pivot ratio, and the
+stiffness route of the original and of the design: the factor
+factorize_stiffness returns (banded Cholesky or sparse LU), the reverse
+Cuthill-McKee bandwidth u and the band share n (u + 1) / nnz(K) that
+assembly.BAND_SHARE bounds.  It also times the Newton-Raphson runs of the
+bilinear 30 x 30 ladder at sigma_y 5 under every backend and of the
+30 x 150 ladder at sigma_y 45 under "regular" (ladder-nonlinear's runs), with
+their Newton and inner SRI iterations, the tangent factors they build
 and the final yield count.  The file also records the machine: core
-count, the BLAS numpy was built against, the thread environment variables
-and the process's peak resident set.  Run with BLAS pinned to one thread
-(OPENBLAS_NUM_THREADS=1) to compare with the benchmark's figures.
+count, the BLAS numpy was built against, the thread environment
+variables and the process's peak resident set.  Run with BLAS pinned to
+one thread (OPENBLAS_NUM_THREADS=1) to compare with the benchmark's
+figures.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from reanalyze import assembly, nonlinear, solvers
@@ -107,16 +112,34 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+def rcm_bandwidth(matrix: sp.csr_matrix) -> int:
+    """Bandwidth of a symmetric sparse matrix in reverse Cuthill-McKee order."""
+    perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
+    permuted = matrix[perm][:, perm].tocoo()
+    return int(np.abs(permuted.row - permuted.col).max())
+
+
+def route(factor) -> str:
+    """The route a factor took: dense or banded Cholesky, or sparse LU."""
+    return {"DenseCholesky": "dense", "BandedCholesky": "banded"}.get(
+        type(factor).__name__, "sparse")
+
+
 def stiffness_route(model) -> dict:
     """The route of a model's stiffness factor, its reverse Cuthill-McKee
     bandwidth and its band share."""
     k = assembly.assemble_global(model)
-    perm = reverse_cuthill_mckee(k, symmetric_mode=True)
-    permuted = k[perm][:, perm].tocoo()
-    width = int(np.abs(permuted.row - permuted.col).max())
-    factor = type(assembly.factorize_stiffness(model)).__name__
-    return {"route": "banded" if factor == "BandedCholesky" else "sparse",
+    width = rcm_bandwidth(k)
+    return {"route": route(assembly.factorize_stiffness(model)),
             "rcm_bandwidth": width, "band_share": k.shape[0] * (width + 1) / k.nnz}
+
+
+def fdp_route(part) -> dict:
+    """The route of solvers.fdp_factor on a partition, and the nonzeros and
+    reverse Cuthill-McKee bandwidth of its reduced operator K_La^-1 + G."""
+    operator = sp.csr_matrix(assembly.reduced_gram(part)) + part.k_la_inv
+    return {"route": route(solvers.fdp_factor(part)), "nnz": operator.nnz,
+            "rcm_bandwidth": rcm_bandwidth(operator)}
 
 
 def gram_work(part) -> dict:
@@ -130,9 +153,10 @@ def gram_work(part) -> dict:
             "dense_multiply_adds": float(part.n * part.q ** 2)}
 
 
-def fdp_cholesky(part, gram: np.ndarray) -> float:
+def fdp_cholesky(part, gram) -> float:
     """Time of solvers.fdp_factor, solve_fdp's factor of K_La^-1 + G, given
-    the Gram G (overwritten) in place of its reduced_gram call."""
+    the Gram G in place of its reduced_gram call: the sum and its factor, a
+    dense G factored in place (overwritten), a sparse one into a new sum."""
     real = solvers.reduced_gram
     solvers.reduced_gram = lambda _: gram
     try:
@@ -180,6 +204,7 @@ def run_scenario(build, repeats: int) -> dict:
         "basis_pivot_ratio": assembly.pivot_ratio(lu),
         "stiffness": {"original": stiffness_route(orig), "design": stiffness_route(design)},
         "gram": gram_work(part0),
+        "fdp": fdp_route(part),
         "sri_iterations": sri.iterations, "pcg_iterations": pcg.iterations,
         "rel_err": {"sri": rel_err(sri.d, direct.d), "pcg": rel_err(pcg.d, direct.d),
                     "fdp": rel_err(fdp.d, direct.d)},

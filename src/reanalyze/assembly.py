@@ -52,16 +52,20 @@ columns.  The build forms no dense array larger than a _SLAB_BYTES block,
 and no dense n x q array is kept anywhere.  The products with C_s of the
 reduced right-hand side, operator and displacement recovery take the route
 SystemPartition.c_s_stored holds, which make_partition decides once per
-topology by SPARSE_SHARE.  The dense q x q Gram matrix C_s K_Lb^-1 C_s^T,
-which the direct low-rank path and the tangent reduction backend need by
-definition, has one route, reduced_gram, split by the rows of C_s^T: the
-few rows dense enough that a dense product is cheaper (HEAVY_SHARE) go
-through BLAS, the others through a sparse product.
+topology by SPARSE_SHARE.  The q x q Gram matrix C_s K_Lb^-1 C_s^T, which
+the direct low-rank path and the tangent reduction backend factor, has one
+route, reduced_gram, split by the rows of C_s^T: the few rows dense enough
+that a dense product is cheaper (HEAVY_SHARE) go through BLAS into a dense
+Gram, and the others through a sparse product.  Where no row is heavy (the
+frames) the Gram stays sparse, and its reduced operator is factored by
+factor_spd like a stiffness; a dense Gram is factored by dense Cholesky
+(DenseCholesky).
 
-factor_spd is the one place a stiffness (assembled, original or tangent) is
+factor_spd is the one place a sparse symmetric positive definite matrix (a
+stiffness, assembled, original or tangent, or a sparse reduced operator) is
 factored: by banded Cholesky in reverse Cuthill-McKee order where that band
 is narrow (BAND_SHARE), else by sparse_lu, which also factors the basis
-triangle.  Both check the factor's health by pivot_ratio against PIVOT_TOL.
+triangle.  Every factor's health is its pivot_ratio against PIVOT_TOL.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from scipy.sparse.csgraph import (
     maximum_bipartite_matching,
     reverse_cuthill_mckee,
 )
-from scipy.linalg import cho_solve_banded, cholesky_banded, lu_factor
+from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded, lu_factor
 from scipy.linalg.blas import dgemm
 
 from .elements import (
@@ -136,6 +140,22 @@ SPARSE_SHARE = 8
 # frames (n_sb = 1, 2, 4) read at most 0.0093.  So the ladders' few
 # near-dense rows go through BLAS and the frames take the sparse product
 # alone.
+#
+# The same rule picks solvers.fdp_factor's route.  A Gram without heavy rows
+# stays sparse, and factor_spd factors the reduced operator K_La^-1 + G with
+# its reverse Cuthill-McKee band of (u + 1) / q; a dense one goes to dense
+# Cholesky.  Measured as above (medians of 5), the density of K_La^-1 + G,
+# its (u + 1) / q, then factor_spd against cho_factor in ms: the 20x8 frame
+# 0.12, 0.13, 1.0 against 2.4; the graded 50x20 frame 0.050, 0.053, 26 against
+# 247; at n_sb = 2 and 4 0.059, 0.040, 17 against 244 and 247; the 40x40
+# frame 0.063, 0.067, 54 against 782; c08c's graded frame 0.28, 0.20, 2.9
+# against 3.7.  The ladders (47 to 99 heavy rows) read at least 0.98 in
+# both, and factor_spd loses: 4.9 against 1.4 ms on the 15x30 ladder, 24
+# against 7.6 on the 30x30, 115 against 59 on the 31x64.  LAPACK alone does
+# not cross over at q = 3000 (banded against dense Cholesky, 5.6 against 224
+# ms at (u + 1) / q = 0.05, 135 against 238 at 0.7, 187 against 250 at 1):
+# on the ladders what loses is the ordering and the scatter of all q^2
+# entries, so their dense route stays.
 HEAVY_SHARE = 0.05
 
 # factor_spd factors a stiffness by banded Cholesky when its reverse
@@ -296,12 +316,28 @@ class BandedCholesky:
         return x
 
 
+@dataclass(frozen=True)
+class DenseCholesky:
+    """Cholesky factor of a dense symmetric positive definite matrix in
+    scipy.linalg.cho_factor form: R in the upper triangle of c, K = R^T R.
+    solve solves with K itself."""
+
+    c: np.ndarray  # (n, n), R in its upper triangle
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K^-1 rhs for an n-vector or an n x k block."""
+        return cho_solve((self.c, False), rhs, check_finite=False)
+
+
 def pivot_ratio(factor) -> float:
     """Smallest over largest LU pivot of a factor, 1.0 for an empty one: of a
-    SuperLU factor |U_ii|, of a BandedCholesky R_ii^2 (K = R^T R is the LU
-    (R^T D^-1)(D R), D = diag(R_ii)), so both factors of one matrix read alike."""
+    SuperLU factor |U_ii|, of a BandedCholesky or DenseCholesky R_ii^2
+    (K = R^T R is the LU (R^T D^-1)(D R), D = diag(R_ii)), so every factor of
+    one matrix reads alike."""
     if isinstance(factor, BandedCholesky):
         pivots = factor.band[-1] ** 2
+    elif isinstance(factor, DenseCholesky):
+        pivots = np.diagonal(factor.c) ** 2
     else:
         pivots = np.abs(factor.U.diagonal())
     return float(pivots.min() / pivots.max()) if pivots.size else 1.0
@@ -340,10 +376,11 @@ def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *,
 
 
 def factor_spd(matrix: sp.spmatrix, error: type[Exception], what: str):
-    """Factor of a symmetric positive definite matrix (a stiffness: the
-    assembled, the original or a tangent one), the one place a stiffness is
-    factored.  Raises error when the matrix is singular or its pivot_ratio is
-    below PIVOT_TOL; the factor's solve(rhs) solves with the matrix.
+    """Factor of a sparse symmetric positive definite matrix (a stiffness:
+    the assembled, the original or a tangent one; or the reduced operator of
+    a Gram without heavy rows), the one place a sparse one is factored.
+    Raises error when the matrix is singular or its pivot_ratio is below
+    PIVOT_TOL; the factor's solve(rhs) solves with the matrix.
 
     The reverse Cuthill-McKee ordering narrows the band (George and Liu,
     Computer Solution of Large Sparse Positive Definite Systems, 1981).
@@ -351,22 +388,24 @@ def factor_spd(matrix: sp.spmatrix, error: type[Exception], what: str):
     entries of the matrix, the permuted upper triangle is scattered straight
     into LAPACK band storage and factored by banded Cholesky
     (BandedCholesky); a breakdown, a pivot that is not positive, means the
-    matrix is singular.  A wider band goes to sparse_lu.
+    matrix is singular.  A wider band goes to sparse_lu.  A CSR matrix is
+    brought to canonical form in place (sum_duplicates changes its storage,
+    not its value), so the factor copies none of its entries.
     """
-    k = sp.csr_matrix(matrix, copy=True)
+    k = matrix if isinstance(matrix, sp.csr_matrix) else sp.csr_matrix(matrix)
     k.sum_duplicates()  # the band takes each entry once
     n = k.shape[0]
     perm = reverse_cuthill_mckee(k, symmetric_mode=True) if n else np.arange(0)
     position = np.empty_like(perm)
     position[perm] = np.arange(n, dtype=perm.dtype)
-    row = position[np.repeat(np.arange(n), np.diff(k.indptr))]
+    row = np.repeat(position, np.diff(k.indptr))
     col = position[k.indices]
     upper = row <= col
     row, col = row[upper], col[upper]
     width = int((col - row).max(initial=0))
     if n * (width + 1) > BAND_SHARE * k.nnz:
         return sparse_lu(k, error, what)
-    band = np.zeros((width + 1, n))
+    band = np.zeros((width + 1, n), order="F")  # LAPACK's order: factored in place
     band[width + row - col, col] = k.data[upper]
     try:
         factor = BandedCholesky(perm, cholesky_banded(band, overwrite_ab=True,
@@ -719,16 +758,16 @@ def heavy_rows(c_s_t: sp.csr_matrix, m: int) -> np.ndarray:
     return np.repeat(nnz * nnz > HEAVY_SHARE * m * c_s_t.shape[1] ** 2, m)
 
 
-def reduced_gram(partition: SystemPartition) -> np.ndarray:
-    """Dense q x q matrix G = C_s K_Lb^-1 C_s^T, both triangles, in Fortran
-    order, split by the rows of C_s^T (heavy_rows).  The light rows take the
-    sparse product C_s[:, light] K_Lb^-1[light] C_s^T[light]; the heavy ones
-    add Y^T Y by BLAS dgemm, Y = R^-1 C_s^T[heavy] for the Cholesky factors
-    R R^T of the basis blocks.  Without heavy rows G is the sparse product
-    C_s (K_Lb^-1 C_s^T) alone.  No dense n x q array is formed: Y holds
-    fewer than sqrt(m / HEAVY_SHARE) nnz(C_s) entries.  Raises
-    UnstableStructureError when a basis parameter block is not positive
-    definite.
+def reduced_gram(partition: SystemPartition) -> np.ndarray | sp.csr_matrix:
+    """The q x q matrix G = C_s K_Lb^-1 C_s^T, split by the rows of C_s^T
+    (heavy_rows).  Without heavy rows G is the sparse product
+    C_s (K_Lb^-1 C_s^T) alone, returned in CSR form.  With heavy rows G is
+    dense, both triangles, in Fortran order: the light rows take the sparse
+    product C_s[:, light] K_Lb^-1[light] C_s^T[light], and the heavy ones add
+    Y^T Y by BLAS dgemm, Y = R^-1 C_s^T[heavy] for the Cholesky factors R R^T
+    of the basis blocks.  No dense n x q array is formed: Y holds fewer than
+    sqrt(m / HEAVY_SHARE) nnz(C_s) entries.  Raises UnstableStructureError
+    when a basis parameter block is not positive definite.
     """
     try:
         lower = np.linalg.cholesky(partition.blocks[partition.basis_ids])
@@ -739,7 +778,7 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray:
     m = lower.shape[1]
     heavy = heavy_rows(c_s_t, m)
     if not heavy.any():
-        return (partition.c_s @ (partition.k_lb_inv @ c_s_t)).toarray(order="F")
+        return partition.c_s @ (partition.k_lb_inv @ c_s_t)
     light = ~heavy
     gram = (c_s_t[light].T @ (partition.k_lb_inv[light] @ c_s_t)).toarray(order="F")
     y = (_block_diag(np.linalg.inv(lower[heavy[::m]])) @ c_s_t[heavy]).toarray()

@@ -68,7 +68,10 @@ def flops_pcg(n: int, k: int) -> int:
 
 
 def flops_fdp(n: int, q: int) -> int:
-    """Total flops of the direct reduced-system path (q x q inverse charged q^3)."""
+    """Total flops of the direct reduced-system path (q x q inverse charged q^3).
+
+    This is the paper's dense model, whatever route solvers.fdp_factor takes:
+    a frame's operator, factored banded, executes far fewer."""
     _check(n, q)
     n, q = int(n), int(q)
     return (2 * n * q * q + q**3 + 2 * n * n + 2 * q * q

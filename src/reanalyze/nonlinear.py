@@ -11,8 +11,8 @@ total-strain bilinear (monotonic loading, no unloading hysteresis), so the
 state is a pure function of the current displacement field.
 
 A run keeps the factor of its last tangent: the "regular" backend's
-factor_spd factor, the "reduction" backend's Cholesky factor of
-K_La^-1 + G (solvers.fdp_factor) and the "sri" backend's tangent partition.
+factor_spd factor, the "reduction" backend's factor of K_La^-1 + G
+(solvers.fdp_factor) and the "sri" backend's tangent partition.
 It builds a new one only when the tangent moduli differ in any bar from
 those the held factor was built from (np.array_equal), that is when some bar
 has crossed its yield strain, and drops the held factor first, so at most
@@ -29,7 +29,7 @@ blocks 2 E_t A / L, one (bars, 1, 1) array from the bar kernel
 elements.truss_decomposition, which the assembled tangent takes through
 assembly.stiffness as the linear stiffness does, and the tangent partition
 through SystemPartition.with_blocks.  The "reduction" backend solves as
-solvers.solve_fdp does: reduced_rhs, cho_solve with the held factor, then
+solvers.solve_fdp does: reduced_rhs, a solve with the held factor, then
 recover_displacements.  The helpers below take the Bars a run builds once
 from its model.
 """
@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 # reduced_gram is unused here but stays bound: benchmark/tracing.py patches it
@@ -251,7 +250,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
                 delta = factor.solve(-residual)
             elif backend == "reduction":
                 b, b_s = reduced_rhs(part_t, -residual)
-                delta = recover_displacements(part_t, sla.cho_solve(factor, b), b_s)
+                delta = recover_displacements(part_t, factor.solve(b), b_s)
             else:
                 rep = solve_sri(part_t, -residual, precond, tol=tol_inner,
                                 norm_ref=target_norm)

@@ -2,11 +2,12 @@
 
 SRI solves the reduced system (K_La^-1 + C_s K_Lb^-1 C_s^T) F_a = B by
 conjugate gradients preconditioned with the same operator built from the
-original (unmodified) structure; FDP solves it in closed form through a dense
-q x q Cholesky factorization; PCG iterates on the full system preconditioned
-with the factorized original stiffness.  All paths return a uniform
-SolveReport and, per the operation-count model, evaluate strictly as
-matrix-vector chains with the operator applied once per iteration.
+original (unmodified) structure; FDP solves it in closed form through a
+Cholesky factorization of the formed operator; PCG iterates on the full
+system preconditioned with the factorized original stiffness.  All paths
+return a uniform SolveReport and, per the operation-count model, evaluate
+strictly as matrix-vector chains with the operator applied once per
+iteration.
 
 SRI never forms the reduced operator, and its preconditioner inverts the
 original reduced operator through the Woodbury identity with the factor of
@@ -18,10 +19,14 @@ original stiffness's factor plus one operator apply (reduced_apply), whose
 products with C_s take the route SystemPartition.c_s_stored holds.  The
 first preconditioner apply of a solve adds one refinement step (one more
 operator apply and one more stiffness solve).
-FDP forms the dense q x q operator from the sparse influence matrix
-(reduced_gram: BLAS over the few rows of C_s^T dense enough to pay, a sparse
-product over the rest) and factors it in place (fdp_factor); the nonlinear
-"reduction" backend holds fdp_factor's factor of each tangent partition.
+FDP forms the q x q operator from the sparse influence matrix (reduced_gram:
+BLAS over the few rows of C_s^T dense enough to pay, a sparse product over
+the rest) and factors it (fdp_factor) in the form reduced_gram gives it.
+Where rows are heavy (the ladders) the operator is dense and is factored in
+place by dense Cholesky; where none is (the frames, about 5% dense with a
+reverse Cuthill-McKee band of 4-7% of q) it stays sparse and goes to
+factor_spd like a stiffness.  The nonlinear "reduction" backend holds
+fdp_factor's factor of each tangent partition.
 """
 
 from __future__ import annotations
@@ -35,8 +40,10 @@ import scipy.sparse as sp
 
 from . import costmodel
 from .assembly import (
+    DenseCholesky,
     SystemPartition,
     _block_diag,
+    _check_pivots,
     assemble_global,
     factor_spd,
     factorize_stiffness,
@@ -259,24 +266,33 @@ def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
 
 
 def fdp_factor(partition: SystemPartition):
-    """Cholesky factor, in scipy.linalg.cho_factor form, of the dense reduced
-    operator K_La^-1 + C_s K_Lb^-1 C_s^T: the Gram from reduced_gram with
-    K_La^-1 added on its diagonal entries, then factored in place.  Raises
-    UnstableStructureError when the operator is not positive definite."""
+    """Factor of the reduced operator K_La^-1 + G, G = C_s K_Lb^-1 C_s^T,
+    whose solve(b) solves with it, in the form reduced_gram gives G.  A
+    sparse G (no heavy rows) adds K_La^-1 sparsely and factor_spd factors
+    the sum: banded Cholesky where its reverse Cuthill-McKee band is narrow,
+    sparse LU otherwise.  A dense G takes K_La^-1 on its entries and is
+    factored in place by dense Cholesky (DenseCholesky).  Either route
+    raises UnstableStructureError when the operator is not positive
+    definite: a Cholesky breakdown, or a pivot_ratio below PIVOT_TOL."""
     gram = reduced_gram(partition)
-    k = partition.k_la_inv.tocoo()
-    gram[k.row, k.col] += k.data
+    what = "K_La^-1 + G"
     try:
-        return sla.cho_factor(gram, overwrite_a=True)
+        if sp.issparse(gram):
+            gram = gram + partition.k_la_inv  # rebound, so the Gram is freed
+            return factor_spd(gram, np.linalg.LinAlgError, what)
+        k = partition.k_la_inv.tocoo()
+        gram[k.row, k.col] += k.data
+        factor = DenseCholesky(sla.cho_factor(gram, overwrite_a=True, check_finite=False)[0])
+        _check_pivots(factor, np.linalg.LinAlgError, what)
+        return factor
     except np.linalg.LinAlgError as exc:
-        raise UnstableStructureError(
-            f"reduced operator is not positive definite: {exc}") from exc
+        raise UnstableStructureError(f"reduced operator is not positive definite: {exc}") from exc
 
 
 def solve_fdp(partition_modified: SystemPartition, r: np.ndarray) -> SolveReport:
     """Direct reduced-system path via the low-rank update identity.
 
-    Factors the dense reduced operator by fdp_factor, solves it for the
+    Factors the reduced operator by fdp_factor, solves it for the
     additional-component forces and recovers the displacements as
     matrix-vector chains.  A load that is not a finite n-vector raises
     InvalidParameterError; a reduced operator that is not positive definite
@@ -286,7 +302,7 @@ def solve_fdp(partition_modified: SystemPartition, r: np.ndarray) -> SolveReport
     n, q = partition_modified.n, partition_modified.q
     t0 = time.perf_counter()
     b, b_s = reduced_rhs(partition_modified, r)
-    f_a = sla.cho_solve(fdp_factor(partition_modified), b)
+    f_a = fdp_factor(partition_modified).solve(b)
     d = recover_displacements(partition_modified, f_a, b_s)
     wall = time.perf_counter() - t0
     return SolveReport(method="fdp", d=d, f_a=f_a,

@@ -545,6 +545,16 @@ class TestFactorSpd:
         assert isinstance(factor, BandedCholesky)
         assert pivot_ratio(factor) == 0.25
 
+    def test_duplicates_summed_in_place(self):
+        # K = [[4, 1], [1, 3]] with K_00 stored twice, as 1 and 3: the factor
+        # takes the sum, and k keeps its value in canonical storage
+        k = sp.csr_matrix((np.array([1.0, 3.0, 1.0, 1.0, 3.0]), np.array([0, 0, 1, 0, 1]),
+                           np.array([0, 3, 5])), shape=(2, 2))
+        factor = factor_spd(k, UnstableStructureError, "k")
+        assert k.has_canonical_format and k.nnz == 4
+        assert np.array_equal(k.toarray(), [[4.0, 1.0], [1.0, 3.0]])
+        assert rel_err(factor.solve(np.array([5.0, 4.0])), np.ones(2)) < 1e-15
+
     def test_empty_matrix(self):
         factor = factor_spd(sp.csr_matrix((0, 0)), UnstableStructureError, "empty")
         assert pivot_ratio(factor) == 1.0
@@ -865,6 +875,11 @@ def c_b_ladder():
     return build_truss_grid(30, 30)
 
 
+def dense(gram):
+    """reduced_gram's Gram as a dense array, whichever form it came in."""
+    return gram.toarray() if sp.issparse(gram) else gram
+
+
 class TestCsRoute:
     @pytest.mark.parametrize("build", [lambda: build_truss_grid(7, 16), graded_frame],
                              ids=["ladder-7x16", "graded-frame-50x20"])
@@ -877,7 +892,8 @@ class TestCsRoute:
             part = make_partition(model, default_additional_set(model))
             rng = np.random.default_rng(3)
             v, x = rng.standard_normal(part.n), rng.standard_normal(part.q)
-            out[part.c_s_stored] = part.apply_c_s(v), part.apply_c_s_t(x), reduced_gram(part)
+            out[part.c_s_stored] = (part.apply_c_s(v), part.apply_c_s_t(x),
+                                    dense(reduced_gram(part)))
         assert set(out) == {False, True}
         for via_c_b, stored in zip(out[False], out[True]):
             assert rel_err(stored, via_c_b) < 1e-12
@@ -933,11 +949,12 @@ class TestReducedGram:
     ], ids=["frame-sparse", "ladder-sparse", "ladder-syrk", "frame-syrk",
             "ladder-15x30-mixed", "ladder-30x30-mixed"])
     def test_matches_definition(self, build, share, split, monkeypatch):
-        # "sparse" cases send every row through the sparse product, "syrk"
-        # cases every row through the BLAS product Y^T Y, and "mixed" cases
-        # split them.  HEAVY_SHARE inf makes no row heavy and -1 every row,
-        # so that frame-syrk's coupled 3x3 blocks go through their Cholesky
-        # factors; the 30x30 ladder takes the C_b route, the others store C_s
+        # "sparse" cases send every row through the sparse product, whose
+        # Gram stays in CSR form, "syrk" cases every row through the BLAS
+        # product Y^T Y, and "mixed" cases split them.  HEAVY_SHARE inf makes
+        # no row heavy and -1 every row, so that frame-syrk's coupled 3x3
+        # blocks go through their Cholesky factors; the 30x30 ladder takes the
+        # C_b route, the others store C_s
         if share is not None:
             monkeypatch.setattr(assembly, "HEAVY_SHARE", share)
         model = build()
@@ -950,8 +967,11 @@ class TestReducedGram:
         c_s = part.c_a.toarray() @ np.linalg.inv(part.c_b.toarray())
         expected = c_s @ np.linalg.inv(parameter_matrices(part)[0]) @ c_s.T
         g = reduced_gram(part)
-        assert g.flags.f_contiguous
-        assert rel_err(g, expected) < 1e-12
+        if split == "light":
+            assert g.format == "csr"
+        else:
+            assert g.flags.f_contiguous
+        assert rel_err(dense(g), expected) < 1e-12
 
     @pytest.mark.parametrize("build, share", [
         (lambda: build_frame_grid(20, 8), None),
@@ -964,7 +984,9 @@ class TestReducedGram:
         part = make_partition(model, default_additional_set(model))
         assert not self.heavy(part).any()
         c_s_t = part.c_s.T.tocsr()
-        assert np.array_equal(reduced_gram(part), (part.c_s @ (part.k_lb_inv @ c_s_t)).toarray())
+        g = reduced_gram(part)
+        assert g.format == "csr"
+        assert np.array_equal(g.toarray(), (part.c_s @ (part.k_lb_inv @ c_s_t)).toarray())
 
     @pytest.mark.parametrize("build, stored", [
         (lambda: build_frame_grid(20, 8), True),
@@ -991,4 +1013,4 @@ class TestReducedGram:
         model = build_truss_grid(1, 1)
         part = make_partition(model, PartitionSpec.of([]))
         g = reduced_gram(part)
-        assert part.q == 0 and g.shape == (0, 0) and g.flags.f_contiguous
+        assert part.q == 0 and g.shape == (0, 0) and g.format == "csr"

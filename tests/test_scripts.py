@@ -60,6 +60,14 @@ def test_bench_trajectory(tmp_path):
         assert 0 < s["gram"]["multiply_adds"] < s["gram"]["dense_multiply_adds"], (name, s["gram"])
         for stage in ("reduced_gram", "fdp_cholesky"):
             assert s["calls"][stage]["median_s"] > 0, (name, stage)
+    # FDP factors the ladder's dense operator by dense Cholesky and the
+    # frames' sparse ones by banded Cholesky, each band narrower than q
+    fdp = {name: s["fdp"] for name, s in scenarios.items()}
+    assert {name: f["route"] for name, f in fdp.items()} == {
+        "ladder-31x64": "dense", "frame-50x20-damaged5": "banded", "c08c": "banded"}, fdp
+    for name in ("frame-50x20-damaged5", "c08c"):
+        q = scenarios[name]["q"]
+        assert 0 < fdp[name]["rcm_bandwidth"] < q and 0 < fdp[name]["nnz"] < q * q, fdp
     # every Newton run keeps its tangent factor while no bar changes state,
     # and the 30x150 ladder ends with its published yield count
     newton = json.loads(path.read_text())["newton"]

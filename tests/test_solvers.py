@@ -1,14 +1,17 @@
 """Solver path tests: cross-method agreement, preconditioning, degenerate cases."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from reanalyze import costmodel, solvers
+from reanalyze import assembly, costmodel, solvers
 from reanalyze.assembly import (
     PIVOT_TOL,
     BandedCholesky,
+    DenseCholesky,
     assemble_global,
     factorize_stiffness,
     make_partition,
@@ -413,7 +416,8 @@ class TestSolveFdp:
         blocks = part1.blocks.copy()
         blocks[part1.additional_ids] *= -1.0
         negated = part1.with_blocks(blocks)
-        with pytest.raises(UnstableStructureError, match="not positive definite"):
+        with pytest.raises(UnstableStructureError,
+                           match="^reduced operator is not positive definite: "):
             solve_fdp(negated, orig.load_vector())
 
     def test_empty_partition(self):
@@ -434,6 +438,86 @@ class TestSolveFdp:
         lhs = gram @ (parameter_matrices(part1)[1] @ u_a) + u_a
         rhs, _ = reduced_rhs(part1, r)
         assert rel_err(lhs, rhs) < 1e-10
+
+
+def c08c_design():
+    """c08's depth-graded 10 x 20 frame (n_sb = n_sc = 8), E_US floor-graded."""
+    orig = build_frame_grid(10, 20, n_sb=8, n_sc=8,
+                            material=MaterialSpec(e_us=20000.0, e_ls=20000.0, p=1.0))
+    return apply_floor_grading(orig, 4000.0, 36000.0, "E_US")
+
+
+class TestFdpRoute:
+    """fdp_factor factors the reduced operator in the form reduced_gram gives
+    the Gram: sparse by banded Cholesky without heavy rows (the frames), dense
+    by dense Cholesky with them (the ladders)."""
+
+    @pytest.mark.parametrize("build, route", [
+        (lambda: build_frame_grid(20, 8), BandedCholesky),
+        (lambda: graded_frame(1), BandedCholesky),
+        (c08c_design, BandedCholesky),
+        (lambda: build_truss_grid(7, 16), DenseCholesky),
+        (lambda: build_truss_grid(31, 64), DenseCholesky),
+    ], ids=["frame-20x8", "graded-frame-50x20", "c08c", "ladder-7x16", "ladder-31x64"])
+    def test_route_follows_heavy_rows(self, build, route):
+        model = build()
+        part = make_partition(model, default_additional_set(model))
+        heavy = assembly.heavy_rows(part.c_s.T.tocsr(), part.blocks.shape[1])
+        assert bool(heavy.any()) == (route is DenseCholesky)
+        factor = solvers.fdp_factor(part)
+        assert isinstance(factor, route)
+        assert PIVOT_TOL <= pivot_ratio(factor) <= 1.0
+
+    @pytest.mark.parametrize("build", [lambda: build_frame_grid(20, 8), lambda: graded_frame(1)],
+                             ids=["frame-20x8", "graded-frame-50x20"])
+    def test_banded_agrees_with_dense(self, build, monkeypatch):
+        # HEAVY_SHARE -1 makes every row heavy, so the Gram goes dense.  Both
+        # routes solve the reduced system to a relative residual below 1e-12
+        # (measured 3e-16 to 8e-16).  The solutions differ as far as the
+        # ill-conditioned operators let two backward-stable solves differ:
+        # f_a by 2.4e-11 and 3.9e-10, d by 6.0e-12 and 9.8e-11
+        model = build()
+        part = make_partition(model, default_additional_set(model))
+        r = model.load_vector()
+        b, _ = reduced_rhs(part, r)
+        banded = solve_fdp(part, r)
+        monkeypatch.setattr(assembly, "HEAVY_SHARE", -1.0)
+        assert isinstance(solvers.fdp_factor(part), DenseCholesky)
+        forced = solve_fdp(part, r)
+        for rep in (banded, forced):
+            assert rel_err(reduced_apply(part, rep.f_a), b) < 1e-12
+        assert rel_err(banded.f_a, forced.f_a) < 1e-8
+        assert rel_err(banded.d, forced.d) < 1e-9
+
+    def test_frame_forms_no_dense_operator(self):
+        model = graded_frame(1)
+        part = make_partition(model, default_additional_set(model))
+        r = model.load_vector()
+        tracemalloc.start()
+        try:
+            solve_fdp(part, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * part.q ** 2 / 4  # a quarter of a dense q x q array
+
+    @pytest.mark.parametrize("form, route", [(np.asfortranarray, DenseCholesky),
+                                             (sp.csr_matrix, BandedCholesky)],
+                             ids=["dense", "banded"])
+    def test_nearly_singular_operator_raises(self, form, route, monkeypatch):
+        # K_La^-1 = 0 and G = diag(1 ... 1e-12): positive definite, with a
+        # pivot ratio of 1e-12, below PIVOT_TOL, in either form
+        model = build_truss_grid(7, 16)
+        part = make_partition(model, default_additional_set(model))
+        part = dataclasses.replace(part, k_la_inv=sp.csr_matrix((part.q, part.q)))
+        gram = np.diag(np.geomspace(1.0, 1e-12, part.q))
+        monkeypatch.setattr(solvers, "reduced_gram", lambda _: form(gram))
+        with monkeypatch.context() as m:
+            m.setattr(assembly, "PIVOT_TOL", 0.0)
+            assert isinstance(solvers.fdp_factor(part), route)
+        with pytest.raises(UnstableStructureError,
+                           match=r"^reduced operator is not positive definite: .* nearly singular"):
+            solvers.fdp_factor(part)
 
 
 class TestFourWayAgreement:
