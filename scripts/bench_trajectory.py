@@ -23,11 +23,13 @@ factorize_stiffness returns (banded Cholesky or sparse LU), the reverse
 Cuthill-McKee bandwidth u and the band share n (u + 1) / nnz(K) that
 assembly.BAND_SHARE bounds.  It also times the Newton-Raphson runs of the
 bilinear 30 x 30 ladder at sigma_y 5 under every backend and of the
-30 x 150 ladder at sigma_y 45 under "regular" (ladder-nonlinear's runs), with
-their Newton and inner SRI iterations, the tangent factors they build
-and the final yield count.  The file also records the machine: core
-count, the BLAS numpy was built against, the thread environment
-variables and the process's peak resident set.  Run with BLAS pinned to
+30 x 150 ladder at sigma_y 45 under "regular" (ladder-nonlinear's runs)
+and "sri", with their Newton and inner SRI iterations, the tangent
+factors they build (for the reduced backends, the bases of the low-rank
+update), the largest rank of that update and the final yield count.  The
+file also records the machine: core count, the BLAS numpy was built
+against, the thread environment variables and the process's peak
+resident set.  Run with BLAS pinned to
 one thread (OPENBLAS_NUM_THREADS=1) to compare with the benchmark's
 figures.
 """
@@ -94,7 +96,7 @@ SCENARIOS = {"ladder-31x64": ladder, "frame-50x20-damaged5": damaged_frame, "c08
 
 # Newton runs: (floors, sigma_y, backends) of the bilinear 30-span ladder
 NEWTON = {"ladder-30x30-sy5": (30, 5.0, ("regular", "reduction", "sri")),
-          "ladder-30x150-sy45": (150, 45.0, ("regular",))}
+          "ladder-30x150-sy45": (150, 45.0, ("regular", "sri"))}
 
 
 def timed(fn, *args, **kwargs):
@@ -215,8 +217,9 @@ def run_scenario(build, repeats: int) -> dict:
 def run_newton(floors: int, sigma_y: float, backends, repeats: int) -> dict:
     """Wall times of run_newton_raphson on the bilinear 30-span ladder, one
     run per backend in each of repeats interleaved rounds, with each run's
-    Newton and inner iterations, tangent factors built and final yield
-    count."""
+    Newton and inner iterations, tangent factors or low-rank bases built
+    (factorizations), the largest rank of its low-rank update and final
+    yield count."""
     material = MaterialSpec(e0=2e5, et=0.3e5, sigma_y=sigma_y)
     model = build_truss_grid(30, floors, area=200.0, load=500.0, material=material)
     p0 = model.load_vector()
@@ -231,6 +234,7 @@ def run_newton(floors: int, sigma_y: float, backends, repeats: int) -> dict:
         "outer_iterations": sum(run.outer_iterations),
         "inner_iterations": sum(run.inner_iterations),
         "factorizations": sum(run.factorizations),
+        "max_update_rank": max(run.update_ranks),
         "n_nle_final": run.n_nle[-1]} for backend, run in runs.items()}}
 
 
@@ -275,6 +279,7 @@ def main(argv=None) -> int:
         runs = result["newton"][name]["backends"]
         print(name, " ".join(f"{k}={v['run']['median_s'] * 1e3:.0f}ms/"
                              f"{v['factorizations']}of{v['outer_iterations']}"
+                             f"/rank{v['max_update_rank']}"
                              for k, v in runs.items()), flush=True)
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     out = Path(args.out)

@@ -293,22 +293,23 @@ def cmd_nonlinear(config: dict, out_dir: Path, precision: str = "table") -> int:
                 {e.id: dataclasses.replace(e.material, sigma_y=sigma_y) for e in base.elements})
             for backend in backends:
                 run = run_newton_raphson(model, p0, backend=backend, **newton_kw)
-                rows = [[i + 1, lam, node, dof, value, run.outer_iterations[i], run.n_nle[i]]
+                rows = [[i + 1, lam, node, dof, value, run.outer_iterations[i],
+                         run.inner_iterations[i], run.n_nle[i], run.step_times[i]]
                         for i, lam in enumerate(run.lambdas)
                         for node, dof, value in node_values(model, run.displacements[i], nodes)]
                 path = out_dir / f"{scn['id']}.nonlinear.{_sy_label(sigma_y)}.{backend}.csv"
                 write_csv(path, ["step", "lambda", "node_id", "dof", "value",
-                                 "outer_iters", "n_nle"], rows, precision)
+                                 "outer_iters", "inner_iters", "n_nle", "step_s"], rows, precision)
                 print(f"wrote {path}" + ("" if run.converged else
                                          f"  [failed at step {run.failed_step}]"))
                 summary.append([scn["id"], sigma_y, backend, len(run.lambdas),
                                 run.n_nle[-1] if run.n_nle else 0,
-                                sum(run.outer_iterations), sum(run.factorizations),
-                                run.wall_time, run.converged])
+                                sum(run.outer_iterations), sum(run.inner_iterations),
+                                sum(run.factorizations), run.wall_time, run.converged])
         path = out_dir / f"{scn['id']}.nonlinear.summary.csv"
         write_csv(path, ["scenario", "sigma_y", "backend", "steps", "n_nle_final",
-                         "outer_iters_total", "factorizations_total", "wall_time",
-                         "converged"],
+                         "outer_iters_total", "inner_iters_total", "factorizations_total",
+                         "wall_time", "converged"],
                   summary, precision)
         print(f"wrote {path}")
     return EXIT_OK

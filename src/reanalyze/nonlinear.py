@@ -5,19 +5,27 @@ K_t(d) delta_d = -(F(d) - lambda P0) are solved by one of three backends:
 "regular" factorizes the assembled tangent by assembly.factor_spd (banded
 Cholesky where its reverse Cuthill-McKee band is narrow, sparse LU
 otherwise), "reduction" solves the tangent reduced system directly, "sri"
-runs the reduced preconditioned iteration with the elastic-state
-preconditioner held fixed for the whole run.  The material law is
+runs the reduced preconditioned iteration on it.  The material law is
 total-strain bilinear (monotonic loading, no unloading hysteresis), so the
 state is a pure function of the current displacement field.
 
-A run keeps the factor of its last tangent: the "regular" backend's
-factor_spd factor, the "reduction" backend's factor of K_La^-1 + G
-(solvers.fdp_factor) and the "sri" backend's tangent partition.
-It builds a new one only when the tangent moduli differ in any bar from
-those the held factor was built from (np.array_equal), that is when some bar
-has crossed its yield strain, and drops the held factor first, so at most
-one tangent factor is alive.  A reused factor is the factor the same moduli
-would rebuild, so reuse changes no result.
+A run holds its last tangent and takes a new one only when the tangent
+moduli differ in any bar from the held ones (np.array_equal), that is when
+some bar has crossed its yield strain.  The "regular" backend then drops
+its factor_spd factor and factors the new tangent, so at most one tangent
+factor is alive, and a reused factor is the factor the same moduli would
+rebuild: reuse changes no result.  The reduced backends treat the yielded
+bars as a reanalysis of a base structure (solvers.LowRankTangent): they
+hold a base, solvers.fdp_factor's factor of K_La^-1 + G for "reduction" or
+build_sri_preconditioner's preconditioner for "sri", and a Woodbury update
+over the bars whose stiffness differs from the base's.  The base is built
+from the first tangent and rebuilt at the current one only when the update's
+columns gathered since the last base would cost more than one base build,
+so on the 30x30 ladder "reduction" factors one operator for the whole run,
+and "sri" preconditions each solve with the current tangent, about one CG
+iteration per Newton solve.  The update solves with the same operators in
+another order, so the reduced backends agree with factoring every tangent
+to rounding, not bitwise.
 
 Bars go through the linear path's element layer and factorization
 K = C^T K_L C: assembly.mode_matrix gives the unit axial mode rows C,
@@ -29,8 +37,8 @@ blocks 2 E_t A / L, one (bars, 1, 1) array from the bar kernel
 elements.truss_decomposition, which the assembled tangent takes through
 assembly.stiffness as the linear stiffness does, and the tangent partition
 through SystemPartition.with_blocks.  The "reduction" backend solves as
-solvers.solve_fdp does: reduced_rhs, a solve with the held factor, then
-recover_displacements.  The helpers below take the Bars a run builds once
+solvers.solve_fdp does: reduced_rhs, a solve with the held base and update,
+then recover_displacements.  The helpers below take the Bars a run builds once
 from its model.
 """
 
@@ -64,6 +72,7 @@ from .errors import (
 )
 from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
+    LowRankTangent,
     _check_inputs,
     build_sri_preconditioner,
     fdp_factor,
@@ -165,12 +174,14 @@ class NonlinearRun:
     displacements: list[np.ndarray] = field(default_factory=list)
     outer_iterations: list[int] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)  # SRI iterations per step
-    factorizations: list[int] = field(default_factory=list)  # tangent factors built per step
+    factorizations: list[int] = field(default_factory=list)  # factors or bases built per step
+    update_ranks: list[int] = field(default_factory=list)  # largest low-rank update per step
     n_nle: list[int] = field(default_factory=list)
     converged: bool = True
     failed_step: int | None = None
     final_state: MaterialState | None = None
     wall_time: float = 0.0
+    step_times: list[float] = field(default_factory=list)  # wall time per converged step
 
 
 def _fail(run: NonlinearRun, step: int, state: MaterialState, t0: float) -> NonlinearRun:
@@ -188,15 +199,18 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
     """Equal-increment load-controlled Newton-Raphson run.
 
     backend "regular" solves the assembled tangent directly, "reduction" the
-    tangent reduced system directly, "sri" the reduced system iteratively with
-    the elastic preconditioner kept for the whole run (residuals normalized by
-    the step load norm); both reduced backends partition the model with its
-    default_additional_set.  The factor of a tangent (for "sri", its
-    partition) is built once and reused by every later Newton iteration whose
-    tangent moduli are np.array_equal to those it was built from, so only a
-    change of some bar's state costs a new factor, and the held one is
-    dropped before the next is built; run.factorizations counts them per
-    step.  A step that fails to converge within OUTER_CAP iterations, or
+    tangent reduced system directly, "sri" the reduced system iteratively,
+    preconditioned with the current tangent (residuals normalized by the
+    step load norm); both reduced backends partition the model with its
+    default_additional_set.  The factor of a tangent is built once and
+    reused by every later Newton iteration whose tangent moduli are
+    np.array_equal to those it was built from, and the held one is dropped
+    before the next is built; the reduced backends hold a base and a
+    low-rank update to it (solvers.LowRankTangent) in place of the factor,
+    and build a new base only by its rebuild rule.  run.factorizations
+    counts the factors or bases built per step, run.update_ranks the
+    largest rank of the update, run.step_times each step's wall time.  A
+    step that fails to converge within OUTER_CAP iterations, or
     whose inner SRI solve ends unconverged, terminates the run with the
     history accumulated so far.  A p0 that is not a finite n-vector,
     n_steps < 1 or a tolerance that is not positive and finite raises
@@ -210,23 +224,23 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
     bars = Bars.of(model)
     t0 = time.perf_counter()
 
-    partition = precond = None
-    if backend in ("reduction", "sri"):
+    partition = tangent = None
+    if backend != "regular":
         partition = make_partition(model, default_additional_set(model))
-        if backend == "sri":
-            precond = build_sri_preconditioner(partition)
+        tangent = LowRankTangent(fdp_factor if backend == "reduction"
+                                 else build_sri_preconditioner)
 
     run = NonlinearRun(backend=backend)
     d = np.zeros(model.n)
-    # the moduli the held factor was built from; factor is the regular
-    # backend's factor_spd factor or the reduction backend's Cholesky factor,
-    # part_t the reduced backends' tangent partition
-    moduli = factor = part_t = None
+    # the moduli of the held tangent; factor is the regular backend's
+    # factor_spd factor, tangent the reduced backends' held operator
+    moduli = factor = None
     for step in range(1, n_steps + 1):
+        t_step = time.perf_counter()
         lam = step / n_steps
         target = lam * p0
         target_norm = float(np.linalg.norm(target))
-        iters = inner = built = 0
+        iters = inner = built = rank = 0
         while True:
             state = evaluate_state(bars, d)
             residual = internal_force(bars, state) - target
@@ -236,23 +250,23 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
             if iters >= OUTER_CAP:
                 return _fail(run, step, state, t0)
             if not np.array_equal(state.tangent, moduli):
-                moduli = factor = part_t = None  # release the old factor first
                 if backend == "regular":
+                    factor = None  # release the old factor first
                     factor = factor_spd(assemble_tangent(bars, state), UnstableStructureError,
                                         "tangent stiffness")
+                    built += 1
                 else:
-                    part_t = tangent_partition(bars, state, partition)
-                    if backend == "reduction":
-                        factor = fdp_factor(part_t)
+                    built += tangent.update(tangent_partition(bars, state, partition))
                 moduli = state.tangent
-                built += 1
+            if tangent is not None:
+                rank = max(rank, tangent.rank)
             if backend == "regular":
                 delta = factor.solve(-residual)
             elif backend == "reduction":
-                b, b_s = reduced_rhs(part_t, -residual)
-                delta = recover_displacements(part_t, factor.solve(b), b_s)
+                b, b_s = reduced_rhs(tangent.partition, -residual)
+                delta = recover_displacements(tangent.partition, tangent.solve(b), b_s)
             else:
-                rep = solve_sri(part_t, -residual, precond, tol=tol_inner,
+                rep = solve_sri(tangent.partition, -residual, tangent, tol=tol_inner,
                                 norm_ref=target_norm)
                 if not rep.converged:
                     return _fail(run, step, state, t0)
@@ -265,7 +279,9 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
         run.outer_iterations.append(iters)
         run.inner_iterations.append(inner)
         run.factorizations.append(built)
+        run.update_ranks.append(rank)
         run.n_nle.append(state.n_nonlinear)
+        run.step_times.append(time.perf_counter() - t_step)
     run.final_state = state
     run.wall_time = time.perf_counter() - t0
     return run

@@ -25,8 +25,13 @@ the rest) and factors it (fdp_factor) in the form reduced_gram gives it.
 Where rows are heavy (the ladders) the operator is dense and is factored in
 place by dense Cholesky; where none is (the frames, about 5% dense with a
 reverse Cuthill-McKee band of 4-7% of q) it stays sparse and goes to
-factor_spd like a stiffness.  The nonlinear "reduction" backend holds
-fdp_factor's factor of each tangent partition.
+factor_spd like a stiffness.
+
+The nonlinear driver's reduced backends solve each tangent through
+LowRankTangent: a held base (fdp_factor's factor, or the SRI preconditioner)
+corrected by the Woodbury identity over the bars whose stiffness differs
+from the base's, the base rebuilt by a ski-rental rule on factor_work's
+counts.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ import scipy.sparse as sp
 
 from . import costmodel
 from .assembly import (
+    PIVOT_TOL,
+    BandedCholesky,
     DenseCholesky,
     SystemPartition,
     _block_diag,
@@ -180,9 +187,10 @@ class SriPreconditioner:
     By the Woodbury identity, with K0 = C_b^T K_Lb0 C_b + C_a^T K_La0 C_a the
     original stiffness,
         M0^-1 = W = K_La0 - K_La0 C_a K0^-1 C_a^T K_La0,
-    so W(v) costs one solve with K0's factor_spd factor.  apply() adds
-    one refinement step, z + W(v - M0 z), at one operator apply (two basis
-    solves) and a second K0 solve; apply(v, refine=False) is W(v) alone.
+    so solve(v), W(v) for a q-vector or a q x k block, costs one solve with
+    K0's factor_spd factor.  apply() adds one refinement step,
+    z + W(v - M0 z), at one operator apply (two basis solves) and a second
+    K0 solve; apply(v, refine=False) is W(v) alone.
     """
 
     def __init__(self, original: SystemPartition, k0_factor):
@@ -191,7 +199,7 @@ class SriPreconditioner:
         self._k_la0 = _block_diag(original.blocks[original.additional_ids])
         self._k0_factor = k0_factor
 
-    def _woodbury(self, v: np.ndarray) -> np.ndarray:
+    def solve(self, v: np.ndarray) -> np.ndarray:
         part = self._original
         u = self._k_la0 @ v
         return u - self._k_la0 @ (part.c_a @ self._k0_factor.solve(part.c_a.T @ u))
@@ -203,9 +211,9 @@ class SriPreconditioner:
         # accuracy.  solve_sri refines only the first apply: that one alone
         # decides whether self-reanalysis ends after exactly one iteration,
         # and CG tolerates the error in the later ones
-        z = self._woodbury(v)
+        z = self.solve(v)
         if refine:
-            z += self._woodbury(v - reduced_apply(self._original, z))
+            z += self.solve(v - reduced_apply(self._original, z))
         return z
 
 
@@ -229,12 +237,13 @@ def recover_displacements(partition: SystemPartition, f_a: np.ndarray,
 
 
 def solve_sri(partition_modified: SystemPartition, r: np.ndarray,
-              preconditioner: SriPreconditioner, tol: float = DEFAULT_TOL,
+              preconditioner: SriPreconditioner | LowRankTangent, tol: float = DEFAULT_TOL,
               max_iter: int | None = None, norm_ref: float | None = None) -> SolveReport:
     """Reduced preconditioned iteration for the modified structure.
 
     Runs CG on the additional-component force vector with the original
-    structure's reduced operator as preconditioner, then recovers the full
+    structure's reduced operator as preconditioner (the nonlinear driver
+    passes a LowRankTangent, the current tangent's), then recovers the full
     displacement field through the basis factorization.  The convergence test
     divides the residual norm by ||B|| unless norm_ref overrides the
     denominator (the nonlinear driver normalizes by the step load instead).
@@ -308,3 +317,143 @@ def solve_fdp(partition_modified: SystemPartition, r: np.ndarray) -> SolveReport
     return SolveReport(method="fdp", d=d, f_a=f_a,
                        flops_estimate=costmodel.flops_fdp(n, q),
                        wall_time=wall, converged=True)
+
+
+def factor_work(factor) -> tuple[float, float]:
+    """Flops of building a factor and of one solve with it, counted from the
+    factor's own shape: a dense q x q Cholesky q^3 / 3 and 2 q^2, a banded
+    one of order n and bandwidth u n u^2 and 4 n (u + 1), a SuperLU factor
+    sum_j l_j (2 u_j + 1) and 2 nnz(L + U), for the l_j entries of L's
+    column j and the u_j of U's row j off the diagonal.  An
+    SriPreconditioner counts its stiffness factor."""
+    if isinstance(factor, SriPreconditioner):
+        factor = factor._k0_factor
+    if isinstance(factor, DenseCholesky):
+        q = factor.c.shape[0]
+        return q ** 3 / 3.0, 2.0 * q * q
+    if isinstance(factor, BandedCholesky):
+        u, n = factor.band.shape[0] - 1, factor.band.shape[1]
+        return float(n * u * u), 4.0 * n * (u + 1)
+    lower, upper = factor.L, factor.U
+    below = np.diff(lower.indptr) - 1.0
+    right = np.bincount(upper.indices, minlength=upper.shape[0]) - 1.0
+    return float(below @ (2.0 * right + 1.0)), 2.0 * (lower.nnz + upper.nnz)
+
+
+class LowRankTangent:
+    """Inverse action of the reduced operator M = K_La^-1 + C_s K_Lb^-1 C_s^T
+    of a bar structure's tangent partition, held as a base and a low-rank
+    update over the bars whose stiffness differs from the base's (the
+    Woodbury identity; Hager, SIAM Rev. 31, 1989).
+
+    build(partition) makes the base: fdp_factor, whose solve is M_base^-1,
+    or build_sri_preconditioner, whose solve is W, M_base^-1 to rounding.
+    A tangent partition's operator is M = M_base + U D U^T, where U holds
+    e_i for a changed additional bar i and column j of C_s for a changed
+    basis bar j, and D = 1/k - 1/k_base per bar.  So
+        M^-1 = M_base^-1 - Z C^-1 Z^T,  Z = M_base^-1 U,  C = D^-1 + U^T Z.
+    Z is solved once per bar, when the bar enters the set, and dropped when
+    the bar leaves it.  C (k x k for k bars) is formed at every update, as
+    S C S = sign(D) + S U^T Z S with S = |D|^(1/2), and factored by LU: a
+    bar back at its elastic modulus against a yielded base has D < 0, and C
+    is then indefinite.  Its pivots are measured against 1, the size of
+    sign(D), so a capacitance that cancels reads singular at rank 1 too.  A
+    ratio below PIVOT_TOL, a tangent nearly singular against its base,
+    raises UnstableStructureError.
+
+    update(partition) holds a new tangent.  It rebuilds the base at that
+    tangent, in place of solving the entering bars' columns, when the solves
+    of the columns gathered since the last base would cost more than one
+    base build (a ski-rental bound).  Both are counted by factor_work from
+    the base's shape, so a run is bit-reproducible.  solve(b) applies M^-1
+    (for the SRI base, W corrected); apply(v, refine) is the preconditioner
+    interface solve_sri takes, its refinement step applying the held
+    tangent's operator.
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self.q = 0
+        self.partition = None  # the held tangent partition
+        self.rank = 0  # bars in the update
+        self._base = None
+
+    def update(self, partition: SystemPartition) -> bool:
+        """Hold the tangent of partition, whose parameter blocks are 1 x 1;
+        returns whether the base was rebuilt."""
+        self.partition = partition
+        inverse = 1.0 / partition.blocks[:, 0, 0]
+        if self._base is not None:
+            d = inverse - self._inverse
+            changed = np.flatnonzero(d)
+            entering = np.setdiff1d(changed, self._bars, assume_unique=True)
+            if (self._gathered + entering.size) * self._solve_work <= self._build_work:
+                self._gather(partition, changed, entering, d)
+                return False
+        self._bars = self._u = self._z = self._y = self._lu = self._base = None  # release
+        self._base = self._build(partition)
+        self._build_work, self._solve_work = factor_work(self._base)
+        self._inverse = inverse
+        self.q, self.rank, self._gathered = partition.q, 0, 0
+        self._bars = np.empty(0, dtype=np.intp)
+        self._u = self._z = np.empty((partition.q, 0))
+        # each bar's row of K_Lb^-1 or K_La^-1, whence its column of U
+        self._slot = np.empty(len(inverse), dtype=np.intp)
+        self._slot[partition.basis_ids] = np.arange(partition.n)
+        self._slot[partition.additional_ids] = np.arange(partition.q)
+        self._additional = np.zeros(len(inverse), dtype=bool)
+        self._additional[partition.additional_ids] = True
+        return True
+
+    def _gather(self, partition: SystemPartition, changed: np.ndarray,
+                entering: np.ndarray, d: np.ndarray) -> None:
+        """Keep the columns of the bars still changed, solve those of the
+        entering ones, and factor the capacitance of the changed bars."""
+        kept = np.isin(self._bars, changed, assume_unique=True)
+        self._bars, self._u, self._z = self._bars[kept], self._u[:, kept], self._z[:, kept]
+        if entering.size:
+            u = self._columns(partition, entering)
+            self._bars = np.concatenate([self._bars, entering])
+            self._u = np.hstack([self._u, u])
+            self._z = np.hstack([self._z, self._base.solve(u)])
+            self._gathered += entering.size
+        self.rank = self._bars.size
+        self._y = self._lu = None
+        if not self.rank:
+            return
+        s = np.sqrt(np.abs(d[self._bars]))
+        self._y = self._z * s
+        capacitance = (self._u * s).T @ self._y + np.diag(np.sign(d[self._bars]))
+        lu, piv, _ = sla.lapack.dgetrf(capacitance, overwrite_a=True)
+        pivots = np.abs(np.diagonal(lu))
+        ratio = pivots.min() / max(pivots.max(), 1.0)
+        if not ratio >= PIVOT_TOL:
+            raise UnstableStructureError(
+                f"tangent nearly singular against its base (capacitance pivot ratio "
+                f"{ratio:.2e})")
+        self._lu = (lu, piv)
+
+    def _columns(self, partition: SystemPartition, bars: np.ndarray) -> np.ndarray:
+        """The q x len(bars) columns of U: e_i for additional bar i, column
+        j of C_s for basis bar j."""
+        u = np.zeros((partition.q, bars.size))
+        additional = self._additional[bars]
+        u[self._slot[bars[additional]], np.flatnonzero(additional)] = 1.0
+        basis = np.flatnonzero(~additional)
+        if basis.size:
+            unit = np.zeros((partition.n, basis.size))
+            unit[self._slot[bars[basis]], np.arange(basis.size)] = 1.0
+            u[:, basis] = partition.apply_c_s(unit)
+        return u
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = self._base.solve(b)
+        if self.rank:
+            x -= self._y @ sla.lu_solve(self._lu, self._y.T @ b, check_finite=False)
+        return x
+
+    def apply(self, v: np.ndarray, refine: bool = True) -> np.ndarray:
+        z = self.solve(v)
+        if refine:
+            z += self.solve(v - reduced_apply(self.partition, z))
+        return z

@@ -480,17 +480,28 @@ class TestNonlinear:
         hist = read_rows(tmp_path / "nl.nonlinear.sy2.regular.csv")
         assert len(hist) == 5 * 1 * 2  # steps x nodes x dofs
         assert set(hist[0]) == {"step", "lambda", "node_id", "dof", "value",
-                                "outer_iters", "n_nle"}
+                                "outer_iters", "inner_iters", "n_nle", "step_s"}
+        assert all(r["inner_iters"] == "0" and float(r["step_s"]) > 0 for r in hist)
+        # every Newton solve of the sri backend takes at least one inner iteration
+        sri = read_rows(tmp_path / "nl.nonlinear.sy2.sri.csv")
+        assert all(int(r["inner_iters"]) >= int(r["outer_iters"]) > 0 for r in sri)
         summary = read_rows(tmp_path / "nl.nonlinear.summary.csv")
         assert len(summary) == 4  # two yield stresses x two backends
+        assert set(summary[0]) == {"scenario", "sigma_y", "backend", "steps", "n_nle_final",
+                                   "outer_iters_total", "inner_iters_total",
+                                   "factorizations_total", "wall_time", "converged"}
         elastic = [r for r in summary if r["sigma_y"] == "1.000000e+06"]
         assert all(r["n_nle_final"] == "0" for r in elastic)
-        # an elastic run keeps its one tangent factor; a yielding one rebuilds
-        # it as bars yield, at most once per Newton iteration
+        # an elastic run keeps its one tangent factor (or base); a yielding
+        # one builds more, at most once per Newton iteration
         assert all(r["factorizations_total"] == "1" for r in elastic)
         plastic = [r for r in summary if r["sigma_y"] == "2.000000e+00"]
         assert all(1 < int(r["factorizations_total"]) <= int(r["outer_iters_total"])
                    for r in plastic)
+        # the inner SRI iterations, summed over the history's steps (two
+        # rows each, one node's two DOFs)
+        inner = {r["backend"]: int(r["inner_iters_total"]) for r in plastic}
+        assert inner == {"regular": 0, "sri": sum(int(r["inner_iters"]) for r in sri[::2])}
 
     def test_moduli_come_from_the_model_material(self, tmp_path):
         material = {"e0": 1e5, "et": 1e4}

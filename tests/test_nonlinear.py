@@ -353,13 +353,15 @@ class TestRunNewtonRaphson:
             run_newton_raphson(model, model.load_vector(), backend="magic")
 
 
-# the function each backend builds its tangent factor with, as the driver binds it
-FACTOR_BUILDER = {"regular": "factor_spd", "reduction": "fdp_factor", "sri": "tangent_partition"}
+# the function each backend builds its tangent factor with ("regular") or the
+# base of its low-rank tangent update (the reduced backends), as the driver
+# binds it
+FACTOR_BUILDER = {"regular": "factor_spd", "reduction": "fdp_factor",
+                  "sri": "build_sri_preconditioner"}
 
 
-def count_factors(monkeypatch, backend):
-    """Patch the backend's factor builder on the driver to count its calls."""
-    name = FACTOR_BUILDER[backend]
+def count_calls(monkeypatch, name):
+    """Patch name on the driver to count its calls."""
     real = getattr(nonlinear, name)
     calls = []
 
@@ -369,6 +371,17 @@ def count_factors(monkeypatch, backend):
 
     monkeypatch.setattr(nonlinear, name, counted)
     return calls
+
+
+def count_factors(monkeypatch, backend):
+    """Patch the backend's factor builder on the driver to count its calls."""
+    return count_calls(monkeypatch, FACTOR_BUILDER[backend])
+
+
+def max_step_error(displacements, reference):
+    """Largest relative difference of two runs' step displacements."""
+    assert len(displacements) == len(reference)
+    return max(rel_err(d, d_ref) for d, d_ref in zip(displacements, reference))
 
 
 @pytest.fixture(scope="module", params=["regular", "reduction", "sri"])
@@ -389,22 +402,72 @@ class TestFactorReuse:
         assert run.converged and run.n_nle == [0] * 20
         assert len(calls) == 1
         assert run.factorizations == [1] + [0] * 19
+        assert run.update_ranks == [0] * 20
 
     def test_one_factor_per_change_of_the_tangent_moduli(self, ladder_reference, monkeypatch):
+        # "regular" factors each new tangent; the reduced backends take each
+        # new tangent partition into their low-rank update, and build a new
+        # base only where the rebuild rule says so: "reduction" never on this
+        # run (68 columns against a q / 6 = 145 break-even), "sri" a few times
         backend, model, _, moduli = ladder_reference
         calls = count_factors(monkeypatch, backend)
+        tangents = count_calls(monkeypatch, "tangent_partition")
         run = run_newton_raphson(model, model.load_vector(), backend=backend)
-        assert run.converged
+        assert run.converged and run.n_nle[-1] == 68
         changes = sum(not np.array_equal(a, b) for a, b in zip(moduli, moduli[1:]))
         assert sum(run.outer_iterations) == len(moduli) == 37
-        assert len(calls) == sum(run.factorizations) == 1 + changes == 18
         assert len(run.factorizations) == 20
+        assert len(calls) == sum(run.factorizations)
+        if backend == "regular":
+            assert len(calls) == 1 + changes == 18 and not tangents
+            assert run.update_ranks == [0] * 20
+        else:
+            assert len(tangents) == 1 + changes == 18
+            assert len(calls) == (1 if backend == "reduction" else 5)
+            assert max(run.update_ranks) == (68 if backend == "reduction" else 11)
 
     def test_displacements_equal_factoring_every_iteration(self, ladder_reference):
         # a kept factor is the factor the same moduli rebuild, so reuse
-        # changes no bit of the result
+        # changes no bit of the result; the low-rank update solves with the
+        # same operator in another order, so it agrees to rounding
         backend, model, displacements, _ = ladder_reference
         run = run_newton_raphson(model, model.load_vector(), backend=backend)
         assert len(run.displacements) == len(displacements) == 20
-        for d, d_ref in zip(run.displacements, displacements):
-            assert np.array_equal(d, d_ref)
+        if backend == "regular":
+            for d, d_ref in zip(run.displacements, displacements):
+                assert np.array_equal(d, d_ref)
+        else:
+            assert max_step_error(run.displacements, displacements) <= 1e-10
+            assert sum(run.outer_iterations) == 37 and run.n_nle[-1] == 68
+
+
+class TestRebuildRule:
+    @pytest.mark.parametrize("backend, size, sigma_y", [
+        ("reduction", 4, 2.0), ("sri", 4, 2.0), ("sri", 30, 5.0)])
+    def test_rebuilt_runs_match_regular(self, backend, size, sigma_y, monkeypatch):
+        # the columns the yielding bars gather cross the rebuild rule's
+        # break-even, so each run builds several bases
+        model = bilinear_truss(size, size, sigma_y=sigma_y)
+        regular = run_newton_raphson(model, model.load_vector(), backend="regular")
+        calls = count_factors(monkeypatch, backend)
+        run = run_newton_raphson(model, model.load_vector(), backend=backend)
+        assert run.converged and run.n_nle == regular.n_nle
+        assert len(calls) == sum(run.factorizations) > 1
+        assert max_step_error(run.displacements, regular.displacements) <= 1e-10
+
+    def test_rebuilt_runs_are_reproducible(self):
+        model = bilinear_truss(4, 4, sigma_y=2.0)
+        for backend in ("reduction", "sri"):
+            first, second = (run_newton_raphson(model, model.load_vector(), backend=backend)
+                             for _ in range(2))
+            assert first.factorizations == second.factorizations
+            for d, d_ref in zip(first.displacements, second.displacements):
+                assert np.array_equal(d, d_ref)
+
+    def test_sri_full_scale_ladder_yield_count(self):
+        # the 30x150 ladder at sigma_y 45, the published c08b count
+        model = bilinear_truss(30, 150, sigma_y=45.0)
+        run = run_newton_raphson(model, model.load_vector(), backend="sri")
+        assert run.converged and run.n_nle[-1] == 1691
+        assert 1 < sum(run.factorizations) < sum(run.outer_iterations)
+        assert sum(run.inner_iterations) < 2 * sum(run.outer_iterations)

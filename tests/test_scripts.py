@@ -68,17 +68,23 @@ def test_bench_trajectory(tmp_path):
     for name in ("frame-50x20-damaged5", "c08c"):
         q = scenarios[name]["q"]
         assert 0 < fdp[name]["rcm_bandwidth"] < q and 0 < fdp[name]["nnz"] < q * q, fdp
-    # every Newton run keeps its tangent factor while no bar changes state,
-    # and the 30x150 ladder ends with its published yield count
+    # every Newton run keeps its tangent factor (or the base of its low-rank
+    # update) while no bar changes state, only the reduced backends hold a
+    # low-rank update, and the 30x150 ladder ends with its published yield
+    # count
     newton = json.loads(path.read_text())["newton"]
     runs = {(name, backend): run for name, s in newton.items()
             for backend, run in s["backends"].items()}
     assert set(runs) == {("ladder-30x30-sy5", "regular"), ("ladder-30x30-sy5", "reduction"),
-                         ("ladder-30x30-sy5", "sri"), ("ladder-30x150-sy45", "regular")}, runs
-    for key, run in runs.items():
-        assert run["converged"] and run["run"]["median_s"] > 0, (key, run)
-        assert 0 < run["factorizations"] < run["outer_iterations"], (key, run)
-    assert runs["ladder-30x150-sy45", "regular"]["n_nle_final"] == 1691
+                         ("ladder-30x30-sy5", "sri"), ("ladder-30x150-sy45", "regular"),
+                         ("ladder-30x150-sy45", "sri")}, runs
+    for (name, backend), run in runs.items():
+        assert run["converged"] and run["run"]["median_s"] > 0, (name, backend, run)
+        assert 0 < run["factorizations"] < run["outer_iterations"], (name, backend, run)
+        assert (run["max_update_rank"] > 0) == (backend != "regular"), (name, backend, run)
+    assert runs["ladder-30x30-sy5", "reduction"]["factorizations"] == 1
+    for backend in ("regular", "sri"):
+        assert runs["ladder-30x150-sy45", backend]["n_nle_final"] == 1691
 
 
 def captured_run(monkeypatch, name, argv):

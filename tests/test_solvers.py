@@ -33,7 +33,9 @@ from reanalyze.model import (
     default_additional_set,
 )
 from reanalyze.solvers import (
+    LowRankTangent,
     build_sri_preconditioner,
+    factor_work,
     recover_displacements,
     solve_conventional,
     solve_fdp,
@@ -518,6 +520,115 @@ class TestFdpRoute:
         with pytest.raises(UnstableStructureError,
                            match=r"^reduced operator is not positive definite: .* nearly singular"):
             solvers.fdp_factor(part)
+
+
+def low_rank_case(seed=11):
+    """The 7x16 ladder's partition under random bar stiffnesses (a random
+    SPD reduced operator) as the base, and a tangent of it that changes
+    three bars, fewer than the 3.8 columns one K0 build pays for: an
+    additional bar at 0.15 in the base back at its elastic stiffness (it
+    unloads, D < 0), a basis bar softened to 0.15 (D > 0) and one
+    stiffened 3-fold (D < 0)."""
+    model = build_truss_grid(7, 16)
+    part = make_partition(model, default_additional_set(model))
+    rng = np.random.default_rng(seed)
+    k0 = part.blocks * rng.uniform(0.5, 2.0, (len(part.blocks), 1, 1))
+    base = k0.copy()
+    unloading = part.additional_ids[0]
+    base[unloading] *= 0.15
+    tangent = base.copy()
+    tangent[unloading] = k0[unloading]
+    tangent[part.basis_ids[3]] *= 0.15
+    tangent[part.basis_ids[40]] *= 3.0
+    return part.with_blocks(base), part.with_blocks(tangent)
+
+
+class TestLowRankTangent:
+    @pytest.mark.parametrize("build", [solvers.fdp_factor, build_sri_preconditioner],
+                             ids=["fdp", "sri"])
+    def test_matches_dense_inverse(self, build):
+        base, tangent = low_rank_case()
+        update = LowRankTangent(build)
+        assert update.update(base) and update.rank == 0
+        assert not update.update(tangent) and update.rank == 3
+        v = np.random.default_rng(5).standard_normal(tangent.q)
+        expected = np.linalg.solve(dense_reduced_operator(tangent), v)
+        if build is solvers.fdp_factor:
+            assert rel_err(update.solve(v), expected) < 1e-12
+        # W, the SRI base, is M_base^-1 to ~1e-9 (SriPreconditioner.apply);
+        # one refinement step against the tangent operator restores it
+        assert rel_err(update.apply(v), expected) < 1e-12
+
+    def test_bars_leave_and_enter(self):
+        base, tangent = low_rank_case()
+        update = LowRankTangent(solvers.fdp_factor)
+        update.update(base)
+        update.update(tangent)
+        assert not update.update(base) and update.rank == 0
+        v = np.random.default_rng(6).standard_normal(base.q)
+        assert rel_err(update.solve(v), np.linalg.solve(dense_reduced_operator(base), v)) < 1e-12
+        update.update(tangent)
+        expected = np.linalg.solve(dense_reduced_operator(tangent), v)
+        assert update.rank == 3 and rel_err(update.solve(v), expected) < 1e-12
+
+    def test_rebuilds_past_the_break_even(self):
+        # a dense base of order q costs q^3 / 3 to build and 2 q^2 per
+        # column, so more than q / 6 entering bars rebuild it
+        base, _ = low_rank_case()
+        build_work, solve_work = factor_work(solvers.fdp_factor(base))
+        columns = int(build_work // solve_work)
+        assert columns == base.q // 6
+        calls = []
+        update = LowRankTangent(lambda part: calls.append(part) or solvers.fdp_factor(part))
+        update.update(base)
+        for k, rebuilt in ((columns, False), (columns + 1, True)):
+            blocks = base.blocks.copy()
+            blocks[base.additional_ids[:k]] *= 0.5
+            tangent = base.with_blocks(blocks)
+            assert update.update(tangent) is rebuilt
+            assert update.rank == (0 if rebuilt else k) and calls[-1] is (tangent if rebuilt
+                                                                         else base)
+            v = np.ones(base.q)
+            expected = np.linalg.solve(dense_reduced_operator(tangent), v)
+            assert rel_err(update.solve(v), expected) < 1e-12
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_singular_capacitance_raises(self, rank):
+        # 1/k of an additional bar lowered by 1 / (M^-1)_ii makes the reduced
+        # operator M singular, and with it the capacitance over the base
+        base, _ = low_rank_case()
+        blocks = base.blocks.copy()
+        if rank == 2:
+            blocks[base.basis_ids[3]] *= 0.15
+        i = 4
+        z_ii = np.linalg.inv(dense_reduced_operator(base.with_blocks(blocks)))[i, i]
+        bar = base.additional_ids[i]
+        blocks[bar] = 1.0 / (1.0 / blocks[bar] - 1.0 / z_ii)
+        update = LowRankTangent(solvers.fdp_factor)
+        update.update(base)
+        with pytest.raises(UnstableStructureError, match="capacitance pivot ratio"):
+            update.update(base.with_blocks(blocks))
+
+
+class TestFactorWork:
+    def test_dense_and_banded(self):
+        assert factor_work(DenseCholesky(np.eye(30))) == (9000.0, 1800.0)
+        band = np.ones((4, 50))  # bandwidth 3
+        assert factor_work(BandedCholesky(np.arange(50), band)) == (450.0, 800.0)
+
+    def test_sparse_lu_counts_its_factor(self):
+        # tridiagonal, natural order: one entry off the diagonal in every
+        # column of L and row of U but the last
+        n = 40
+        k = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+        lu = assembly.sparse_lu(k, UnstableStructureError, "test", ordering="NATURAL")
+        assert factor_work(lu) == (3.0 * (n - 1), 2.0 * 2 * (2 * n - 1))
+
+    def test_sri_preconditioner_counts_its_stiffness_factor(self):
+        model = build_truss_grid(7, 16)
+        precond = build_sri_preconditioner(make_partition(model, default_additional_set(model)))
+        assert factor_work(precond) == factor_work(precond._k0_factor)
 
 
 class TestFourWayAgreement:
