@@ -26,7 +26,9 @@ bilinear 30 x 30 ladder at sigma_y 5 under every backend and of the
 30 x 150 ladder at sigma_y 45 under "regular" (ladder-nonlinear's runs)
 and "sri", with their Newton and inner SRI iterations, the tangent
 factors they build (for the reduced backends, the bases of the low-rank
-update), the largest rank of that update and the final yield count.  The
+update), factor_s, the median time a run spends inside its backend's
+factor or base builder (BUILDER), the largest rank of that update and
+the final yield count.  The
 file also records the machine: core count, the BLAS numpy was built
 against, the thread environment variables and the process's peak
 resident set.  Run with BLAS pinned to
@@ -97,6 +99,11 @@ SCENARIOS = {"ladder-31x64": ladder, "frame-50x20-damaged5": damaged_frame, "c08
 # Newton runs: (floors, sigma_y, backends) of the bilinear 30-span ladder
 NEWTON = {"ladder-30x30-sy5": (30, 5.0, ("regular", "reduction", "sri")),
           "ladder-30x150-sy45": (150, 45.0, ("regular", "sri"))}
+
+# the name each Newton backend's tangent factor or low-rank base is built by,
+# as the driver binds it: an "sri" base is an SriPreconditioner on one
+# tangent factor
+BUILDER = {"regular": "factor_tangent", "reduction": "fdp_factor", "sri": "factor_tangent"}
 
 
 def timed(fn, *args, **kwargs):
@@ -214,23 +221,48 @@ def run_scenario(build, repeats: int) -> dict:
     }
 
 
+def timed_run(backend: str, *args) -> tuple:
+    """run_newton_raphson(*args, backend=backend), its wall time and the
+    seconds spent inside the backend's builder, wrapped on the driver."""
+    name = BUILDER[backend]
+    real = getattr(nonlinear, name)
+    inside = []
+
+    def wrapper(*a, **kw):
+        t0 = time.perf_counter()
+        try:
+            return real(*a, **kw)
+        finally:
+            inside.append(time.perf_counter() - t0)
+
+    setattr(nonlinear, name, wrapper)
+    try:
+        run, t = timed(nonlinear.run_newton_raphson, *args, backend=backend)
+    finally:
+        setattr(nonlinear, name, real)
+    return run, t, sum(inside)
+
+
 def run_newton(floors: int, sigma_y: float, backends, repeats: int) -> dict:
     """Wall times of run_newton_raphson on the bilinear 30-span ladder, one
     run per backend in each of repeats interleaved rounds, with each run's
     Newton and inner iterations, tangent factors or low-rank bases built
-    (factorizations), the largest rank of its low-rank update and final
-    yield count."""
+    (factorizations), the median time inside their builder (factor_s), the
+    largest rank of its low-rank update and final yield count."""
     material = MaterialSpec(e0=2e5, et=0.3e5, sigma_y=sigma_y)
     model = build_truss_grid(30, floors, area=200.0, load=500.0, material=material)
     p0 = model.load_vector()
     times = {backend: [] for backend in backends}
+    factor_times = {backend: [] for backend in backends}
     runs = {}
     for _ in range(repeats):
         for backend in backends:
-            runs[backend], t = timed(nonlinear.run_newton_raphson, model, p0, backend=backend)
+            runs[backend], t, inside = timed_run(backend, model, p0)
             times[backend].append(t)
+            factor_times[backend].append(inside)
     return {"n": model.n, "backends": {backend: {
         "run": summary(times[backend]), "converged": run.converged,
+        "factor_s": float(np.median(factor_times[backend])),
         "outer_iterations": sum(run.outer_iterations),
         "inner_iterations": sum(run.inner_iterations),
         "factorizations": sum(run.factorizations),
@@ -277,7 +309,8 @@ def main(argv=None) -> int:
     for name, (floors, sigma_y, backends) in NEWTON.items():
         result["newton"][name] = run_newton(floors, sigma_y, backends, args.repeats)
         runs = result["newton"][name]["backends"]
-        print(name, " ".join(f"{k}={v['run']['median_s'] * 1e3:.0f}ms/"
+        print(name, " ".join(f"{k}={v['run']['median_s'] * 1e3:.0f}ms"
+                             f"(factor {v['factor_s'] * 1e3:.0f}ms)/"
                              f"{v['factorizations']}of{v['outer_iterations']}"
                              f"/rank{v['max_update_rank']}"
                              for k, v in runs.items()), flush=True)

@@ -2,28 +2,28 @@
 
 Each equal load step scales the base load vector; the incremental equations
 K_t(d) delta_d = -(F(d) - lambda P0) are solved by one of three backends:
-"regular" factorizes the assembled tangent by assembly.factor_spd (banded
-Cholesky where its reverse Cuthill-McKee band is narrow, sparse LU
-otherwise), "reduction" solves the tangent reduced system directly, "sri"
-runs the reduced preconditioned iteration on it.  The material law is
-total-strain bilinear (monotonic loading, no unloading hysteresis), so the
-state is a pure function of the current displacement field.
+"regular" factorizes the assembled tangent (factor_tangent: banded Cholesky
+where its reverse Cuthill-McKee band is narrow, sparse LU otherwise),
+"reduction" solves the tangent reduced system directly, "sri" runs the
+reduced preconditioned iteration on it.  The material law is total-strain
+bilinear (monotonic loading, no unloading hysteresis), so the state is a
+pure function of the current displacement field.
 
 A run holds its last tangent and takes a new one only when the tangent
 moduli differ in any bar from the held ones (np.array_equal), that is when
 some bar has crossed its yield strain.  The "regular" backend then drops
-its factor_spd factor and factors the new tangent, so at most one tangent
-factor is alive, and a reused factor is the factor the same moduli would
-rebuild: reuse changes no result.  The reduced backends treat the yielded
-bars as a reanalysis of a base structure (solvers.LowRankTangent): they
-hold a base, solvers.fdp_factor's factor of K_La^-1 + G for "reduction" or
-build_sri_preconditioner's preconditioner for "sri", and a Woodbury update
-over the bars whose stiffness differs from the base's.  The base is built
-from the first tangent and rebuilt at the current one only when the update's
-columns gathered since the last base would cost more than one base build,
-so on the 30x30 ladder "reduction" factors one operator for the whole run,
-and "sri" preconditions each solve with the current tangent, about one CG
-iteration per Newton solve.  The update solves with the same operators in
+its factor and factors the new tangent, so at most one tangent factor is
+alive, and a reused factor is the factor the same moduli would rebuild:
+reuse changes no result.  The reduced backends treat the yielded bars as a
+reanalysis of a base structure (solvers.LowRankTangent): they hold a base,
+solvers.fdp_factor's factor of K_La^-1 + G for "reduction" or an
+SriPreconditioner on factor_tangent's factor for "sri", and a Woodbury
+update over the bars whose stiffness differs from the base's.  The base is
+built from the first tangent and rebuilt at the current one only when the
+update's columns gathered since the last base would cost more than one base
+build, so on the 30x30 ladder "reduction" factors one operator for the whole
+run, and "sri" preconditions each solve with the current tangent, about one
+CG iteration per Newton solve.  The update solves with the same operators in
 another order, so the reduced backends agree with factoring every tangent
 to rounding, not bitwise.
 
@@ -34,34 +34,38 @@ sqrt(2) C d / L and the internal force C^T (sqrt(2) A sigma), and
 assembly._fields reads the bar records, so a bar lacking a field fails as
 in the linear assembly.  A tangent state only changes the 1x1 parameter
 blocks 2 E_t A / L, one (bars, 1, 1) array from the bar kernel
-elements.truss_decomposition, which the assembled tangent takes through
-assembly.stiffness as the linear stiffness does, and the tangent partition
-through SystemPartition.with_blocks.  The "reduction" backend solves as
-solvers.solve_fdp does: reduced_rhs, a solve with the held base and update,
-then recover_displacements.  The helpers below take the Bars a run builds once
-from its model.
+elements.truss_decomposition.  The topology does not change in a run, so
+a run's Bars build the model's assembly.StiffnessPlan once, at its first
+use, and every tangent stiffness, assembled (assemble_tangent) or factored
+(factor_tangent), is its slot sums scattered into the pattern and band the
+plan fixed: no sparse product, ordering or band layout is recomputed per
+tangent.  The tangent partition goes through SystemPartition.with_blocks.  The
+"reduction" backend solves as solvers.solve_fdp does: reduced_rhs, a solve
+with the held base and update, then recover_displacements.  The helpers
+below take the Bars a run builds once from its model.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-# reduced_gram is unused here but stays bound: benchmark/tracing.py patches it
-# on this module by name, as it does reduced_rhs and recover_displacements
+# reduced_gram and build_sri_preconditioner are unused here but stay bound:
+# benchmark/tracing.py patches them on this module by name, as it does
+# reduced_rhs and recover_displacements
 from .assembly import (
+    StiffnessPlan,
     SystemPartition,
     _fields,
     element_geometry,
-    factor_spd,
     make_partition,
     mode_matrix,
     reduced_gram,
     reduced_rhs,
-    stiffness,
 )
 from .elements import SQRT2, bilinear_stress, truss_decomposition
 from .errors import (
@@ -73,6 +77,7 @@ from .errors import (
 from .model import ElementKind, StructuralModel, default_additional_set
 from .solvers import (
     LowRankTangent,
+    SriPreconditioner,
     _check_inputs,
     build_sri_preconditioner,
     fdp_factor,
@@ -99,11 +104,16 @@ class MaterialState:
 
 @dataclass(frozen=True)
 class Bars:
-    """Unit mode rows and bilinear material data of a truss model's bars.
+    """Unit mode rows, stiffness plan and bilinear material data of a truss
+    model's bars.
 
     c is the (bars, n) matrix of the axial mode rows on the free DOFs,
     assembly.mode_matrix(model); of reads the record fields through
-    assembly._fields, as element_blocks does.
+    assembly._fields, as element_blocks does.  plan is the model's
+    StiffnessPlan, which assembles and factors every tangent of a run.  It
+    is built at its first use and kept, so a "reduction" run, which factors
+    no stiffness, never builds it, and an "sri" run builds it after its
+    partition, whose build is the run's largest transient.
     """
 
     c: sp.csr_matrix
@@ -112,6 +122,11 @@ class Bars:
     e0: np.ndarray
     et: np.ndarray
     sigma_y: np.ndarray
+    model: StructuralModel = field(repr=False, compare=False)
+
+    @cached_property
+    def plan(self) -> StiffnessPlan:
+        return StiffnessPlan.of(self.model)
 
     @staticmethod
     def of(model: StructuralModel) -> "Bars":
@@ -127,7 +142,7 @@ class Bars:
         area, e0, et, sigma_y = _fields(flat, range(len(model.elements)),
                                         (("bar section needs area", [0]),))
         return Bars(c=mode_matrix(model), length=element_geometry(model)[1],
-                    area=area, e0=e0, et=et, sigma_y=sigma_y)
+                    area=area, e0=e0, et=et, sigma_y=sigma_y, model=model)
 
 
 def evaluate_state(bars: Bars, d: np.ndarray) -> MaterialState:
@@ -151,8 +166,16 @@ def _tangent_blocks(bars: Bars, state: MaterialState) -> np.ndarray:
 
 
 def assemble_tangent(bars: Bars, state: MaterialState) -> sp.csr_matrix:
-    """Assembled tangent stiffness C^T diag(2 E_t A / L) C."""
-    return stiffness(bars.c, _tangent_blocks(bars, state))
+    """Assembled tangent stiffness C^T diag(2 E_t A / L) C, by the run's plan."""
+    return bars.plan.assemble(_tangent_blocks(bars, state))
+
+
+def factor_tangent(bars: Bars, blocks: np.ndarray):
+    """Factor of the tangent stiffness under the (bars, 1, 1) parameter
+    blocks, by the run's plan: the "regular" backend's factor, and the
+    stiffness factor of each "sri" base.  Raises UnstableStructureError when
+    the tangent is singular or nearly so."""
+    return bars.plan.factor(blocks, UnstableStructureError, "tangent stiffness")
 
 
 def tangent_partition(bars: Bars, state: MaterialState,
@@ -227,13 +250,14 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
     partition = tangent = None
     if backend != "regular":
         partition = make_partition(model, default_additional_set(model))
-        tangent = LowRankTangent(fdp_factor if backend == "reduction"
-                                 else build_sri_preconditioner)
+        tangent = LowRankTangent(
+            fdp_factor if backend == "reduction"
+            else lambda part: SriPreconditioner(part, factor_tangent(bars, part.blocks)))
 
     run = NonlinearRun(backend=backend)
     d = np.zeros(model.n)
     # the moduli of the held tangent; factor is the regular backend's
-    # factor_spd factor, tangent the reduced backends' held operator
+    # factor_tangent factor, tangent the reduced backends' held operator
     moduli = factor = None
     for step in range(1, n_steps + 1):
         t_step = time.perf_counter()
@@ -252,8 +276,7 @@ def run_newton_raphson(model: StructuralModel, p0: np.ndarray, n_steps: int = 20
             if not np.array_equal(state.tangent, moduli):
                 if backend == "regular":
                     factor = None  # release the old factor first
-                    factor = factor_spd(assemble_tangent(bars, state), UnstableStructureError,
-                                        "tangent stiffness")
+                    factor = factor_tangent(bars, _tangent_blocks(bars, state))
                     built += 1
                 else:
                     built += tangent.update(tangent_partition(bars, state, partition))

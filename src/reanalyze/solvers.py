@@ -347,7 +347,8 @@ class LowRankTangent:
     Woodbury identity; Hager, SIAM Rev. 31, 1989).
 
     build(partition) makes the base: fdp_factor, whose solve is M_base^-1,
-    or build_sri_preconditioner, whose solve is W, M_base^-1 to rounding.
+    or an SriPreconditioner on the partition's stiffness factor, whose solve
+    is W, M_base^-1 to rounding.
     A tangent partition's operator is M = M_base + U D U^T, where U holds
     e_i for a changed additional bar i and column j of C_s for a changed
     basis bar j, and D = 1/k - 1/k_base per bar.  So

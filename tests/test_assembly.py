@@ -12,6 +12,7 @@ from reanalyze import assembly, elements
 from reanalyze.assembly import (
     PIVOT_TOL,
     BandedCholesky,
+    StiffnessPlan,
     assemble_global,
     factor_spd,
     factorize_stiffness,
@@ -559,6 +560,120 @@ class TestFactorSpd:
         factor = factor_spd(sp.csr_matrix((0, 0)), UnstableStructureError, "empty")
         assert pivot_ratio(factor) == 1.0
         assert factor.solve(np.zeros(0)).shape == (0,)
+
+
+def bilinear_ladder(n_span, n_floor):
+    """A bilinear ladder as the Newton driver's tests and benchmark build it."""
+    return build_truss_grid(n_span, n_floor, area=200.0, load=500.0,
+                            material=MaterialSpec(e0=2e5, et=0.3e5, sigma_y=5.0))
+
+
+def tangent_blocks(model, tangent):
+    """The model's parameter blocks: "elastic" as element_blocks gives them,
+    "mixed" with a seeded half of them at the hardening ratio 0.15."""
+    blocks = assembly.element_blocks(model)
+    if tangent == "mixed":
+        blocks[np.random.default_rng(3).random(len(blocks)) < 0.5] *= 0.15
+    return blocks
+
+
+def stiffness_of(model, blocks):
+    """The stiffness the linear path forms from the blocks."""
+    return assembly.stiffness(assembly.mode_matrix(model), blocks)
+
+
+LADDERS = {"ladder-5x4": lambda: bilinear_ladder(5, 4),
+           "ladder-30x30": lambda: bilinear_ladder(30, 30),
+           "ladder-31x64-graded": lambda: apply_floor_grading(build_truss_grid(31, 64),
+                                                              5000.0, 35000.0, "E")}
+FRAMES = {"frame-50x20": graded_frame, "fg-frame": graded_fg_frame,
+          "mixed-beams": mixed_beams}
+
+
+class TestStiffnessPlan:
+    @pytest.mark.parametrize("tangent", ["elastic", "mixed"])
+    @pytest.mark.parametrize("build", LADDERS.values(), ids=LADDERS.keys())
+    def test_assemble_matches_stiffness_on_ladders(self, build, tangent):
+        # the slots are the stiffness's nonzeros, in its canonical order
+        model = build()
+        blocks = tangent_blocks(model, tangent)
+        k, ref = StiffnessPlan.of(model).assemble(blocks), stiffness_of(model, blocks)
+        assert k.has_canonical_format
+        assert np.array_equal(k.indptr, ref.indptr) and np.array_equal(k.indices, ref.indices)
+        assert rel_err(k.data, ref.data) <= 1e-15
+
+    @pytest.mark.parametrize("build", FRAMES.values(), ids=FRAMES.keys())
+    def test_assemble_matches_stiffness_on_frames(self, build):
+        # the plan keeps the slots of zero blocks' entries (a homogeneous
+        # beam's coupling) that the product drops, so only values compare
+        model = build()
+        blocks = tangent_blocks(model, "mixed")
+        k, ref = StiffnessPlan.of(model).assemble(blocks), stiffness_of(model, blocks)
+        assert abs(k - ref).max() <= 1e-14 * abs(ref).max()
+
+    @pytest.mark.parametrize("build", [*LADDERS.values(), *FRAMES.values()],
+                             ids=[*LADDERS.keys(), *FRAMES.keys()])
+    def test_bitwise_symmetric(self, build):
+        model = build()
+        k = StiffnessPlan.of(model).assemble(tangent_blocks(model, "mixed"))
+        assert (k != k.T).nnz == 0
+
+    @pytest.mark.parametrize("build", [LADDERS["ladder-30x30"], graded_frame, mixed_beams],
+                             ids=["ladder-30x30", "frame-50x20", "mixed-beams"])
+    def test_factor_solves_as_factor_spd(self, build):
+        model = build()
+        blocks, r = tangent_blocks(model, "mixed"), model.load_vector()
+        plan = StiffnessPlan.of(model)
+        factor = plan.factor(blocks, UnstableStructureError, "k")
+        assert isinstance(factor, BandedCholesky) and plan.band is not None
+        expected = factor_spd(stiffness_of(model, blocks), UnstableStructureError, "k").solve(r)
+        assert rel_err(factor.solve(r), expected) <= 1e-12
+
+    def test_factor_is_factor_spd_of_assemble(self):
+        # the same pattern, so the same ordering and band, bit for bit
+        model = bilinear_ladder(30, 30)
+        blocks, plan = tangent_blocks(model, "mixed"), StiffnessPlan.of(model)
+        factor = plan.factor(blocks, UnstableStructureError, "k")
+        assembled = factor_spd(plan.assemble(blocks), UnstableStructureError, "k")
+        assert np.array_equal(factor.perm, assembled.perm)
+        assert np.array_equal(factor.band, assembled.band)
+
+    def test_sparse_lu_route(self, monkeypatch):
+        model = bilinear_ladder(30, 30)
+        blocks, r = tangent_blocks(model, "mixed"), model.load_vector()
+        banded = StiffnessPlan.of(model).factor(blocks, UnstableStructureError, "k")
+        monkeypatch.setattr(assembly, "BAND_SHARE", 0)
+        plan = StiffnessPlan.of(model)
+        assert plan.band is None and plan.perm is None
+        factor = plan.factor(blocks, UnstableStructureError, "k")
+        assert not isinstance(factor, BandedCholesky)
+        assert rel_err(factor.solve(r), banded.solve(r)) <= 1e-12
+
+    @pytest.mark.parametrize("band_share", [assembly.BAND_SHARE, 0], ids=["banded", "sparse"])
+    @pytest.mark.parametrize("value", [0.0, -1.0], ids=["zero", "negative"])
+    def test_non_positive_block_raises(self, band_share, value, monkeypatch):
+        # every bar of the determinate 1 x 2 ladder carries load, so one bar
+        # of zero stiffness makes K singular and one of negative stiffness
+        # makes it indefinite
+        monkeypatch.setattr(assembly, "BAND_SHARE", band_share)
+        model = build_truss_grid(1, 2)
+        assert not default_additional_set(model).additional_ids
+        plan = StiffnessPlan.of(model)
+        assert (plan.band is None) == (band_share == 0)
+        blocks = assembly.element_blocks(model)
+        blocks[3] *= value
+        with pytest.raises(UnstableStructureError, match="^bar (is|nearly) singular|"
+                                                         "^bar is not positive definite$"):
+            plan.factor(blocks, UnstableStructureError, "bar")
+
+    def test_empty_model(self):
+        # every DOF supported: no slot, no term
+        model = build_truss_grid(1, 1)
+        fixed = StructuralModel(list(model.nodes), list(model.elements),
+                                {node.id: (0, 1) for node in model.nodes}, [])
+        plan = StiffnessPlan.of(fixed)
+        assert plan.n == 0 and len(plan.coef) == 0 and len(plan.row) == 0
+        assert plan.assemble(assembly.element_blocks(fixed)).shape == (0, 0)
 
 
 class TestFactorOrdering:

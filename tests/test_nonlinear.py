@@ -299,7 +299,7 @@ class TestRunNewtonRaphson:
             raise AssertionError("partitioned or factorized before the input checks")
 
         monkeypatch.setattr(nonlinear, "make_partition", built)
-        monkeypatch.setattr(nonlinear, "factor_spd", built)
+        monkeypatch.setattr(nonlinear, "factor_tangent", built)
         model = bilinear_truss(3, 3)
         p0 = model.load_vector()
         for value in (np.nan, np.inf, -np.inf):
@@ -323,7 +323,7 @@ class TestRunNewtonRaphson:
             raise AssertionError("partitioned or factorized before the input checks")
 
         monkeypatch.setattr(nonlinear, "make_partition", built)
-        monkeypatch.setattr(nonlinear, "factor_spd", built)
+        monkeypatch.setattr(nonlinear, "factor_tangent", built)
         model = bilinear_truss(3, 4, sigma_y=5.0)
         for tol in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InvalidParameterError, match=f"^{name} must be positive"):
@@ -338,7 +338,7 @@ class TestRunNewtonRaphson:
             raise AssertionError("partitioned or factorized before the input checks")
 
         monkeypatch.setattr(nonlinear, "make_partition", built)
-        monkeypatch.setattr(nonlinear, "factor_spd", built)
+        monkeypatch.setattr(nonlinear, "factor_tangent", built)
         model = bilinear_truss(3, 3)
         elems = list(model.elements)
         elems[4] = dataclasses.replace(elems[4], section=SectionSpec())
@@ -354,10 +354,10 @@ class TestRunNewtonRaphson:
 
 
 # the function each backend builds its tangent factor with ("regular") or the
-# base of its low-rank tangent update (the reduced backends), as the driver
-# binds it
-FACTOR_BUILDER = {"regular": "factor_spd", "reduction": "fdp_factor",
-                  "sri": "build_sri_preconditioner"}
+# base of its low-rank tangent update (the reduced backends; an "sri" base is
+# an SriPreconditioner on one tangent factor), as the driver binds it
+FACTOR_BUILDER = {"regular": "factor_tangent", "reduction": "fdp_factor",
+                  "sri": "factor_tangent"}
 
 
 def count_calls(monkeypatch, name):
@@ -425,6 +425,23 @@ class TestFactorReuse:
             assert len(tangents) == 1 + changes == 18
             assert len(calls) == (1 if backend == "reduction" else 5)
             assert max(run.update_ranks) == (68 if backend == "reduction" else 11)
+
+    @pytest.mark.parametrize("backend, plans", [("regular", 1), ("reduction", 0), ("sri", 1)])
+    def test_one_stiffness_plan_per_run(self, backend, plans, monkeypatch):
+        # every tangent factor or "sri" base of a run scatters into the one
+        # plan; "reduction" factors no stiffness and builds none
+        real = assembly.StiffnessPlan.of.__func__
+        calls = []
+
+        def counted(cls, model):
+            calls.append(model)
+            return real(cls, model)
+
+        monkeypatch.setattr(assembly.StiffnessPlan, "of", classmethod(counted))
+        model = bilinear_truss(4, 4, sigma_y=2.0)
+        run = run_newton_raphson(model, model.load_vector(), backend=backend)
+        assert run.converged and sum(run.factorizations) > 1
+        assert len(calls) == plans
 
     def test_displacements_equal_factoring_every_iteration(self, ladder_reference):
         # a kept factor is the factor the same moduli rebuild, so reuse

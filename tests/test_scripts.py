@@ -80,6 +80,8 @@ def test_bench_trajectory(tmp_path):
                          ("ladder-30x150-sy45", "sri")}, runs
     for (name, backend), run in runs.items():
         assert run["converged"] and run["run"]["median_s"] > 0, (name, backend, run)
+        # the time inside the factor or base builder is part of the run's
+        assert 0 < run["factor_s"] < run["run"]["median_s"], (name, backend, run)
         assert 0 < run["factorizations"] < run["outer_iterations"], (name, backend, run)
         assert (run["max_update_rank"] > 0) == (backend != "regular"), (name, backend, run)
     assert runs["ladder-30x30-sy5", "reduction"]["factorizations"] == 1
