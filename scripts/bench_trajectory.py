@@ -51,7 +51,6 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from reanalyze import assembly, nonlinear, solvers
 from reanalyze.model import (
@@ -121,13 +120,6 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def rcm_bandwidth(matrix: sp.csr_matrix) -> int:
-    """Bandwidth of a symmetric sparse matrix in reverse Cuthill-McKee order."""
-    perm = reverse_cuthill_mckee(matrix, symmetric_mode=True)
-    permuted = matrix[perm][:, perm].tocoo()
-    return int(np.abs(permuted.row - permuted.col).max())
-
-
 def route(factor) -> str:
     """The route a factor took: dense or banded Cholesky, or sparse LU."""
     return {"DenseCholesky": "dense", "BandedCholesky": "banded"}.get(
@@ -135,12 +127,12 @@ def route(factor) -> str:
 
 
 def stiffness_route(model) -> dict:
-    """The route of a model's stiffness factor, its reverse Cuthill-McKee
-    bandwidth and its band share."""
-    k = assembly.assemble_global(model)
-    width = rcm_bandwidth(k)
+    """The route of a model's stiffness factor, and the reverse Cuthill-McKee
+    bandwidth and band share of the layout (assembly._band_layout) that
+    decides it."""
+    layout = assembly._band_layout(assembly.assemble_global(model))[0]
     return {"route": route(assembly.factorize_stiffness(model)),
-            "rcm_bandwidth": width, "band_share": k.shape[0] * (width + 1) / k.nnz}
+            "rcm_bandwidth": layout.width, "band_share": layout.share}
 
 
 def fdp_route(part) -> dict:
@@ -148,7 +140,7 @@ def fdp_route(part) -> dict:
     reverse Cuthill-McKee bandwidth of its reduced operator K_La^-1 + G."""
     operator = sp.csr_matrix(assembly.reduced_gram(part)) + part.k_la_inv
     return {"route": route(solvers.fdp_factor(part)), "nnz": operator.nnz,
-            "rcm_bandwidth": rcm_bandwidth(operator)}
+            "rcm_bandwidth": assembly._band_layout(operator)[0].width}
 
 
 def gram_work(part) -> dict:

@@ -33,9 +33,8 @@ stiffness, the original stiffness the SRI preconditioner factors and PCG's
 K.  StiffnessPlan is the form for one topology factored many times, the
 Newton driver's tangents: built once from element_geometry and
 elements.mode_rows, it keeps each element's upper-triangle terms, their
-slots in K's pattern and the slots' places in the band of the pattern's
-reverse Cuthill-McKee ordering, so a tangent is one gather-multiply, one
-bincount and a scatter into the band.  The linear path keeps stiffness(),
+slots in K's pattern and the pattern's band layout, so a tangent is one
+gather-multiply, one bincount and a scatter into the band.  The linear path keeps stiffness(),
 by two measurements on one BLAS thread of a 2-core Xeon.  A plan built per
 call costs 8.9 ms on the graded 31x64 ladder, against 5.2 ms for
 mode_matrix and stiffness() (medians of 31), so it would slow every
@@ -76,13 +75,12 @@ frames) the Gram stays sparse, and its reduced operator is factored by
 factor_spd like a stiffness; a dense Gram is factored by dense Cholesky
 (DenseCholesky).
 
-factor_spd factors a sparse symmetric positive definite matrix (a
-stiffness, assembled or original, or a sparse reduced operator): by banded
-Cholesky in reverse Cuthill-McKee order where that band is narrow
-(BAND_SHARE), else by sparse_lu, which also factors the basis triangle.
-StiffnessPlan.factor takes the same two routes, with the same checks, for
-the pattern it keeps.  Every factor's health is its pivot_ratio against
-PIVOT_TOL.
+One function, _band_layout, decides the route of every sparse symmetric
+positive definite factor, factor_spd's (a stiffness, assembled or original,
+or a sparse reduced operator) and StiffnessPlan.factor's: banded Cholesky in
+reverse Cuthill-McKee order where that band is narrow (BAND_SHARE), else
+sparse_lu, which also factors the basis triangle.  Every factor's health is
+its pivot_ratio against PIVOT_TOL.
 """
 
 from __future__ import annotations
@@ -175,9 +173,9 @@ SPARSE_SHARE = 8
 # entries, so their dense route stays.
 HEAVY_SHARE = 0.05
 
-# factor_spd factors a stiffness by banded Cholesky when its reverse
+# _band_layout sends a stiffness to banded Cholesky when its reverse
 # Cuthill-McKee band, n (u + 1) entries for bandwidth u, holds at most
-# BAND_SHARE times the matrix's stored entries, and by sparse LU otherwise.
+# BAND_SHARE times the matrix's stored entries, and to sparse LU otherwise.
 # Measured on one BLAS thread of a 2-core Xeon (medians of 15 factors and of
 # 31 solves), factor then solve by sparse LU against banded, in ms: the 31x64
 # ladder (share 8.4) 21.0 against 8.2, 0.46 against 0.27; the 30x150 ladder
@@ -331,6 +329,45 @@ def _symmetric(row: np.ndarray, col: np.ndarray, values: np.ndarray, n: int) -> 
 
 
 @dataclass(frozen=True)
+class _BandLayout:
+    """Where the entries of a symmetric sparse matrix go in the LAPACK upper
+    band storage of its reverse Cuthill-McKee ordering."""
+
+    perm: np.ndarray  # the row and column of the matrix at each position of the ordering
+    width: int  # the ordering's bandwidth u
+    share: float  # the band's n (u + 1) entries over the matrix's stored ones
+    index: np.ndarray | None  # flat Fortran band index of each entry; None above BAND_SHARE
+
+
+def _band_layout(pattern: sp.csr_matrix) -> tuple[_BandLayout, np.ndarray]:
+    """The band layout of a canonical symmetric CSR matrix and which of its
+    stored entries the band takes, those in the upper triangle of the
+    ordering: the one place the route of a sparse symmetric factor is
+    decided, for factor_spd and StiffnessPlan alike.  The reverse
+    Cuthill-McKee ordering narrows the band (George and Liu, Computer
+    Solution of Large Sparse Positive Definite Systems, 1981).  Where the
+    band holds at most BAND_SHARE times the stored entries, index places
+    the entries it takes, in storage order: position (i, j) at
+    band[u + i - j, j], flat in Fortran order.
+    """
+    n = pattern.shape[0]
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else np.arange(0)
+    position = np.empty_like(perm)
+    position[perm] = np.arange(n, dtype=perm.dtype)
+    row = np.repeat(position, np.diff(pattern.indptr))
+    col = position[pattern.indices]
+    upper = row <= col
+    row, col = row[upper], col[upper]
+    width = int((col - row).max(initial=0))
+    share = n * (width + 1) / max(pattern.nnz, 1)
+    if share > BAND_SHARE:
+        return _BandLayout(perm, width, share, None), upper
+    # (width + 1) col + width + row - col
+    index = _index_array(col, n * (width + 1)) * width + (row + width)
+    return _BandLayout(perm, width, share, index), upper
+
+
+@dataclass(frozen=True)
 class StiffnessPlan:
     """The stiffness K = C^T K_L C of one topology as a fixed scatter, built
     once and applied to any (elements, m, m) parameter blocks B.
@@ -342,17 +379,12 @@ class StiffnessPlan:
     exact zero, element by element: the coefficient, the entry of
     B.ravel() it multiplies and the upper slot it adds to.  The slots, K's
     upper pattern, are sorted by row, then column, and depend on the
-    topology alone.  Where the reverse Cuthill-McKee band of that pattern
-    holds at most BAND_SHARE times its entries, as factor_spd decides, the
-    plan also keeps the ordering and each slot's index in the LAPACK upper
-    band, flat in Fortran order; otherwise perm and band are None.
+    topology alone, and so does the pattern's band layout, kept with them.
 
     assemble(blocks) gives K in CSR form, both triangles from the same slot
-    sums, so K is bitwise symmetric and factor_spd of it takes the same
-    ordering and band as factor(blocks).  factor(blocks, error, what) writes
-    the slot sums straight into the band and factors it as factor_spd does,
-    with its checks: banded Cholesky, or sparse LU of assemble(blocks) where
-    the band is too wide.
+    sums, so K is bitwise symmetric.  factor(blocks, error, what) factors K
+    by the route its layout gives: the slot sums written straight into the
+    band, or sparse LU of assemble(blocks) where the band is too wide.
     """
 
     n: int
@@ -361,9 +393,7 @@ class StiffnessPlan:
     slot: np.ndarray  # (terms,) the upper slot each term adds to
     row: np.ndarray  # (slots,) K's row of each upper slot
     col: np.ndarray  # (slots,) its column, row <= col
-    perm: np.ndarray | None  # reverse Cuthill-McKee ordering where banded
-    band: np.ndarray | None  # (slots,) each slot's index in the Fortran band
-    width: int  # the ordering's bandwidth, 0 where not banded
+    layout: _BandLayout  # the pattern's band, index giving each slot's place
 
     @classmethod
     def of(cls, model: StructuralModel) -> "StiffnessPlan":
@@ -395,19 +425,15 @@ class StiffnessPlan:
         row, col = _index_array(upper // n, n), _index_array(upper % n, n)
         slot = _index_array(slot, len(upper))
         del upper
-        pattern = _symmetric(row, col, np.ones(len(row)), n)
-        perm = reverse_cuthill_mckee(pattern, symmetric_mode=True) if n else np.arange(0)
-        position = np.empty_like(perm)
-        position[perm] = np.arange(n, dtype=perm.dtype)
-        low = np.minimum(position[row], position[col])
-        high = np.maximum(position[row], position[col])
-        width = int((high - low).max(initial=0))
-        if n * (width + 1) > BAND_SHARE * pattern.nnz:
-            return cls(n, coef, entry, slot, row, col, None, None, 0)
-        # band[width + low - high, high], flat in Fortran order
-        band = _index_array(width + low - high + (width + 1) * high.astype(np.int64),
-                            n * (width + 1))
-        return cls(n, coef, entry, slot, row, col, perm, band, width)
+        # the pattern holds each slot's number, so the band places of its
+        # entries map back to the slots
+        pattern = _symmetric(row, col, np.arange(len(row), dtype=float), n)
+        layout, upper = _band_layout(pattern)
+        if layout.index is not None:
+            index = np.empty_like(layout.index)
+            index[pattern.data[upper].astype(np.intp)] = layout.index
+            layout = dataclasses.replace(layout, index=index)
+        return cls(n, coef, entry, slot, row, col, layout)
 
     def _values(self, blocks: np.ndarray) -> np.ndarray:
         """The upper slot sums of K under the blocks."""
@@ -419,16 +445,12 @@ class StiffnessPlan:
         return _symmetric(self.row, self.col, self._values(blocks), self.n)
 
     def factor(self, blocks: np.ndarray, error: type[Exception], what: str):
-        """factor_spd of K under the blocks, the band filled straight from
-        the slot sums.  Raises error when K is singular, not positive
-        definite or its pivot_ratio is below PIVOT_TOL."""
-        if self.band is None:
+        """Factor of K under the blocks, as factor_spd's of assemble(blocks).
+        Raises error when K is singular, not positive definite or its
+        pivot_ratio is below PIVOT_TOL."""
+        if self.layout.index is None:
             return _sparse_spd(self.assemble(blocks), error, what)
-        values = self._values(blocks)
-        band = np.zeros((self.width + 1) * self.n)
-        band[self.band] = values
-        return _banded_cholesky(self.perm, band.reshape((self.width + 1, self.n), order="F"),
-                                error, what)
+        return _banded_cholesky(self.layout, self._values(blocks), error, what)
 
 
 @dataclass(frozen=True)
@@ -508,52 +530,34 @@ def sparse_lu(matrix: sp.spmatrix, error: type[Exception], what: str, *,
 
 
 def factor_spd(matrix: sp.spmatrix, error: type[Exception], what: str):
-    """Factor of a sparse symmetric positive definite matrix (a stiffness:
-    the assembled, the original or a tangent one; or the reduced operator of
-    a Gram without heavy rows), the one place a sparse one is factored
-    (StiffnessPlan.factor takes the same two routes for a pattern it keeps).
-    Raises error when the matrix is singular, not positive definite or its
-    pivot_ratio is below PIVOT_TOL; the factor's solve(rhs) solves with the
-    matrix.
-
-    The reverse Cuthill-McKee ordering narrows the band (George and Liu,
-    Computer Solution of Large Sparse Positive Definite Systems, 1981).
-    Where the band of that ordering holds at most BAND_SHARE times the
-    entries of the matrix, the permuted upper triangle is scattered straight
-    into LAPACK band storage and factored by banded Cholesky
-    (BandedCholesky); a breakdown, a pivot that is not positive, means the
-    matrix is singular.  A wider band goes to sparse_lu, whose pivots, those
-    of LDL^T in its symmetric ordering, must be positive.  A CSR matrix is
-    brought to canonical form in place (sum_duplicates changes its storage,
-    not its value), so the factor copies none of its entries.
+    """Factor of a sparse symmetric positive definite matrix (a stiffness,
+    assembled or original, or the reduced operator of a Gram without heavy
+    rows) by the route _band_layout gives, whose solve(rhs) solves with the
+    matrix.  Raises error when the matrix is singular, not positive definite
+    or its pivot_ratio is below PIVOT_TOL.  A CSR matrix is brought to
+    canonical form in place (sum_duplicates changes its storage, not its
+    value), so the factor copies none of its entries.
     """
     k = matrix if isinstance(matrix, sp.csr_matrix) else sp.csr_matrix(matrix)
     k.sum_duplicates()  # the band takes each entry once
-    n = k.shape[0]
-    perm = reverse_cuthill_mckee(k, symmetric_mode=True) if n else np.arange(0)
-    position = np.empty_like(perm)
-    position[perm] = np.arange(n, dtype=perm.dtype)
-    row = np.repeat(position, np.diff(k.indptr))
-    col = position[k.indices]
-    upper = row <= col
-    row, col = row[upper], col[upper]
-    width = int((col - row).max(initial=0))
-    if n * (width + 1) > BAND_SHARE * k.nnz:
+    layout, upper = _band_layout(k)
+    if layout.index is None:
         return _sparse_spd(k, error, what)
-    band = np.zeros((width + 1, n), order="F")  # LAPACK's order: factored in place
-    band[width + row - col, col] = k.data[upper]
-    return _banded_cholesky(perm, band, error, what)
+    return _banded_cholesky(layout, k.data[upper], error, what)
 
 
-def _banded_cholesky(perm: np.ndarray, band: np.ndarray, error: type[Exception],
+def _banded_cholesky(layout: _BandLayout, values: np.ndarray, error: type[Exception],
                      what: str) -> BandedCholesky:
-    """BandedCholesky of the matrix whose permuted upper triangle band holds
-    in Fortran-ordered LAPACK storage, factored in place.  A breakdown, a
-    pivot that is not positive, or a pivot_ratio below PIVOT_TOL raises
-    error."""
+    """BandedCholesky of the matrix whose entries values are, placed at
+    layout.index: the band is filled from them and factored in place.  A
+    breakdown, a pivot that is not positive, or a pivot_ratio below
+    PIVOT_TOL raises error."""
+    n, rows = len(layout.perm), layout.width + 1
+    band = np.zeros(rows * n)
+    band[layout.index] = values
     try:
-        factor = BandedCholesky(perm, cholesky_banded(band, overwrite_ab=True,
-                                                      check_finite=False))
+        factor = BandedCholesky(layout.perm, cholesky_banded(
+            band.reshape((rows, n), order="F"), overwrite_ab=True, check_finite=False))
     except np.linalg.LinAlgError as exc:
         raise error(f"{what} is singular: {exc}") from exc
     _check_pivots(factor, error, what)
@@ -941,7 +945,6 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray | sp.csr_matrix:
 
 
 def factorize_stiffness(model: StructuralModel):
-    """factor_spd of the assembled stiffness: banded Cholesky where its
-    reverse Cuthill-McKee band is narrow (BAND_SHARE), else sparse LU.
-    Raises UnstableStructureError on singular structures."""
+    """factor_spd of the assembled stiffness.  Raises
+    UnstableStructureError on singular structures."""
     return factor_spd(assemble_global(model), UnstableStructureError, "stiffness matrix")

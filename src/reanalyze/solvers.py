@@ -12,13 +12,12 @@ iteration.
 SRI never forms the reduced operator, and its preconditioner inverts the
 original reduced operator through the Woodbury identity with the factor of
 the original stiffness.  Every stiffness factor (the complete analysis's,
-PCG's and the preconditioner's) is assembly.factor_spd's: banded Cholesky in
-reverse Cuthill-McKee order where that band is narrow, sparse LU otherwise
-(assembly.BAND_SHARE).  An SRI iteration makes one solve with the
-original stiffness's factor plus one operator apply (reduced_apply), whose
-products with C_s take the route SystemPartition.c_s_stored holds.  The
-first preconditioner apply of a solve adds one refinement step (one more
-operator apply and one more stiffness solve).
+PCG's and the preconditioner's) is assembly.factor_spd's.  An SRI iteration
+makes one solve with the original stiffness's factor plus one operator
+apply (reduced_apply), whose products with C_s take the route
+SystemPartition.c_s_stored holds.  The first preconditioner apply of a
+solve adds one refinement step (one more operator apply and one more
+stiffness solve).
 FDP forms the q x q operator from the sparse influence matrix (reduced_gram:
 BLAS over the few rows of C_s^T dense enough to pay, a sparse product over
 the rest) and factors it (fdp_factor) in the form reduced_gram gives it.
@@ -180,7 +179,23 @@ def solve_pcg_full(model_modified: StructuralModel, k0_factorization, tol: float
                        wall_time=wall, converged=converged)
 
 
-class SriPreconditioner:
+class _Refined:
+    """The preconditioner interface solve_sri takes, over the solve(v) of an
+    approximate inverse W of the reduced operator M of self.partition:
+    apply(v) adds one refinement step, z + W(v - M z), at one operator
+    apply and a second solve; apply(v, refine=False) is W(v) alone.
+    solve_sri refines only the first apply: that one alone decides whether
+    self-reanalysis ends after exactly one iteration, and CG tolerates the
+    error in the later ones."""
+
+    def apply(self, v: np.ndarray, refine: bool = True) -> np.ndarray:
+        z = self.solve(v)
+        if refine:
+            z += self.solve(v - reduced_apply(self.partition, z))
+        return z
+
+
+class SriPreconditioner(_Refined):
     """Inverse action of the original structure's reduced operator
     M0 = K_La0^-1 + C_s K_Lb0^-1 C_s^T, without forming M0.
 
@@ -188,33 +203,22 @@ class SriPreconditioner:
     original stiffness,
         M0^-1 = W = K_La0 - K_La0 C_a K0^-1 C_a^T K_La0,
     so solve(v), W(v) for a q-vector or a q x k block, costs one solve with
-    K0's factor_spd factor.  apply() adds one refinement step,
-    z + W(v - M0 z), at one operator apply (two basis solves) and a second
-    K0 solve; apply(v, refine=False) is W(v) alone.
+    K0's factor_spd factor.  W subtracts two nearly equal terms when the
+    additional components are stiff against the rest (~3.5e4-fold
+    cancellation on the graded frame, ~1e-9 relative error); the refinement
+    step of apply() restores full accuracy.
     """
 
     def __init__(self, original: SystemPartition, k0_factor):
         self.q = original.q
-        self._original = original
+        self.partition = original
         self._k_la0 = _block_diag(original.blocks[original.additional_ids])
         self._k0_factor = k0_factor
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        part = self._original
+        part = self.partition
         u = self._k_la0 @ v
         return u - self._k_la0 @ (part.c_a @ self._k0_factor.solve(part.c_a.T @ u))
-
-    def apply(self, v: np.ndarray, refine: bool = True) -> np.ndarray:
-        # W subtracts two nearly equal terms when the additional components
-        # are stiff against the rest (~3.5e4-fold cancellation on the graded
-        # frame, ~1e-9 relative error); the refinement step restores full
-        # accuracy.  solve_sri refines only the first apply: that one alone
-        # decides whether self-reanalysis ends after exactly one iteration,
-        # and CG tolerates the error in the later ones
-        z = self.solve(v)
-        if refine:
-            z += self.solve(v - reduced_apply(self._original, z))
-        return z
 
 
 def build_sri_preconditioner(partition_original: SystemPartition) -> SriPreconditioner:
@@ -278,11 +282,10 @@ def fdp_factor(partition: SystemPartition):
     """Factor of the reduced operator K_La^-1 + G, G = C_s K_Lb^-1 C_s^T,
     whose solve(b) solves with it, in the form reduced_gram gives G.  A
     sparse G (no heavy rows) adds K_La^-1 sparsely and factor_spd factors
-    the sum: banded Cholesky where its reverse Cuthill-McKee band is narrow,
-    sparse LU otherwise.  A dense G takes K_La^-1 on its entries and is
-    factored in place by dense Cholesky (DenseCholesky).  Either route
-    raises UnstableStructureError when the operator is not positive
-    definite: a Cholesky breakdown, or a pivot_ratio below PIVOT_TOL."""
+    the sum.  A dense G takes K_La^-1 on its entries and is factored in
+    place by dense Cholesky (DenseCholesky).  Either route raises
+    UnstableStructureError when the operator is not positive definite: a
+    Cholesky breakdown, or a pivot_ratio below PIVOT_TOL."""
     gram = reduced_gram(partition)
     what = "K_La^-1 + G"
     try:
@@ -340,7 +343,7 @@ def factor_work(factor) -> tuple[float, float]:
     return float(below @ (2.0 * right + 1.0)), 2.0 * (lower.nnz + upper.nnz)
 
 
-class LowRankTangent:
+class LowRankTangent(_Refined):
     """Inverse action of the reduced operator M = K_La^-1 + C_s K_Lb^-1 C_s^T
     of a bar structure's tangent partition, held as a base and a low-rank
     update over the bars whose stiffness differs from the base's (the
@@ -452,9 +455,3 @@ class LowRankTangent:
         if self.rank:
             x -= self._y @ sla.lu_solve(self._lu, self._y.T @ b, check_finite=False)
         return x
-
-    def apply(self, v: np.ndarray, refine: bool = True) -> np.ndarray:
-        z = self.solve(v)
-        if refine:
-            z += self.solve(v - reduced_apply(self.partition, z))
-        return z
