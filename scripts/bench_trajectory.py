@@ -5,7 +5,9 @@
 
 Writes BENCH_<date>_<label>.json into --out: for each scenario the median
 and quartiles, over --repeats interleaved rounds, of make_partition (of the
-original), update_partition (original partition to the design),
+original; next to it the nonzeros of the influence matrix C_s it builds and
+the dependency levels of the basis triangle, the steps of that build),
+update_partition (original partition to the design),
 solve_sri, solve_pcg_full (assembly of the design included),
 solve_conventional, its two stages assemble_global and factorize_stiffness
 (assembly included) of the design, and solve_fdp (the design's partition
@@ -200,6 +202,10 @@ def run_scenario(build, repeats: int) -> dict:
     lu = part0.c_b_lu.lu
     return {
         "n": part0.n, "q": part0.q, "elements": len(orig.elements),
+        # the levels of L^T are those of the basis triangle, whose rows here
+        # never depend on one another in a cycle
+        "c_s_nnz": int(part0.c_s.nnz),
+        "levels": len(assembly._LevelSchedule.of(lu.L.T).bounds) - 1,
         "c_s_route": "stored" if part0.c_s_stored else "c_b",
         "c_b_fill": int(lu.L.nnz + lu.U.nnz - np.count_nonzero(part0.c_b.data) - part0.n),
         "basis_pivot_ratio": assembly.pivot_ratio(lu),

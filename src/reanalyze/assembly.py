@@ -61,9 +61,12 @@ diagonal and inside the block.  A singular block raises
 BasisUnstableError, and so does every check sparse_lu makes on the factor.
 
 The same level schedule builds the sparse influence matrix C_s once per
-topology: each level is one sparse-times-dense product on a block of C_a^T
-columns.  The build forms no dense array larger than a _SLAB_BYTES block,
-and no dense n x q array is kept anywhere.  The products with C_s of the
+topology, a level at a time and in sparse form throughout (Gilbert and
+Peierls, SIAM J. Sci. Stat. Comput. 9, 1988).  A level costs a fixed
+overhead plus the flops of its products, each off-diagonal entry times the
+nonzeros of the row it references, so the build's time follows nnz(C_s),
+not n q.  Its temporaries stay within _SLAB_BYTES, and no dense n x q array
+is formed anywhere.  The products with C_s of the
 reduced right-hand side, operator and displacement recovery take the route
 SystemPartition.c_s_stored holds, which make_partition decides once per
 topology by SPARSE_SHARE.  The q x q Gram matrix C_s K_Lb^-1 C_s^T, which
@@ -118,7 +121,9 @@ from .model import ElementKind, PartitionSpec, StructuralModel
 # pivot_ratio below which sparse_lu and factor_spd count a factor as singular.
 PIVOT_TOL = 1e-10
 
-# Bytes of one dense column block of C_a^T in the influence-matrix build.
+# Bytes of the temporaries of one piece of a level in the influence-matrix
+# build: a piece expands the products of whole rows, and costs a fixed
+# overhead plus its products.
 _SLAB_BYTES = 1 << 24
 
 
@@ -665,27 +670,27 @@ def _material_state(blocks: np.ndarray, basis_ids: np.ndarray,
             "k_la_inv": _block_diag(np.linalg.inv(blocks[additional_ids]))}
 
 
-def _sparse_rows(a: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of the nonzero entries of a C-ordered 2-D array."""
-    mask = a != 0
-    nonzero = np.flatnonzero(mask)
-    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(mask, axis=1))])
-    return sp.csr_matrix((a.ravel()[nonzero], nonzero % a.shape[1], indptr), shape=a.shape)
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The positions start[i] ... start[i] + count[i] - 1 of every i, in
+    turn: the stored entries of the CSR rows whose pointers start and count
+    are."""
+    end = np.cumsum(count)
+    return np.repeat(start - end + count, count) + np.arange(end[-1] if len(end) else 0)
 
 
 @dataclass(frozen=True)
 class _LevelSchedule:
-    """Solves with a sparse block triangular matrix T, its rows and columns
-    reordered so that each dependency level is a contiguous range.
+    """A sparse block triangular matrix T, its rows and columns reordered
+    so that each dependency level is a contiguous range.
 
     Row i depends on row j where T_ij is nonzero.  The blocks are the
     strongly connected components of that digraph: single rows where T is a
     permuted triangle, more where rows depend on one another in a cycle.  A
     block's level is 0 when its rows reference no other block, else one more
     than the highest level among the blocks they reference.  With B the
-    block diagonal of T, B^-1 T is the identity on its diagonal blocks, so
-    each level depends only on the levels before it and is solved as one
-    sparse-times-dense product (Anderson and Saad, Int. J. High Speed
+    block diagonal of T, B^-1 T is the identity on its diagonal blocks, so a
+    solve with T takes its levels in turn, each row of a level referencing
+    only rows of the levels before it (Anderson and Saad, Int. J. High Speed
     Computing 1, 1989).  Lower and upper triangular matrices alike: only the
     dependencies matter.  Raises numpy.linalg.LinAlgError when a block of
     more than one row is singular.
@@ -694,9 +699,8 @@ class _LevelSchedule:
     order: np.ndarray  # the row of T at each position of the reordering
     cycles: list  # (start, stop) of every block of more than one row
     inv_blocks: sp.csr_matrix  # B^-1, reordered
-    # (start, stop, rows) of every level past the first, rows holding the
-    # entries of B^-1 T outside B, reordered, as a (stop - start) x n CSR matrix
-    levels: list
+    off: sp.csr_matrix  # the entries of B^-1 T outside B, reordered
+    bounds: list  # the first position of every level, then n
 
     @classmethod
     def of(cls, t: sp.spmatrix) -> "_LevelSchedule":
@@ -718,7 +722,8 @@ class _LevelSchedule:
         ready, depth = np.flatnonzero(unplaced == 0), 0
         while ready.size:
             level[ready] = depth
-            hit = dependents[:, ready].indices
+            start = dependents.indptr[ready]
+            hit = dependents.indices[_ranges(start, dependents.indptr[ready + 1] - start)]
             np.subtract.at(unplaced, hit, 1)
             ready, depth = np.unique(hit[unplaced[hit] == 0]), depth + 1
         order = np.lexsort((block, level[block]))  # a block's rows are contiguous
@@ -733,15 +738,8 @@ class _LevelSchedule:
         inv_blocks = _block_inverse(diag, start[~big], cycles)
         off = inv_blocks @ sp.csr_matrix((data[~inner], (row[~inner], col[~inner])),
                                          shape=(n, n))
-        bounds = np.cumsum(np.bincount(level[block])).tolist()
-        return cls(order, cycles, inv_blocks,
-                   [(a, b, off[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
-
-    def solve(self, y: np.ndarray) -> None:
-        """Overwrite the reordered C-ordered n x k block y = B^-1 r, where
-        inv_blocks is B^-1, with T^-1 r."""
-        for a, b, rows in self.levels:
-            y[a:b] -= rows @ y  # rows reference only positions below a
+        return cls(order, cycles, inv_blocks, off,
+                   [0] + np.cumsum(np.bincount(level[block])).tolist())
 
 
 def _block_inverse(diag: sp.csr_matrix, single: np.ndarray, cycles: list) -> sp.csr_matrix:
@@ -770,29 +768,92 @@ def _pivot_rows(block: np.ndarray) -> np.ndarray:
 
 def _influence_matrix(schedule: _LevelSchedule, matched: np.ndarray,
                       c_a: sp.csr_matrix) -> sp.csr_matrix:
-    """Sparse C_s = C_a C_b^-1 by level-scheduled solves with A^T, C_a^T a
-    dense column block at a time, A = C_b[matched] being C_b with its
-    matching on the diagonal and schedule A^T's.
+    """Sparse C_s = C_a C_b^-1 by a sparse level-scheduled solve with A^T,
+    A = C_b[matched] being C_b with its matching on the diagonal and
+    schedule A^T's.
 
     C_s^T = C_b^-T C_a^T, and C_b^T x = y is A^T z = y with x[matched] = z.
     So the rows of C_a^T enter in the schedule's order, multiplied by the
-    inverse diagonal blocks once for all blocks, and row matched[order[p]]
-    of the result is row p of the solve.  A block is _SLAB_BYTES of C_a^T
-    columns and drops its exact zeros as it leaves; the blocks become C_s's
-    rows.
+    inverse diagonal blocks once for all blocks (Y0), and row
+    matched[order[p]] of C_s^T is row p of the solve Y.  Y's rows grow level
+    by level in CSR arrays (Gilbert and Peierls, SIAM J. Sci. Stat. Comput.
+    9, 1988): row i of a level is Y0's less the sum over its off-diagonal
+    entries (i, k, v) of v times the finished row k.  Each product is keyed
+    by its (row, column), and a stable sort of the keys lets np.bincount sum
+    the products of a key in the order of the row's entries, as a
+    sparse-times-dense product sums them, with Y0's entry subtracted last;
+    so C_s is bitwise what a dense solve gives.  Exact zeros are dropped.
+    A level costs a fixed overhead of some thirty numpy calls plus its
+    products and their sort, and expands its products in pieces of whole
+    rows holding at most _SLAB_BYTES of temporaries.
     """
     q, n = c_a.shape
     if q == 0:
         return sp.csr_matrix((0, n))
-    c_a_t = (schedule.inv_blocks @ c_a.T.tocsr()[schedule.order]).tocsc()
-    out = np.argsort(matched[schedule.order])
-    width = max(_SLAB_BYTES // (8 * n), 1)
-    blocks = []
-    for lo in range(0, q, width):
-        y = c_a_t[:, lo:lo + width].toarray(order="C")
-        schedule.solve(y)
-        blocks.append(_sparse_rows(y)[out].T.tocsr())
-    return sp.vstack(blocks, format="csr")
+    y0 = schedule.inv_blocks @ c_a.T.tocsr()[schedule.order]
+    off, bounds = schedule.off, schedule.bounds
+    # an entry of row i and column j of Y has the key q i + j
+    off_key = np.repeat(np.arange(n, dtype=np.int64) * q, np.diff(off.indptr))
+    y0_key = np.repeat(np.arange(n, dtype=np.int64) * q, np.diff(y0.indptr)) + y0.indices
+    # Y's CSR arrays, level 0's rows (which reference nothing) Y0's
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[:bounds[1] + 1] = y0.indptr[:bounds[1] + 1]
+    end = int(indptr[bounds[1]])
+    indices = np.empty(max(2 * y0.nnz, 1), dtype=y0.indices.dtype)
+    data = np.empty(len(indices))
+    indices[:end], data[:end] = y0.indices[:end], y0.data[:end]
+    # a product holds its key, value, source position, sort permutation and
+    # group, and their copies, at 8 bytes apiece
+    budget = max(_SLAB_BYTES // 64, 1)
+    for a, b in zip(bounds[1:-1], bounds[2:]):
+        lo = off.indptr[a]
+        refs = off.indices[lo:off.indptr[b]]
+        start = indptr[refs]
+        count = indptr[refs + 1] - start
+        cuts = [a, b]
+        if count.sum() + y0.indptr[b] - y0.indptr[a] > budget:
+            # work[r]: the products and Y0 entries of the rows a ... a + r - 1
+            work = (np.concatenate([[0], np.cumsum(count)])[off.indptr[a:b + 1] - lo]
+                    + y0.indptr[a:b + 1] - y0.indptr[a])
+            cuts = [0]
+            while cuts[-1] < b - a:
+                fit = int(np.searchsorted(work, work[cuts[-1]] + budget, side="right")) - 1
+                cuts.append(max(fit, cuts[-1] + 1))
+            cuts = [a + cut for cut in cuts]
+        for first, last in zip(cuts[:-1], cuts[1:]):
+            e0, e1 = off.indptr[first], off.indptr[last]
+            span = count[e0 - lo:e1 - lo]
+            source = _ranges(start[e0 - lo:e1 - lo], span)
+            s0, s1 = y0.indptr[first], y0.indptr[last]
+            key = np.concatenate([np.repeat(off_key[e0:e1], span) + indices[source],
+                                  y0_key[s0:s1]])
+            weight = np.concatenate([np.repeat(off.data[e0:e1], span) * data[source],
+                                     -y0.data[s0:s1]])
+            del source
+            perm = np.argsort(key, kind="stable")
+            key = key[perm]
+            head = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=head[1:])
+            # -(sum - y0) is y0 - sum exactly
+            value = -np.bincount(np.cumsum(head) - 1, weights=weight[perm])
+            del perm, weight
+            keep = value != 0
+            key, value = key[head][keep], value[keep]
+            k = len(key)
+            if end + k > len(data):
+                # no view of the arrays is alive, so they grow in place
+                size = max(2 * len(data), end + k)
+                indices.resize(size, refcheck=False)
+                data.resize(size, refcheck=False)
+            indices[end:end + k], data[end:end + k] = key % q, value
+            indptr[first + 1:last + 1] = end + np.searchsorted(
+                key, np.arange(first + 1, last + 1, dtype=np.int64) * q)
+            end += k
+    indices.resize(end, refcheck=False)
+    data.resize(end, refcheck=False)
+    y = sp.csr_matrix((data, indices, indptr), shape=(n, q))[np.argsort(matched[schedule.order])]
+    del indices, data  # so Y is held once while it is transposed
+    return y.T.tocsr()
 
 
 def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartition:
@@ -801,9 +862,10 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     The basis parameter count must equal the number of free DOFs, of which
     there must be some (InvalidParameterError otherwise).  C_b is matched,
     ordered into its triangle and factored, and the sparse influence matrix
-    C_s is built here, eagerly, by level-scheduled solves with the matched
-    C_b's transpose (the module docstring gives the steps).  Raises
-    BasisUnstableError when C_b is singular or nearly so.
+    C_s is built here, eagerly, by a sparse level-scheduled solve with the
+    matched C_b's transpose (the module docstring gives the steps), in a
+    fixed overhead per dependency level plus the flops of its products.
+    Raises BasisUnstableError when C_b is singular or nearly so.
     """
     if model.n == 0:
         raise InvalidParameterError("model has no free DOFs to partition")

@@ -957,7 +957,7 @@ class TestInfluenceMatrix:
         # floor below, so the transposed L factor has over a hundred levels
         model = build_truss_grid(2, 60)
         part = make_partition(model, default_additional_set(model))
-        assert len(assembly._LevelSchedule.of(part.c_b_lu.lu.L.T).levels) > 100
+        assert len(assembly._LevelSchedule.of(part.c_b_lu.lu.L.T).bounds) - 1 > 100
         self.assert_matches_definition(part)
 
     def test_non_default_basis(self):
@@ -966,26 +966,90 @@ class TestInfluenceMatrix:
         self.assert_matches_definition(make_partition(model, spec))
 
     def test_blocks_with_partial_last(self, monkeypatch):
+        # a level holding more than _SLAB_BYTES / 64 products and Y0 entries
+        # is expanded in pieces of whole rows, the last partial, and at the
+        # smallest bound in pieces of one row; every split gives C_s bitwise
         model = build_truss_grid(7, 16)
-        width = 40
-        monkeypatch.setattr(assembly, "_SLAB_BYTES", 8 * model.n * width)
-        part = make_partition(model, default_additional_set(model))
-        assert part.q > 2 * width and part.q % width  # three blocks, the last partial
+        spec = default_additional_set(model)
+        real, pieces = assembly._ranges, []
+
+        def counted(start, count):
+            pieces.append(len(start))
+            return real(start, count)
+
+        monkeypatch.setattr(assembly, "_ranges", counted)
+        whole = make_partition(model, spec).c_s
+        calls = [len(pieces)]
+        for products in (100, 1):
+            pieces.clear()
+            monkeypatch.setattr(assembly, "_SLAB_BYTES", 64 * products)
+            part = make_partition(model, spec)
+            calls.append(len(pieces))
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(part.c_s, name), getattr(whole, name)), name
+        assert calls[0] < calls[1] < calls[2], calls
         self.assert_matches_definition(part)
 
+    @pytest.mark.parametrize("build", [
+        lambda: with_default_set(build_truss_grid(7, 16)),
+        lambda: with_default_set(graded_fg_frame()),
+        lambda: with_default_set(build_frame_grid(
+            2, 4, n_sb=8, n_sc=8, material=MaterialSpec(e_us=20000.0, e_ls=20000.0, p=1.0))),
+        span2_ladder,
+        cyclic_truss,
+    ], ids=["ladder-7x16", "graded-fg-frame", "c08-frame-2x4", "ladder-4x6-span2-basis",
+            "cyclic-truss"])
+    def test_bitwise_dense_solve(self, build, monkeypatch):
+        # C_s holds exactly the nonzeros of the dense level-scheduled solve:
+        # each level a sparse-times-dense product over all of Y.  On the
+        # subdivided frame some entries sum three or more products, so only
+        # their order of summation makes them equal
+        real, args = assembly._influence_matrix, []
+
+        def captured(*a):
+            args.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(assembly, "_influence_matrix", captured)
+        part = make_partition(*build())
+        ((schedule, matched, c_a),) = args
+        y = (schedule.inv_blocks @ c_a.T.tocsr()[schedule.order]).toarray()
+        for a, b in zip(schedule.bounds[1:-1], schedule.bounds[2:]):
+            y[a:b] -= schedule.off[a:b] @ y
+        expected = np.empty_like(y)
+        expected[matched[schedule.order]] = y
+        assert np.array_equal(part.c_s.toarray(), expected.T)
+
+    @pytest.mark.parametrize("build", [
+        lambda: with_default_set(build_truss_grid(31, 64)),
+        lambda: with_default_set(graded_frame()),
+        lambda: with_default_set(c08c_frame()),
+        cyclic_truss,
+    ], ids=["ladder-31x64", "graded-frame", "c08c", "cyclic-truss"])
+    def test_canonical(self, build):
+        # each row's column indices strictly increase (sorted, no
+        # duplicate), and no exact zero is stored
+        c_s = make_partition(*build()).c_s
+        first = np.zeros(c_s.nnz, dtype=bool)
+        first[c_s.indptr[:-1][np.diff(c_s.indptr) > 0]] = True
+        assert np.all((np.diff(c_s.indices) > 0) | first[1:])
+        assert np.all(c_s.data != 0)
+
     def test_peak_memory(self):
-        # a dense block is _SLAB_BYTES (16 MiB) and the sparse result is held
-        # once in blocks and once stacked; SuperLU solves of 1024 columns
-        # peaked at 65 MiB on this ladder
-        model = build_truss_grid(31, 64)
-        spec = default_additional_set(model)
-        tracemalloc.start()
-        try:
-            make_partition(model, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 55 * 2**20
+        # tracemalloc's peak over make_partition, against the peak of the
+        # dense-slab build this one replaced (a 16 MiB block of C_a^T
+        # columns): 8.8 against 34.9 MiB on the 31x64 ladder, and 36.7
+        # against 49.9 MiB on the bilinear 30x150 ladder, where Y grows in
+        # place and is held once while it is transposed
+        for model, bound in ((build_truss_grid(31, 64), 55), (bilinear_ladder(30, 150), 50)):
+            spec = default_additional_set(model)
+            tracemalloc.start()
+            try:
+                make_partition(model, spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, (model.n, peak)
 
 
 class TestMaterialState:

@@ -38,6 +38,12 @@ def test_bench_trajectory(tmp_path):
                       "c08c": "stored"}, routes
     fill = {name: s["c_b_fill"] for name, s in scenarios.items()}
     assert len(fill) == 3 and not any(fill.values()), fill
+    # next to make_partition's time, the nonzeros of C_s (fewer than n q)
+    # and the dependency levels of its build (at least one, at most n)
+    for name, s in scenarios.items():
+        assert 0 < s["c_s_nnz"] < s["n"] * s["q"], (name, s["c_s_nnz"])
+        assert 1 <= s["levels"] <= s["n"], (name, s["levels"])
+        assert s["calls"]["make_partition"]["median_s"] > 0, name
     # the stiffness routes: banded Cholesky for the ladder and the frame,
     # sparse LU for c08c's original (PCG's and the preconditioner's K0) and
     # banded for its graded design, each as its band share and BAND_SHARE
