@@ -148,9 +148,8 @@ def fdp_route(part) -> dict:
 def gram_work(part) -> dict:
     """The heavy rows of a partition's Gram, the multiply-adds reduced_gram
     executes and the n q^2 of the dense product."""
-    c_s_t = part.c_s.T.tocsr()
-    heavy = assembly.heavy_rows(c_s_t, part.blocks.shape[1])
-    light_nnz = np.diff(c_s_t.indptr)[~heavy].astype(float)
+    heavy = assembly.heavy_rows(part)
+    light_nnz = np.diff(part.c_s_t.indptr)[~heavy].astype(float)
     return {"heavy_rows": int(heavy.sum()),
             "multiply_adds": float(heavy.sum() * part.q ** 2 + light_nnz @ light_nnz),
             "dense_multiply_adds": float(part.n * part.q ** 2)}
@@ -204,9 +203,9 @@ def run_scenario(build, repeats: int) -> dict:
         "n": part0.n, "q": part0.q, "elements": len(orig.elements),
         # the levels of L^T are those of the basis triangle, whose rows here
         # never depend on one another in a cycle
-        "c_s_nnz": int(part0.c_s.nnz),
+        "c_s_nnz": int(part0.c_s_t.nnz),
         "levels": len(assembly._LevelSchedule.of(lu.L.T).bounds) - 1,
-        "c_s_route": "stored" if part0.c_s_stored else "c_b",
+        "c_s_route": "stored" if part0.c_s is not None else "c_b",
         "c_b_fill": int(lu.L.nnz + lu.U.nnz - np.count_nonzero(part0.c_b.data) - part0.n),
         "basis_pivot_ratio": assembly.pivot_ratio(lu),
         "stiffness": {"original": stiffness_route(orig), "design": stiffness_route(design)},

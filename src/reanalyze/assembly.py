@@ -60,16 +60,16 @@ order of its own dense LU with partial pivoting, so the pivots stay on the
 diagonal and inside the block.  A singular block raises
 BasisUnstableError, and so does every check sparse_lu makes on the factor.
 
-The same level schedule builds the sparse influence matrix C_s once per
-topology, a level at a time and in sparse form throughout (Gilbert and
+The same level schedule builds the sparse influence matrix, as C_s^T, once
+per topology, a level at a time and in sparse form throughout (Gilbert and
 Peierls, SIAM J. Sci. Stat. Comput. 9, 1988).  A level costs a fixed
 overhead plus the flops of its products, each off-diagonal entry times the
 nonzeros of the row it references, so the build's time follows nnz(C_s),
 not n q.  Its temporaries stay within _SLAB_BYTES, and no dense n x q array
-is formed anywhere.  The products with C_s of the
-reduced right-hand side, operator and displacement recovery take the route
-SystemPartition.c_s_stored holds, which make_partition decides once per
-topology by SPARSE_SHARE.  The q x q Gram matrix C_s K_Lb^-1 C_s^T, which
+is formed anywhere.  A partition always stores C_s^T, and C_s only where
+make_partition sends the products with C_s of the reduced right-hand side,
+operator and displacement recovery to storage (SPARSE_SHARE, once per
+topology).  The q x q Gram matrix C_s K_Lb^-1 C_s^T, which
 the direct low-rank path and the tangent reduction backend factor, has one
 route, reduced_gram, split by the rows of C_s^T: the few rows dense enough
 that a dense product is cheaper (HEAVY_SHARE) go through BLAS into a dense
@@ -127,9 +127,9 @@ PIVOT_TOL = 1e-10
 _SLAB_BYTES = 1 << 24
 
 
-# make_partition sets SystemPartition.c_s_stored, the one route of the
-# products with C_s in reduced_apply, reduced_rhs and displacement recovery,
-# when nnz(C_s), the work of one product with the stored C_s or its
+# make_partition stores C_s next to C_s^T, the one route of the products
+# with C_s in reduced_apply, reduced_rhs and displacement recovery, when
+# nnz(C_s), the work of one product with the stored C_s or its
 # transpose, is at most SPARSE_SHARE times nnz(C_b's factor) + nnz(C_a), the
 # work of one product by the C_b route (a solve with the factor and a product
 # with C_a).  Measured on one BLAS thread of a 2-core Xeon (medians of 301
@@ -294,8 +294,9 @@ def mode_matrix(model: StructuralModel) -> sp.csr_matrix:
     """The (elements m) x n sparse matrix C of the mode rows restricted to
     free DOFs, element i's rows being m i ... m i + m - 1: one mode_rows call
     over element_geometry and one CSR build.  Every free entry is stored,
-    exact zeros too, so the structure of C, and with it the ordering of the
-    stiffness factor, depends on the topology alone."""
+    exact zeros too, so the structure of C depends on the topology alone;
+    no factor sees them (stiffness's product drops zero sums, and
+    make_partition drops them from C_b)."""
     delta, length, dofs = element_geometry(model)
     m = 2 * model.dofs_per_node - 3
     rows = mode_rows(delta, length, m)
@@ -604,8 +605,8 @@ class SystemPartition:
     """Basis/additional split with factorized basis mode matrix.
 
     Topological members (c_b, its triangular factorization c_b_lu, c_a, the
-    sparse influence matrix c_s = C_a C_b^-1, its transpose where stored,
-    and the model fingerprint element_nodes/node_xy/dof_map) are shared
+    sparse influence matrix C_s = C_a C_b^-1 as c_s_t and c_s, and the model
+    fingerprint element_nodes/node_xy/dof_map) are shared
     across material updates; sparse_lu checked the factor.  Every solve with C_b or C_b^T is
     c_b_lu.solve(v) or c_b_lu.solve(v, trans="T").  A material state is the
     (elements, m, m) parameter blocks, element i's at i, plus the blockwise
@@ -616,14 +617,14 @@ class SystemPartition:
     Instances are immutable; solves through the factorization do not mutate
     visible state.
 
-    c_s_stored is the one route of the products with C_s, fixed by
-    make_partition from the topology alone (SPARSE_SHARE, whose comment
-    gives the measurements), so a partition, its updates and its
-    preconditioner take the same route.  Where it holds, apply_c_s and
-    apply_c_s_t multiply by the stored c_s and its CSR transpose c_s_t;
-    otherwise they solve with the basis factorization (two triangular solves
-    and two gathers).  reduced_gram does not read it: it takes c_s_t where
-    stored and transposes c_s otherwise.
+    c_s_t, C_s^T in canonical CSR form, is always stored: the Gram
+    (reduced_gram) reads it.  c_s, C_s in CSR form, is stored only where
+    make_partition sends the products with C_s to storage, a route fixed by
+    the topology alone (SPARSE_SHARE, whose comment gives the
+    measurements), so a partition, its updates and its preconditioner take
+    the same route.  Where c_s is stored, apply_c_s and apply_c_s_t multiply
+    by c_s and c_s_t; where it is None they solve with the basis
+    factorization (two triangular solves and two gathers).
     """
 
     basis_ids: np.ndarray
@@ -633,9 +634,8 @@ class SystemPartition:
     c_b: sp.csc_matrix
     c_b_lu: object
     c_a: sp.csr_matrix
-    c_s: sp.csr_matrix  # (q, n), exact zeros dropped
-    c_s_stored: bool  # whether apply_c_s and apply_c_s_t multiply by c_s and c_s_t
-    c_s_t: sp.csr_matrix | None  # (n, q) C_s^T where c_s_stored holds, else None
+    c_s_t: sp.csr_matrix  # (n, q) C_s^T, canonical, exact zeros dropped
+    c_s: sp.csr_matrix | None  # (q, n) C_s on the stored route, else None
     blocks: np.ndarray  # (elements, m, m) parameter blocks
     k_lb_inv: sp.csr_matrix
     k_la_inv: sp.csr_matrix
@@ -645,13 +645,13 @@ class SystemPartition:
 
     def apply_c_s(self, v: np.ndarray) -> np.ndarray:
         """Apply C_s = C_a C_b^-1 to an n-vector."""
-        if self.c_s_stored:
+        if self.c_s is not None:
             return self.c_s @ v
         return self.c_a @ self.c_b_lu.solve(v)
 
     def apply_c_s_t(self, x: np.ndarray) -> np.ndarray:
         """Apply C_s^T = C_b^-T C_a^T to a q-vector."""
-        if self.c_s_stored:
+        if self.c_s is not None:
             return self.c_s_t @ x
         return self.c_b_lu.solve(self.c_a.T @ x, trans="T")
 
@@ -768,9 +768,9 @@ def _pivot_rows(block: np.ndarray) -> np.ndarray:
 
 def _influence_matrix(schedule: _LevelSchedule, matched: np.ndarray,
                       c_a: sp.csr_matrix) -> sp.csr_matrix:
-    """Sparse C_s = C_a C_b^-1 by a sparse level-scheduled solve with A^T,
-    A = C_b[matched] being C_b with its matching on the diagonal and
-    schedule A^T's.
+    """Sparse C_s^T, canonical (n, q) CSR, by a sparse level-scheduled
+    solve with A^T, A = C_b[matched] being C_b with its matching on the
+    diagonal and schedule A^T's.
 
     C_s^T = C_b^-T C_a^T, and C_b^T x = y is A^T z = y with x[matched] = z.
     So the rows of C_a^T enter in the schedule's order, multiplied by the
@@ -782,15 +782,16 @@ def _influence_matrix(schedule: _LevelSchedule, matched: np.ndarray,
     by its (row, column), and a stable sort of the keys lets np.bincount sum
     the products of a key in the order of the row's entries, as a
     sparse-times-dense product sums them, with Y0's entry subtracted last;
-    so C_s is bitwise what a dense solve gives.  Exact zeros are dropped.
+    so C_s^T is bitwise what a dense solve gives.  Exact zeros are dropped.
     A level costs a fixed overhead of some thirty numpy calls plus its
     products and their sort, and expands its products in pieces of whole
     rows holding at most _SLAB_BYTES of temporaries.
     """
     q, n = c_a.shape
     if q == 0:
-        return sp.csr_matrix((0, n))
+        return sp.csr_matrix((n, 0))
     y0 = schedule.inv_blocks @ c_a.T.tocsr()[schedule.order]
+    y0.sort_indices()  # a product leaves its rows' indices unsorted
     off, bounds = schedule.off, schedule.bounds
     # an entry of row i and column j of Y has the key q i + j
     off_key = np.repeat(np.arange(n, dtype=np.int64) * q, np.diff(off.indptr))
@@ -851,20 +852,19 @@ def _influence_matrix(schedule: _LevelSchedule, matched: np.ndarray,
             end += k
     indices.resize(end, refcheck=False)
     data.resize(end, refcheck=False)
-    y = sp.csr_matrix((data, indices, indptr), shape=(n, q))[np.argsort(matched[schedule.order])]
-    del indices, data  # so Y is held once while it is transposed
-    return y.T.tocsr()
+    return sp.csr_matrix((data, indices, indptr), shape=(n, q))[np.argsort(matched[schedule.order])]
 
 
 def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartition:
     """Build and factorize the basis/additional partition of a model.
 
     The basis parameter count must equal the number of free DOFs, of which
-    there must be some (InvalidParameterError otherwise).  C_b is matched,
-    ordered into its triangle and factored, and the sparse influence matrix
-    C_s is built here, eagerly, by a sparse level-scheduled solve with the
-    matched C_b's transpose (the module docstring gives the steps), in a
-    fixed overhead per dependency level plus the flops of its products.
+    there must be some (InvalidParameterError otherwise).  C_b, without its
+    exact zeros, is matched, ordered into its triangle and factored, and the
+    sparse influence matrix C_s^T is built here, eagerly, by a sparse
+    level-scheduled solve with the matched C_b's transpose (the module
+    docstring gives the steps), in a fixed overhead per dependency level
+    plus the flops of its products.  C_s is stored only on the stored route.
     Raises BasisUnstableError when C_b is singular or nearly so.
     """
     if model.n == 0:
@@ -882,21 +882,20 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
 
     blocks, c = element_blocks(model), mode_matrix(model)
     m = blocks.shape[1]
-    c_b = c[_rows(basis_ids, m)].tocsc()
+    c_b = c[_rows(basis_ids, m)]
     c_a = c[_rows(additional_ids, m)]
     if c_b.shape[0] != model.n:
         raise NotDeterminateError(
             f"basis parameter count {c_b.shape[0]} != free DOFs {model.n}")
     q = c_a.shape[0]
 
-    nonzero = c_b.tocsr()
-    nonzero.eliminate_zeros()
-    matched = maximum_bipartite_matching(nonzero, perm_type="row")  # row of each column
+    c_b.eliminate_zeros()
+    matched = maximum_bipartite_matching(c_b, perm_type="row")  # row of each column
     if (matched < 0).any():
         raise BasisUnstableError(f"basis mode matrix is structurally singular: no row "
                                  f"matches column {np.argmax(matched < 0)}")
     try:
-        schedule = _LevelSchedule.of(nonzero[matched].T)
+        schedule = _LevelSchedule.of(c_b[matched].T)
     except np.linalg.LinAlgError as exc:
         raise BasisUnstableError(f"basis mode matrix is singular: {exc}") from exc
     # A^T in level order is block lower triangular, so A reversed is too; a
@@ -905,15 +904,17 @@ def make_partition(model: StructuralModel, spec: PartitionSpec) -> SystemPartiti
     rows = matched[order]
     for a, b in schedule.cycles:
         a, b = model.n - b, model.n - a
-        rows[a:b] = rows[a:b][_pivot_rows(nonzero[rows[a:b]][:, order[a:b]].toarray())]
-    lu = sparse_lu(nonzero[rows][:, order], BasisUnstableError, "basis mode matrix",
+        rows[a:b] = rows[a:b][_pivot_rows(c_b[rows[a:b]][:, order[a:b]].toarray())]
+    lu = sparse_lu(c_b[rows][:, order], BasisUnstableError, "basis mode matrix",
                    ordering="NATURAL")
-    c_s = _influence_matrix(schedule, matched, c_a)
-    stored = bool(c_s.nnz <= SPARSE_SHARE * (lu.L.nnz + lu.U.nnz + c_a.nnz))
+    c_s_t = _influence_matrix(schedule, matched, c_a)
+    stored = c_s_t.nnz <= SPARSE_SHARE * (lu.L.nnz + lu.U.nnz + c_a.nnz)
     return SystemPartition(
         basis_ids=basis_ids, additional_ids=additional_ids, n=model.n, q=q,
-        c_b=c_b, c_b_lu=BasisFactor(lu, rows, order), c_a=c_a, c_s=c_s,
-        c_s_stored=stored, c_s_t=c_s.T.tocsr() if stored else None,
+        # CSC, as the SRI preconditioner's stiffness sums [C_b; C_a] through
+        # COO, and K0's bits follow that path
+        c_b=c_b.tocsc(), c_b_lu=BasisFactor(lu, rows, order), c_a=c_a,
+        c_s=c_s_t.T.tocsr() if stored else None, c_s_t=c_s_t,
         **_material_state(blocks, basis_ids, additional_ids),
         element_nodes=model.element_nodes, node_xy=model.xy, dof_map=model.dof_map)
 
@@ -962,20 +963,20 @@ def reduced_rhs(partition: SystemPartition, r: np.ndarray) -> tuple[np.ndarray, 
 def reduced_apply(partition: SystemPartition, x: np.ndarray) -> np.ndarray:
     """Apply the reduced operator K_La^-1 + C_s K_Lb^-1 C_s^T as mat-vec chains.
 
-    A call costs two block-diagonal products plus, where c_s_stored holds,
-    one product with the stored C_s and one with its transpose, and
-    otherwise two sparse solves with the basis factorization and two
-    products with C_a."""
+    A call costs two block-diagonal products plus, where C_s is stored,
+    one product with C_s and one with C_s^T, and otherwise two sparse
+    solves with the basis factorization and two products with C_a."""
     h = partition.k_lb_inv @ partition.apply_c_s_t(x)
     return partition.k_la_inv @ x + partition.apply_c_s(h)
 
 
-def heavy_rows(c_s_t: sp.csr_matrix, m: int) -> np.ndarray:
-    """Mask of the rows of C_s^T (n x q, in CSR form) that reduced_gram
-    multiplies by BLAS: the m rows of every basis element whose nonzero count
-    nnz has nnz^2 > HEAVY_SHARE m q^2."""
-    nnz = np.diff(c_s_t.indptr).reshape(-1, m).sum(axis=1).astype(float)
-    return np.repeat(nnz * nnz > HEAVY_SHARE * m * c_s_t.shape[1] ** 2, m)
+def heavy_rows(partition: SystemPartition) -> np.ndarray:
+    """Mask of the rows of a partition's C_s^T that reduced_gram multiplies
+    by BLAS: the m rows of every basis element whose nonzero count nnz has
+    nnz^2 > HEAVY_SHARE m q^2."""
+    m = partition.blocks.shape[1]
+    nnz = np.diff(partition.c_s_t.indptr).reshape(-1, m).sum(axis=1).astype(float)
+    return np.repeat(nnz * nnz > HEAVY_SHARE * m * partition.q ** 2, m)
 
 
 def reduced_gram(partition: SystemPartition) -> np.ndarray | sp.csr_matrix:
@@ -994,14 +995,14 @@ def reduced_gram(partition: SystemPartition) -> np.ndarray | sp.csr_matrix:
     except np.linalg.LinAlgError as exc:
         raise UnstableStructureError(
             f"basis parameter block not positive definite: {exc}") from exc
-    c_s_t = partition.c_s_t if partition.c_s_t is not None else partition.c_s.T.tocsr()
-    m = lower.shape[1]
-    heavy = heavy_rows(c_s_t, m)
+    c_s_t, heavy = partition.c_s_t, heavy_rows(partition)
     if not heavy.any():
-        return partition.c_s @ (partition.k_lb_inv @ c_s_t)
+        # from C_s, which C_s^T's transpose would sum in another order
+        c_s = c_s_t.T.tocsr() if partition.c_s is None else partition.c_s
+        return c_s @ (partition.k_lb_inv @ c_s_t)
     light = ~heavy
     gram = (c_s_t[light].T @ (partition.k_lb_inv[light] @ c_s_t)).toarray(order="F")
-    y = (_block_diag(np.linalg.inv(lower[heavy[::m]])) @ c_s_t[heavy]).toarray()
+    y = (_block_diag(np.linalg.inv(lower[heavy[::lower.shape[1]]])) @ c_s_t[heavy]).toarray()
     # y's transpose is the Fortran q x rows operand; dgemm writes both triangles
     return dgemm(1.0, y.T, y.T, beta=1.0, c=gram, trans_b=True, overwrite_c=True)
 

@@ -14,17 +14,16 @@ original reduced operator through the Woodbury identity with the factor of
 the original stiffness.  Every stiffness factor (the complete analysis's,
 PCG's and the preconditioner's) is assembly.factor_spd's.  An SRI iteration
 makes one solve with the original stiffness's factor plus one operator
-apply (reduced_apply), whose products with C_s take the route
-SystemPartition.c_s_stored holds.  The first preconditioner apply of a
-solve adds one refinement step (one more operator apply and one more
-stiffness solve).
-FDP forms the q x q operator from the sparse influence matrix (reduced_gram:
-BLAS over the few rows of C_s^T dense enough to pay, a sparse product over
-the rest) and factors it (fdp_factor) in the form reduced_gram gives it.
-Where rows are heavy (the ladders) the operator is dense and is factored in
-place by dense Cholesky; where none is (the frames, about 5% dense with a
-reverse Cuthill-McKee band of 4-7% of q) it stays sparse and goes to
-factor_spd like a stiffness.
+apply (reduced_apply), whose products with C_s multiply by the partition's
+stored C_s and C_s^T where C_s is stored, and otherwise solve with C_b's
+factor.  The first preconditioner apply of a solve adds one refinement step
+(one more operator apply and one more stiffness solve).
+FDP forms the q x q operator from C_s^T (reduced_gram: BLAS over the few
+rows dense enough to pay, a sparse product over the rest) and factors it
+(fdp_factor) in the form reduced_gram gives it.  Where rows are heavy (the
+ladders) the operator is dense and is factored in place by dense Cholesky;
+where none is (the frames, about 5% dense with a reverse Cuthill-McKee band
+of 4-7% of q) it stays sparse and goes to factor_spd like a stiffness.
 
 The nonlinear driver's reduced backends solve each tangent through
 LowRankTangent: a held base (fdp_factor's factor, or the SRI preconditioner)

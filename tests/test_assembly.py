@@ -315,7 +315,7 @@ class TestMakePartition:
         model = build_truss_grid(1, 2)
         part = make_partition(model, PartitionSpec.of([]))
         assert part.q == 0
-        assert part.c_s.shape == (0, part.n)
+        assert part.c_s_t.shape == (part.n, 0)
         k = assemble_global(model).toarray()
         k_lb, _ = parameter_matrices(part)
         assert rel_err(part.c_b.T @ k_lb @ part.c_b, k) < 1e-12
@@ -393,8 +393,8 @@ class TestPartitionConsistency:
         c_b = part.c_b.toarray()
         c_a = part.c_a.toarray()
         c_s_dense = c_a @ np.linalg.inv(c_b)
-        assert sp.issparse(part.c_s)
-        assert rel_err(part.c_s.toarray(), c_s_dense) < 1e-10
+        assert sp.issparse(part.c_s_t)
+        assert rel_err(part.c_s_t.toarray(), c_s_dense.T) < 1e-10
 
     def test_update_matches_fresh_partition(self):
         # graded beams carry full 3x3 blocks, so this checks the batched inverse
@@ -419,7 +419,7 @@ class TestPartitionConsistency:
         graded = apply_floor_grading(model, 10000.0, 30000.0, "E")
         updated = update_partition(part, graded)
         assert updated.c_b_lu is part.c_b_lu
-        assert updated.c_s is part.c_s
+        assert updated.c_s_t is part.c_s_t
         k = assemble_global(graded).toarray()
         k_lb, k_la = parameter_matrices(updated)
         k_split = updated.c_b.T @ k_lb @ updated.c_b + updated.c_a.T @ k_la @ updated.c_a
@@ -443,7 +443,7 @@ class TestPartitionConsistency:
         for f in dataclasses.fields(part):
             value = getattr(part, f.name)
             assert not (isinstance(value, np.ndarray) and value.size >= part.n * part.q), f.name
-        assert part.c_s.nnz < 0.1 * part.n * part.q
+        assert part.c_s_t.nnz < 0.1 * part.n * part.q
 
     @pytest.mark.parametrize("model", [build_truss_grid(7, 16), build_frame_grid(20, 8)],
                              ids=["ladder", "frame"])
@@ -933,14 +933,14 @@ class TestReducedOperators:
 
 
 class TestInfluenceMatrix:
-    """C_s from level-scheduled solves with the matched basis transposed,
+    """C_s^T from level-scheduled solves with the matched basis transposed,
     against the dense definition C_a C_b^-1."""
 
     @staticmethod
     def assert_matches_definition(part):
         expected = part.c_a.toarray() @ np.linalg.inv(part.c_b.toarray())
-        assert part.c_s.format == "csr" and part.c_s.shape == (part.q, part.n)
-        assert rel_err(part.c_s.toarray(), expected) < 1e-12
+        assert part.c_s_t.format == "csr" and part.c_s_t.shape == (part.n, part.q)
+        assert rel_err(part.c_s_t.toarray(), expected.T) < 1e-12
 
     @pytest.mark.parametrize("model", [
         build_truss_grid(7, 16),
@@ -968,7 +968,7 @@ class TestInfluenceMatrix:
     def test_blocks_with_partial_last(self, monkeypatch):
         # a level holding more than _SLAB_BYTES / 64 products and Y0 entries
         # is expanded in pieces of whole rows, the last partial, and at the
-        # smallest bound in pieces of one row; every split gives C_s bitwise
+        # smallest bound in pieces of one row; every split gives C_s^T bitwise
         model = build_truss_grid(7, 16)
         spec = default_additional_set(model)
         real, pieces = assembly._ranges, []
@@ -978,7 +978,7 @@ class TestInfluenceMatrix:
             return real(start, count)
 
         monkeypatch.setattr(assembly, "_ranges", counted)
-        whole = make_partition(model, spec).c_s
+        whole = make_partition(model, spec).c_s_t
         calls = [len(pieces)]
         for products in (100, 1):
             pieces.clear()
@@ -986,7 +986,7 @@ class TestInfluenceMatrix:
             part = make_partition(model, spec)
             calls.append(len(pieces))
             for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(part.c_s, name), getattr(whole, name)), name
+                assert np.array_equal(getattr(part.c_s_t, name), getattr(whole, name)), name
         assert calls[0] < calls[1] < calls[2], calls
         self.assert_matches_definition(part)
 
@@ -1000,7 +1000,7 @@ class TestInfluenceMatrix:
     ], ids=["ladder-7x16", "graded-fg-frame", "c08-frame-2x4", "ladder-4x6-span2-basis",
             "cyclic-truss"])
     def test_bitwise_dense_solve(self, build, monkeypatch):
-        # C_s holds exactly the nonzeros of the dense level-scheduled solve:
+        # C_s^T holds exactly the nonzeros of the dense level-scheduled solve:
         # each level a sparse-times-dense product over all of Y.  On the
         # subdivided frame some entries sum three or more products, so only
         # their order of summation makes them equal
@@ -1018,7 +1018,7 @@ class TestInfluenceMatrix:
             y[a:b] -= schedule.off[a:b] @ y
         expected = np.empty_like(y)
         expected[matched[schedule.order]] = y
-        assert np.array_equal(part.c_s.toarray(), expected.T)
+        assert np.array_equal(part.c_s_t.toarray(), expected)
 
     @pytest.mark.parametrize("build", [
         lambda: with_default_set(build_truss_grid(31, 64)),
@@ -1027,20 +1027,14 @@ class TestInfluenceMatrix:
         cyclic_truss,
     ], ids=["ladder-31x64", "graded-frame", "c08c", "cyclic-truss"])
     def test_canonical(self, build):
-        # each row's column indices strictly increase (sorted, no
-        # duplicate), and no exact zero is stored
-        c_s = make_partition(*build()).c_s
-        first = np.zeros(c_s.nnz, dtype=bool)
-        first[c_s.indptr[:-1][np.diff(c_s.indptr) > 0]] = True
-        assert np.all((np.diff(c_s.indices) > 0) | first[1:])
-        assert np.all(c_s.data != 0)
+        assert_canonical(make_partition(*build()).c_s_t)
 
     def test_peak_memory(self):
         # tracemalloc's peak over make_partition, against the peak of the
         # dense-slab build this one replaced (a 16 MiB block of C_a^T
         # columns): 8.8 against 34.9 MiB on the 31x64 ladder, and 36.7
         # against 49.9 MiB on the bilinear 30x150 ladder, where Y grows in
-        # place and is held once while it is transposed
+        # place and is stored as C_s^T with no transpose
         for model, bound in ((build_truss_grid(31, 64), 55), (bilinear_ladder(30, 150), 50)):
             spec = default_additional_set(model)
             tracemalloc.start()
@@ -1077,6 +1071,15 @@ def dense(gram):
     return gram.toarray() if sp.issparse(gram) else gram
 
 
+def assert_canonical(matrix):
+    """Each CSR row's column indices strictly increase (sorted, no
+    duplicate), and no exact zero is stored."""
+    first = np.zeros(matrix.nnz, dtype=bool)
+    first[matrix.indptr[:-1][np.diff(matrix.indptr) > 0]] = True
+    assert np.all((np.diff(matrix.indices) > 0) | first[1:])
+    assert np.all(matrix.data != 0)
+
+
 class TestCsRoute:
     @pytest.mark.parametrize("build", [lambda: build_truss_grid(7, 16), graded_frame],
                              ids=["ladder-7x16", "graded-frame-50x20"])
@@ -1089,11 +1092,15 @@ class TestCsRoute:
             part = make_partition(model, default_additional_set(model))
             rng = np.random.default_rng(3)
             v, x = rng.standard_normal(part.n), rng.standard_normal(part.q)
-            out[part.c_s_stored] = (part.apply_c_s(v), part.apply_c_s_t(x),
-                                    dense(reduced_gram(part)))
+            out[part.c_s is not None] = (part.apply_c_s(v), part.apply_c_s_t(x),
+                                         reduced_gram(part))
         assert set(out) == {False, True}
-        for via_c_b, stored in zip(out[False], out[True]):
+        for via_c_b, stored in zip(out[False][:2], out[True][:2]):
             assert rel_err(stored, via_c_b) < 1e-12
+        # the Gram reads C_s^T, which both routes store alike
+        gram_c_b, gram_stored = out[False][2], out[True][2]
+        assert type(gram_c_b) is type(gram_stored)
+        assert np.array_equal(dense(gram_c_b), dense(gram_stored))
 
     @pytest.mark.parametrize("build, stored", [
         (graded_frame, True),
@@ -1104,10 +1111,10 @@ class TestCsRoute:
     def test_route_by_topology(self, build, stored):
         model = build()
         part = make_partition(model, default_additional_set(model))
-        assert part.c_s_stored is stored
+        assert (part.c_s is not None) is stored
         graded = update_partition(part, model.replace_materials(
             {0: dataclasses.replace(model.elements[0].material, e=1234.0)}))
-        assert graded.c_s_stored is stored
+        assert (graded.c_s is not None) is stored
 
     @pytest.mark.parametrize("build, share, stored", [
         (graded_frame, None, True),
@@ -1115,26 +1122,29 @@ class TestCsRoute:
         (c_b_ladder, None, False),
     ], ids=["graded-frame-50x20", "ladder-7x16", "ladder-30x30"])
     def test_transpose_stored_on_stored_route_only(self, build, share, stored, monkeypatch):
-        # ladder-7x16 stores C_s by topology; SPARSE_SHARE -inf forces it
-        # onto the C_b route
+        # every route stores C_s^T, canonical, and only the stored route its
+        # transpose C_s.  ladder-7x16 stores C_s by topology; SPARSE_SHARE
+        # -inf forces it onto the C_b route
         if share is not None:
             monkeypatch.setattr(assembly, "SPARSE_SHARE", share)
         model = build()
         part = make_partition(model, default_additional_set(model))
-        assert part.c_s_stored is stored
+        assert part.c_s_t.format == "csr" and part.c_s_t.shape == (part.n, part.q)
+        assert_canonical(part.c_s_t)
+        assert (part.c_s is not None) is stored
         if stored:
-            assert part.c_s_t.format == "csr"
-            assert (part.c_s_t != part.c_s.T).nnz == 0
-        else:
-            assert part.c_s_t is None
+            expected = part.c_s_t.T.tocsr()
+            assert part.c_s.format == "csr"
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(part.c_s, name), getattr(expected, name)), name
         updated = update_partition(part, apply_floor_grading(model, 4000.0, 36000.0, "E"))
-        assert updated.c_s_t is part.c_s_t
+        assert updated.c_s_t is part.c_s_t and updated.c_s is part.c_s
 
 
 class TestReducedGram:
     @staticmethod
     def heavy(part):
-        return assembly.heavy_rows(part.c_s.T.tocsr(), part.blocks.shape[1])
+        return assembly.heavy_rows(part)
 
     @pytest.mark.parametrize("build, share, split", [
         (lambda: build_frame_grid(20, 8), None, "light"),
@@ -1180,10 +1190,10 @@ class TestReducedGram:
         model = build()
         part = make_partition(model, default_additional_set(model))
         assert not self.heavy(part).any()
-        c_s_t = part.c_s.T.tocsr()
+        c_s_t = part.c_s_t
         g = reduced_gram(part)
         assert g.format == "csr"
-        assert np.array_equal(g.toarray(), (part.c_s @ (part.k_lb_inv @ c_s_t)).toarray())
+        assert np.array_equal(g.toarray(), (c_s_t.T.tocsr() @ (part.k_lb_inv @ c_s_t)).toarray())
 
     @pytest.mark.parametrize("build, stored", [
         (lambda: build_frame_grid(20, 8), True),
@@ -1192,7 +1202,7 @@ class TestReducedGram:
     def test_rejects_indefinite_basis_block(self, build, stored):
         model = build()
         part = make_partition(model, default_additional_set(model))
-        assert part.c_s_stored is stored
+        assert (part.c_s is not None) is stored
         with pytest.raises(UnstableStructureError, match="basis parameter block"):
             reduced_gram(part.with_blocks(-part.blocks))
 

@@ -23,8 +23,8 @@ def load_script(name):
 
 def test_bench_trajectory(tmp_path):
     # every method within 1e-8 of the direct solve (the committed files reach
-    # 7.3e-10), the C_s route the ladder and the two frames take
-    # (SystemPartition.c_s_stored), a basis factor without fill in every
+    # 7.3e-10), the C_s route the ladder and the two frames take (whether
+    # SystemPartition.c_s is stored), a basis factor without fill in every
     # scenario, and the stiffness routes
     assert load_script("bench_trajectory").main(
         ["--label", "test", "--out", str(tmp_path), "--repeats", "1"]) == 0

@@ -464,7 +464,7 @@ class TestFdpRoute:
     def test_route_follows_heavy_rows(self, build, route):
         model = build()
         part = make_partition(model, default_additional_set(model))
-        heavy = assembly.heavy_rows(part.c_s.T.tocsr(), part.blocks.shape[1])
+        heavy = assembly.heavy_rows(part)
         assert bool(heavy.any()) == (route is DenseCholesky)
         factor = solvers.fdp_factor(part)
         assert isinstance(factor, route)
